@@ -3,6 +3,9 @@ losses: Cox partial likelihood, contrastive node embeddings, and ListMLE,
 with exact and iterative inverse-Hessian solvers plus a brute-force
 leave-one-out oracle for validation."""
 
+# set before the submodule imports, which read it during package initialization
+__version__ = "0.1.0"
+
 from .attributor import (
     DropOne,
     HessianContext,
@@ -40,8 +43,6 @@ from .losscore import (
 )
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
 from .numkit import cg_solve, lissa_solve, pearson, solve_spd
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CoxModel",

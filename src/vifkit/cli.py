@@ -30,6 +30,7 @@ from .harness import (
     LogisticModel,
     LogLossTarget,
     compare,
+    logistic_fixture,
     loo_records,
     loo_retrain,
     merge_records,
@@ -37,7 +38,7 @@ from .harness import (
     synth_ranking,
     synth_survival,
 )
-from .losscore import PresenceVector, TrainConfig, check_gradient, check_hessian, train
+from .losscore import PresenceVector, TrainConfig, TrainResult, check_gradient, check_hessian, train
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
 
 log = logging.getLogger("vifkit.cli")
@@ -156,16 +157,19 @@ def _out_dir(cfg: dict) -> str:
     return path
 
 
-def _train_config(cfg: dict) -> TrainConfig:
+def _train_config(cfg: dict, model) -> TrainConfig:
     t = cfg["train"]
     known = {"optimizer", "learning_rate", "epochs", "batch_size", "weight_decay", "grad_tol"}
     extra = set(t) - known
     if extra:
         raise ConfigError(f"unknown train settings: {sorted(extra)}")
     try:
-        return TrainConfig(seed=cfg["seed"], **t)
+        tc = TrainConfig(seed=cfg["seed"], **t)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad train config: {exc}") from None
+    if tc.batch_size is not None and not model.supports_term_gradients:
+        raise ConfigError(f"train.batch_size: {type(model).__name__} has no per-term gradients")
+    return tc
 
 
 def _solver(cfg: dict) -> HessianSolver:
@@ -307,14 +311,9 @@ def cmd_synth(args) -> int:
             for u, v in g.edges:
                 fh.write(f"{u} {v}\n")
     else:
-        rng = np.random.default_rng(seed)
-        n_all = s["n"] + s["n_test"]
-        x = rng.standard_normal((n_all, s["d"]))
-        w = rng.standard_normal(s["d"])
-        probs = 1.0 / (1.0 + np.exp(-(x @ w)))
-        labels = np.where(rng.random(n_all) < probs, 1.0, -1.0)
-        _write_points_csv(paths[0], x[: s["n"]], labels[: s["n"]])
-        _write_points_csv(paths[1], x[s["n"] :], labels[s["n"] :])
+        full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
+        _write_points_csv(paths[0], full.x[: s["n"]], full.labels[: s["n"]])
+        _write_points_csv(paths[1], full.x[s["n"] :], full.labels[s["n"] :])
     meta = {
         "config_hash": config_hash(cfg),
         "scenario": scenario,
@@ -396,21 +395,20 @@ def read_checkpoint(path: str):
         raise DataError(f"checkpoint not found: {path}; run `vif train` first") from None
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError:
+    except ValueError:  # undecodable bytes or malformed JSON
         raise DataError(f"{path}: corrupt checkpoint header") from None
-    if header.get("format") != "vif-checkpoint-v1":
+    if not isinstance(header, dict) or header.get("format") != "vif-checkpoint-v1":
         raise DataError(f"{path}: not a recognized checkpoint")
-    theta = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if theta.shape[0] != header["dim"]:
+    if len(blob) % 8 or len(blob) // 8 != header.get("dim"):
         raise DataError(f"{path}: payload length does not match header dim")
-    return theta, header
+    return np.frombuffer(blob, dtype="<f8").astype(np.float64), header
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg)
     model, _ = build_model(cfg)
-    tc = _train_config(cfg)
+    tc = _train_config(cfg, model)
     ones = PresenceVector.all_ones(model.n_objects)
     res = train(model, ones, tc)
     path = os.path.join(out, CHECKPOINT_NAME)
@@ -512,10 +510,10 @@ def cmd_loo(args) -> int:
     model, targets = build_model(cfg)
     theta, header = _load_checkpoint_for(cfg)
     objects = _objects(cfg, model)
-    tc = _train_config(cfg)
-    full = train(model, PresenceVector.all_ones(model.n_objects), tc)
-    if not np.allclose(full.params.theta, theta):
-        log.warning("checkpoint differs from a fresh full-data run; using the fresh run")
+    tc = _train_config(cfg, model)
+    # the config hash ties the checkpoint to this exact full-data training run
+    stats = [header.get(k) for k in ("grad_norm", "converged", "iterations", "loss")]
+    full = TrainResult(model.param_vector(theta), *stats)
     start = time.perf_counter()
     results = loo_retrain(
         model, tc, objects, targets, full_result=full, jobs=cfg["jobs"]

@@ -6,14 +6,19 @@ The loss is the negative log partial likelihood
 
 with eta = X theta and at-risk sets R_i = {j present : y_j >= y_i}.  Ties in
 the observed times are rejected at load time, so risk sets are unambiguous.
-All sums are evaluated in one reverse sweep over the time-sorted records,
-O(n d^2) per call, with a max-shift on eta for stability.
+Every quantity comes from one reverse sweep over the time-sorted records,
+with a max-shift on eta for stability: the at-risk sums s0 and s1 of each
+event and their ratios r1 = s1/s0.  Value and gradient cost
+O(n log n + n d), the Hessian O(n d^2) as one weighted Gram matrix.
+per_term_hvp (O(n d)) and delta_gradient (O(E d) for E events) reuse one
+cached sweep per point.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,79 +109,74 @@ def risk_sets(data: SurvivalDataset, b: PresenceVector) -> list[np.ndarray]:
     return out
 
 
-def _sweep(data: SurvivalDataset, theta: np.ndarray, b: PresenceVector, want_s2: bool):
-    """Suffix sums over time-sorted present records.
+class _Sweep(NamedTuple):
+    """Present records in time order with their at-risk suffix sums."""
 
-    Returns a dict with records sorted by ascending y: suffix sums s0, s1
-    (and s2 if requested) of exp(eta - eta_max) weights, event positions,
-    and the sort bookkeeping.
-    """
+    idx: np.ndarray  # original record ids, ascending y
+    xs: np.ndarray
+    eta: np.ndarray
+    shift: float  # max eta; w, s0 and s1 are scaled by exp(-shift)
+    w: np.ndarray
+    ev: np.ndarray  # positions of the events
+    s0: np.ndarray  # at-risk sums at each event
+    s1: np.ndarray
+    r1: np.ndarray  # s1/s0
+
+
+def _sweep(data: SurvivalDataset, theta: np.ndarray, b: PresenceVector) -> _Sweep:
+    """Sort the present records by time and take the at-risk sums of each
+    event, s0 = sum w and s1 = sum w x, as reverse cumulative sums with
+    w = exp(eta - max eta)."""
     present = b.present_indices()
     if present.size == 0:
         raise NoEventsError("no present records")
-    xs = data.x[present]
-    ys = data.y[present]
-    ds = data.delta[present]
-    order = np.argsort(ys, kind="stable")
-    xs, ys, ds = xs[order], ys[order], ds[order]
+    idx = present[np.argsort(data.y[present], kind="stable")]
+    xs = data.x[idx]
     eta = xs @ theta
     shift = eta.max()
     w = np.exp(eta - shift)
-
-    s0 = np.cumsum(w[::-1])[::-1]
-    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1]
-    s2 = None
-    if want_s2:
-        outer = w[:, None, None] * (xs[:, :, None] * xs[:, None, :])
-        s2 = np.cumsum(outer[::-1], axis=0)[::-1]
-
-    ev = np.flatnonzero(ds == 1)
+    ev = np.flatnonzero(data.delta[idx] == 1)
     if ev.size == 0:
         raise NoEventsError("no uncensored events among present records")
-    return {
-        "present": present,
-        "order": order,
-        "xs": xs,
-        "ys": ys,
-        "ds": ds,
-        "eta": eta,
-        "shift": shift,
-        "w": w,
-        "s0": s0,
-        "s1": s1,
-        "s2": s2,
-        "ev": ev,
-    }
+    s0 = np.cumsum(w[::-1])[::-1][ev]
+    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1][ev]
+    return _Sweep(idx, xs, eta, shift, w, ev, s0, s1, s1 / s0[:, None])
+
+
+def _hessian(s: _Sweep) -> np.ndarray:
+    """sum over events of s2/s0 - r1 r1^T, as one weighted Gram matrix.
+
+    Record k sits in the at-risk set of every event at or before it, so
+    sum_j s2_j/s0_j = X^T diag(w * cumsum_events(1/s0)) X.
+    """
+    inv_s0 = np.zeros(s.w.shape[0])
+    inv_s0[s.ev] = 1.0 / s.s0
+    h = (s.xs * (s.w * np.cumsum(inv_s0))[:, None]).T @ s.xs - s.r1.T @ s.r1
+    return 0.5 * (h + h.T)
 
 
 def cox_value(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> float:
-    s = _sweep(data, theta, b, want_s2=False)
-    ev = s["ev"]
-    log_denom = s["shift"] + np.log(s["s0"][ev])
-    return float(-(s["eta"][ev] - log_denom).sum())
+    s = _sweep(data, theta, b)
+    log_denom = s.shift + np.log(s.s0)
+    return float(-(s.eta[s.ev] - log_denom).sum())
 
 
 def cox_gradient(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    s = _sweep(data, theta, b, want_s2=False)
-    ev = s["ev"]
-    ratios = s["s1"][ev] / s["s0"][ev, None]
-    return -(s["xs"][ev] - ratios).sum(axis=0)
+    s = _sweep(data, theta, b)
+    return -(s.xs[s.ev] - s.r1).sum(axis=0)
 
 
 def cox_hessian(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    s = _sweep(data, theta, b, want_s2=True)
-    ev = s["ev"]
-    r1 = s["s1"][ev] / s["s0"][ev, None]
-    h = (s["s2"][ev] / s["s0"][ev, None, None]).sum(axis=0)
-    h -= np.einsum("ki,kj->ij", r1, r1)
-    return 0.5 * (h + h.T)
+    return _hessian(_sweep(data, theta, b))
 
 
 class CoxModel(LossModel):
     """Negative log partial likelihood as a presence-masked LossModel.
 
     Data objects are the survival records; unit terms (for per-term Hessian
-    sampling) are the per-event contributions.
+    sampling) are the per-event contributions.  Value, gradient and Hessian
+    sweep afresh; per_term_hvp and delta_gradient, which are called many
+    times at one point, share one cached sweep per (theta, b).
     """
 
     is_convex = True
@@ -206,56 +206,54 @@ class CoxModel(LossModel):
     def num_terms(self, b: PresenceVector) -> int:
         return int(self.data.delta[b.present_indices()].sum())
 
-    def _full_sweep(self, theta: np.ndarray):
-        key = theta.tobytes()
+    def _cached_sweep(self, theta, b: PresenceVector):
+        """The sweep at (theta, b) plus each record's time-order position."""
+        theta = np.ascontiguousarray(theta, dtype=np.float64)
+        key = (theta.tobytes(), b.bits.tobytes())
         if key != self._cache_key:
-            self._cache_val = _sweep(
-                self.data, theta, PresenceVector.all_ones(self.data.n), want_s2=False
-            )
-            self._cache_key = key
+            s = _sweep(self.data, theta, b)
+            rank = np.full(self.data.n, -1)
+            rank[s.idx] = np.arange(s.idx.size)
+            self._cache_key, self._cache_val = key, (s, rank)
         return self._cache_val
 
     def per_term_hvp(self, j, theta, b, v):
         """(s2/s0 - r1 r1^T) v at the j-th present event, O(n d)."""
-        s = _sweep(self.data, theta, b, want_s2=False)
-        k = s["ev"][j]
-        xs, w, s0 = s["xs"], s["w"], s["s0"][k]
-        xv = xs @ v
+        s, _ = self._cached_sweep(theta, b)
+        k = s.ev[j]
+        xs = s.xs[k:]
         # suffix sum of w * (x^T v) * x starting at position k
-        s2v = ((w * xv)[k:, None] * xs[k:]).sum(axis=0)
-        r1 = s["s1"][k] / s0
-        return s2v / s0 - r1 * float(r1 @ v)
+        s2v = ((s.w[k:] * (xs @ v))[:, None] * xs).sum(axis=0)
+        r1 = s.r1[j]
+        return s2v / s.s0[j] - r1 * float(r1 @ v)
 
     def term_gradient_sum(self, theta, b, idx):
-        s = _sweep(self.data, theta, b, want_s2=False)
-        ev = s["ev"][np.asarray(idx, dtype=np.int64)]
-        ratios = s["s1"][ev] / s["s0"][ev, None]
-        return -(s["xs"][ev] - ratios).sum(axis=0)
+        s = _sweep(self.data, theta, b)
+        idx = np.asarray(idx, dtype=np.int64)
+        return -(s.xs[s.ev[idx]] - s.r1[idx]).sum(axis=0)
 
     def delta_gradient(self, theta, i):
         """grad L(theta, 1) - grad L(theta, 1_-i), by direct cancellation.
 
         Dropping record i removes its own event term (if any) and removes
-        exp(eta_i) from the at-risk sums of every earlier event:
+        w_i = exp(eta_i) from the at-risk sums of every earlier event, which
+        changes that event's ratio by
+        s1/s0 - (s1 - w_i x_i)/(s0 - w_i) = w_i (x_i - s1/s0)/(s0 - w_i):
 
             delta = -delta_i (x_i - s1/s0|_{y_i})
-                    + sum_{events j: y_j < y_i} [ s1/s0|_{y_j}
-                        - (s1 - w_i x_i)/(s0 - w_i)|_{y_j} ].
+                    + w_i sum_{events j: y_j < y_i} (x_i - s1/s0|_{y_j}) / (s0 - w_i)|_{y_j}.
+
+        The right-hand form of the change subtracts no nearly equal terms.
         """
-        s = self._full_sweep(np.ascontiguousarray(theta, dtype=np.float64))
-        pos = int(np.flatnonzero(s["present"][s["order"]] == i)[0])
-        x_i = s["xs"][pos]
-        w_i = s["w"][pos]
+        s, rank = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
+        pos = rank[i]
+        x_i, w_i = s.xs[pos], s.w[pos]
         out = np.zeros(self.dim)
-        if s["ds"][pos] == 1:
-            out -= x_i - s["s1"][pos] / s["s0"][pos]
-        earlier = s["ev"][s["ev"] < pos]
-        if earlier.size:
-            s0e = s["s0"][earlier]
-            s1e = s["s1"][earlier]
-            reduced = (s1e - w_i * x_i) / (s0e - w_i)[:, None]
-            out += (s1e / s0e[:, None] - reduced).sum(axis=0)
-        return out
+        e = int(np.searchsorted(s.ev, pos))  # events strictly before record i
+        if e < s.ev.size and s.ev[e] == pos:
+            out -= x_i - s.r1[e]
+        c = 1.0 / (s.s0[:e] - w_i)
+        return out + w_i * (x_i * c.sum() - c @ s.r1[:e])
 
 
 def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
@@ -270,27 +268,20 @@ def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
 
     A record censored before every event time has IF_i = 0.
     """
-    b = PresenceVector.all_ones(data.n)
-    s = _sweep(data, theta, b, want_s2=False)
-    n = data.n
-    pos = int(np.flatnonzero(s["present"][s["order"]] == i)[0])
-    x_i = s["xs"][pos]
-    w_i = s["w"][pos]
+    s = _sweep(data, theta, PresenceVector.all_ones(data.n))
+    pos = int(np.flatnonzero(s.idx == i)[0])
+    x_i, w_i = s.xs[pos], s.w[pos]
 
     score = np.zeros(data.d)
-    if s["ds"][pos] == 1:
-        score -= x_i - s["s1"][pos] / s["s0"][pos]
+    upto = int(np.searchsorted(s.ev, pos, side="right"))  # events at or before i
+    if upto and s.ev[upto - 1] == pos:
+        score -= x_i - s.r1[upto - 1]
 
-    upto = s["ev"][s["ev"] <= pos]
-    c_i = np.zeros(data.d)
-    if upto.size:
-        # exp(eta_i)/S0(y_j) = n w_i/s0_j in shift-consistent units, and the
-        # leading 1/n cancels it, leaving plain w_i/s0_j per event term.
-        ratios = s["s1"][upto] / s["s0"][upto, None]
-        weights = w_i / s["s0"][upto]
-        c_i = (weights[:, None] * (x_i[None, :] - ratios)).sum(axis=0)
-    h_n = cox_hessian(theta, data, b) / n
-    return -solve_spd(h_n, score + c_i)
+    # exp(eta_i)/S0(y_j) = n w_i/s0_j in shift-consistent units, and the
+    # leading 1/n cancels it, leaving plain w_i/s0_j per event term.
+    weights = w_i / s.s0[:upto]
+    c_i = (weights[:, None] * (x_i[None, :] - s.r1[:upto])).sum(axis=0)
+    return -solve_spd(_hessian(s) / data.n, score + c_i)
 
 
 class RelativeRiskTarget(TargetFunction):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .attributor import InfluenceRecord
 from .coxloss import SurvivalDataset
 from .embedloss import Graph
@@ -31,8 +32,6 @@ from .losscore import (
 )
 from .ltrloss import RankingDataset
 from .numkit import pearson
-
-PACKAGE_VERSION = "0.1.0"
 
 # Zachary's karate club: 34 nodes, 78 edges.
 KARATE_EDGES = (
@@ -381,7 +380,7 @@ class ExperimentReport:
     loo_runtime: float | None
     improvement_ratio: float | None
     config: dict
-    package_version: str = PACKAGE_VERSION
+    package_version: str = __version__
 
     def to_dict(self) -> dict:
         return {

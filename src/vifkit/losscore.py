@@ -101,11 +101,9 @@ class ParamVector:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_vector(self.theta))
-        end = 0
         for name, (off, length) in self.layout.items():
             if off < 0 or length < 0 or off + length > self.theta.shape[0]:
                 raise ValueError(f"segment {name!r} out of bounds")
-            end = max(end, off + length)
 
     @property
     def dim(self) -> int:
@@ -169,6 +167,10 @@ class LossModel(abc.ABC):
     ) -> np.ndarray:
         """Hessian-vector product of unit term j (unscaled, undamped)."""
         raise NotImplementedError(f"{type(self).__name__} has no per-term Hessian")
+
+    @property
+    def supports_term_gradients(self) -> bool:
+        return type(self).term_gradient_sum is not LossModel.term_gradient_sum
 
     def term_gradient_sum(
         self, theta: np.ndarray, b: PresenceVector, idx: np.ndarray

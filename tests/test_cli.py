@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vifkit.cli import main, read_checkpoint, write_checkpoint
+from vifkit.errors import DataError
 
 
 def run(capsys, *argv):
@@ -109,6 +110,34 @@ class TestGuards:
         assert code == 0
         assert (out / "summary.json").exists()
 
+    def test_loo_reuses_checkpoint_without_retraining(self, capsys, cox_run, monkeypatch):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+
+        def no_full_retrain(*args, **kwargs):
+            raise AssertionError("loo retrained the full-data model")
+
+        monkeypatch.setattr("vifkit.cli.train", no_full_retrain)
+        code, _, err = run(capsys, "loo", "--config", str(cfg_path))
+        assert code == 0, err
+        assert (out / "loo.csv").read_text().count("\n") == 1 + 60 * 6
+
+    def test_checkpoint_without_dim_is_data_error(self, capsys, cox_run):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        path = out / "checkpoint.bin"
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        del header["dim"]
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+        code, _, err = run(capsys, "attribute", "--config", str(cfg_path))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "DataError"
+        assert "dim" in payload["message"]
+
     def test_loo_without_checkpoint_is_data_error(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
         run(capsys, "synth", "--config", str(cfg_path))
@@ -166,6 +195,21 @@ class TestExitCodes:
         assert payload["exit_code"] == 3
         assert payload["error"] == "SingularMatrixError"
 
+    def test_batch_size_without_term_gradients_is_config_error(self, capsys, tmp_path):
+        # the embedding loss has no per-term gradients for minibatches
+        cfg_path = tmp_path / "embed.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "embed", "seed": 3, "out": str(tmp_path / "run"),
+            "model": {"walks_per_node": 5},
+            "train": {"epochs": 2, "batch_size": 16},
+        }))
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert "batch_size" in payload["message"]
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
@@ -192,6 +236,22 @@ class TestCheckpointFormat:
         assert header["config_hash"] == "f" * 64
         assert header["layout"] == {"theta": [0, 17]}
         np.testing.assert_array_equal(loaded_theta, theta)
+
+    def test_malformed_checkpoints_are_data_errors(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(str(path), np.ones(3), {"theta": (0, 3)}, {})
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        no_dim = json.loads(header_line)
+        del no_dim["dim"]
+        for content in (
+            json.dumps(no_dim).encode() + b"\n" + blob,  # header without dim
+            b"[1, 2]\n" + blob,  # header that is not an object
+            b"\xff\xfe\n" + blob,  # header that is not text
+            header_line + b"\n" + blob[:-3],  # truncated payload
+        ):
+            path.write_bytes(content)
+            with pytest.raises(DataError):
+                read_checkpoint(str(path))
 
     def test_train_writes_readable_checkpoint(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run

@@ -28,6 +28,31 @@ def ranking_data():
     return synth_ranking(m=15, n=8, k=3, p=4, seed=2)
 
 
+# Lists from 1 to all 8 items long, so the padded batch has positions past
+# the end of most lists and one list that uses every item.
+RAGGED_LISTS = ((3, 0, 6), (5, 2), (1,), (7, 4, 0, 2, 6), (2, 6, 1, 0, 3, 5, 7, 4),
+                (6, 5), (0, 7, 3, 1))
+
+
+@pytest.fixture(scope="module")
+def ranking_cases(ranking_data):
+    """(dataset, masked presence) pairs over the same 8 items and 4 features.
+
+    The ragged case masks items 2 and 5: query 1's whole list disappears,
+    query 5 keeps one item and the full-length list loses two.
+    """
+    rng = np.random.default_rng(11)
+    ragged = RankingDataset(
+        features=rng.normal(0.0, 1.0, (len(RAGGED_LISTS), 4)),
+        rel_lists=RAGGED_LISTS,
+        n_items=8,
+    )
+    return (
+        (ranking_data, PresenceVector.drop(8, 2)),
+        (ragged, PresenceVector(~np.isin(np.arange(8), (2, 5)))),
+    )
+
+
 class TestRankingDataset:
     def test_validation(self):
         with pytest.raises(DataError):
@@ -82,16 +107,19 @@ class TestListMLEValue:
         model = ListMLEModel(data)
         assert model.value(np.zeros(1), PresenceVector.all_ones(1)) == 0.0
 
-    def test_matches_naive_reference(self, ranking_data):
+    def test_matches_naive_reference(self, ranking_cases):
         rng = np.random.default_rng(0)
-        model = ListMLEModel(ranking_data, l2=0.1)
-        for trial in range(4):
-            w = rng.normal(0.0, 0.5, (8, 4))
-            b = PresenceVector.all_ones(8)
-            if trial % 2:
-                b = b.without(int(rng.integers(8)))
-            expected = naive_listmle(w, ranking_data, b.bits, l2=0.1)
-            assert model.value(w.ravel(), b) == pytest.approx(expected, rel=1e-12)
+        for data, masked in ranking_cases:
+            model = ListMLEModel(data, l2=0.1)
+            for trial in range(6):
+                w = rng.normal(0.0, 0.5, (8, 4))
+                b = PresenceVector.all_ones(8)
+                if trial % 3 == 1:
+                    b = b.without(int(rng.integers(8)))
+                elif trial % 3 == 2:
+                    b = masked
+                expected = naive_listmle(w, data, b.bits, l2=0.1)
+                assert model.value(w.ravel(), b) == pytest.approx(expected, rel=1e-12)
 
     def test_all_items_absent_raises(self, ranking_data):
         model = ListMLEModel(ranking_data)
@@ -101,13 +129,14 @@ class TestListMLEValue:
 
 
 class TestListMLEDerivatives:
-    def test_gradient_and_hessian_check(self, ranking_data):
-        model = ListMLEModel(ranking_data, l2=0.05)
+    def test_gradient_and_hessian_check(self, ranking_cases):
         rng = np.random.default_rng(1)
-        theta = rng.normal(0.0, 0.3, model.dim)
-        for b in (PresenceVector.all_ones(8), PresenceVector.drop(8, 2)):
-            assert check_gradient(model, theta, b) < 1e-7
-            assert check_hessian(model, theta, b) < 1e-6
+        for data, masked in ranking_cases:
+            model = ListMLEModel(data, l2=0.05)
+            theta = rng.normal(0.0, 0.3, model.dim)
+            for b in (PresenceVector.all_ones(8), masked):
+                assert check_gradient(model, theta, b) < 1e-7
+                assert check_hessian(model, theta, b) < 1e-6
 
     def test_uniform_shift_in_nullspace_without_ridge(self, ranking_data):
         """Adding the same vector to every item row shifts all scores in a
@@ -131,16 +160,17 @@ class TestListMLEDerivatives:
         eigs = np.linalg.eigvalsh(model.hessian(theta, PresenceVector.all_ones(8)))
         assert eigs.min() >= 0.05 - 1e-10
 
-    def test_delta_gradient_is_exact_difference(self, ranking_data):
-        model = ListMLEModel(ranking_data, l2=0.05)
+    def test_delta_gradient_is_exact_difference(self, ranking_cases):
         rng = np.random.default_rng(4)
-        theta = rng.normal(0.0, 0.3, model.dim)
         ones = PresenceVector.all_ones(8)
-        g_full = model.gradient(theta, ones)
-        for i in range(8):
-            direct = g_full - model.gradient(theta, ones.without(i))
-            np.testing.assert_allclose(model.delta_gradient(theta, i), direct,
-                                       atol=1e-11)
+        for data, _ in ranking_cases:
+            model = ListMLEModel(data, l2=0.05)
+            theta = rng.normal(0.0, 0.3, model.dim)
+            g_full = model.gradient(theta, ones)
+            for i in range(8):
+                direct = g_full - model.gradient(theta, ones.without(i))
+                np.testing.assert_allclose(model.delta_gradient(theta, i), direct,
+                                           atol=1e-11)
 
     def test_delta_gradient_ignores_ridge(self, ranking_data):
         rng = np.random.default_rng(5)
@@ -150,36 +180,42 @@ class TestListMLEDerivatives:
         np.testing.assert_allclose(bare.delta_gradient(theta, 3),
                                    ridged.delta_gradient(theta, 3), atol=1e-12)
 
-    def test_term_gradient_sum_over_all_queries(self, ranking_data):
-        model = ListMLEModel(ranking_data, l2=0.05)
+    def test_term_gradient_sum_over_all_queries(self, ranking_cases):
         rng = np.random.default_rng(6)
-        theta = rng.normal(0.0, 0.3, model.dim)
-        b = PresenceVector.all_ones(8)
-        np.testing.assert_allclose(
-            model.term_gradient_sum(theta, b, np.arange(model.num_terms(b))),
-            model.gradient(theta, b), atol=1e-11,
-        )
+        for data, masked in ranking_cases:
+            model = ListMLEModel(data, l2=0.05)
+            theta = rng.normal(0.0, 0.3, model.dim)
+            for b in (PresenceVector.all_ones(8), masked):
+                np.testing.assert_allclose(
+                    model.term_gradient_sum(theta, b, np.arange(model.num_terms(b))),
+                    model.gradient(theta, b), atol=1e-11,
+                )
 
-    def test_mask_equals_delete_for_trailing_item(self, ranking_data):
-        """With no ridge, masking the last item agrees with physically
-        shrinking the item universe (same surviving ids, smaller W)."""
-        model = ListMLEModel(ranking_data, l2=0.0)
-        lists_cut = tuple(
-            tuple(i for i in lst if i != 7) for lst in ranking_data.rel_lists
-        )
-        keep = [qi for qi, lst in enumerate(lists_cut) if lst]
-        cut_data = RankingDataset(
-            features=ranking_data.features[keep],
-            rel_lists=tuple(lists_cut[qi] for qi in keep),
-            n_items=7,
-        )
-        cut = ListMLEModel(cut_data, l2=0.0)
+    def test_mask_equals_delete_for_trailing_item(self, ranking_cases):
+        """With no ridge, masking the last item agrees bit for bit with
+        physically shrinking the item universe (same surviving ids, smaller
+        W): value, gradient rows and Hessian block of the surviving items."""
         rng = np.random.default_rng(7)
-        w = rng.normal(0.0, 0.3, (8, 4))
-        b = PresenceVector.drop(8, 7)
-        assert model.value(w.ravel(), b) == pytest.approx(
-            cut.value(w[:7].ravel(), PresenceVector.all_ones(7)), rel=1e-12
-        )
+        b, ones = PresenceVector.drop(8, 7), PresenceVector.all_ones(7)
+        for data, _ in ranking_cases:
+            model = ListMLEModel(data, l2=0.0)
+            lists_cut = tuple(tuple(i for i in lst if i != 7) for lst in data.rel_lists)
+            keep = [qi for qi, lst in enumerate(lists_cut) if lst]
+            cut_data = RankingDataset(
+                features=data.features[keep],
+                rel_lists=tuple(lists_cut[qi] for qi in keep),
+                n_items=7,
+            )
+            cut = ListMLEModel(cut_data, l2=0.0)
+            w = rng.normal(0.0, 0.3, (8, 4))
+            theta, theta_cut = w.ravel(), w[:7].ravel()
+            assert model.value(theta, b) == cut.value(theta_cut, ones)
+            np.testing.assert_array_equal(
+                model.gradient(theta, b)[:28], cut.gradient(theta_cut, ones)
+            )
+            np.testing.assert_array_equal(
+                model.hessian(theta, b)[:28, :28], cut.hessian(theta_cut, ones)
+            )
 
 
 class TestQueryLossTarget:
