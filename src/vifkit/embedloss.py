@@ -56,13 +56,6 @@ class Graph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
-
     @classmethod
     def from_edge_list(cls, path) -> "Graph":
         """Whitespace-separated 'u v' lines; '#' starts a comment."""
@@ -106,7 +99,7 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class WalkCorpus:
-    walks: tuple
+    walks: np.ndarray
     params: WalkParams
     present: tuple
 
@@ -116,56 +109,66 @@ def generate_walks(
 ) -> WalkCorpus:
     """Uniform random walks restricted to present nodes.
 
-    Nodes are visited in ascending id order, walks_per_node walks each; a
-    walk stops early when the current node has no present neighbor.  One
-    array of uniforms is drawn per walk regardless of early stopping, so the
-    stream stays aligned across graph representations.
+    Returns the corpus as one (W, walk_length) int64 array, W = present
+    nodes x walks_per_node.  Row r is walk r % walks_per_node from the
+    (r // walks_per_node)-th present node in ascending id order.  A walk
+    from a node with no present neighbor stops after its start; the rest of
+    its row is -1.
+
+    Every walk consumes walk_length - 1 uniforms whether or not it stops
+    early, drawn in row order as one rng.random((W, walk_length - 1)) call.
+    Under PCG64 this is the same stream as one rng.random(walk_length - 1)
+    call per walk, so the corpus for a given (seed, present ids) is fixed
+    and a physically deleted trailing node yields the same walks.
     """
     if b.n != graph.n:
         raise ValueError("presence vector length does not match the graph")
     present = b.present_indices()
     if present.size < 2:
         raise EmptyGraphError("need at least two present nodes to walk")
-    mask = b.bits
-    nbrs = graph.neighbor_lists()
-    present_nbrs = [a[mask[a]] for a in nbrs]
+
+    # CSR adjacency of the induced subgraph, neighbors in ascending id order
+    e = graph.edges[b.bits[graph.edges].all(axis=1)]
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((dst, src))
+    indices = dst[order]
+    deg = np.bincount(src, minlength=graph.n)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
 
     rng = np.random.default_rng(
         np.random.SeedSequence([int(params.seed), *(int(i) for i in present)])
     )
     steps = params.walk_length - 1
-    walks = []
-    for start in present:
-        for _ in range(params.walks_per_node):
-            draws = rng.random(steps) if steps else None
-            walk = [start]
-            cur = start
-            for t in range(steps):
-                options = present_nbrs[cur]
-                if options.size == 0:
-                    break
-                cur = int(options[int(draws[t] * options.size)])
-                walk.append(cur)
-            walks.append(np.array(walk, dtype=np.int64))
-    return WalkCorpus(walks=tuple(walks), params=params, present=tuple(int(i) for i in present))
+    draws = rng.random((present.size * params.walks_per_node, steps))
+    walks = np.full((draws.shape[0], params.walk_length), -1, dtype=np.int64)
+    walks[:, 0] = np.repeat(present, params.walks_per_node)
+    # Only a start node can be a dead end: a walk that moved along an edge
+    # can always step back along it.  Gathering on live rows alone also keeps
+    # indptr[cur] of an isolated last node (== len(indices)) out of the index.
+    live = np.flatnonzero(deg[walks[:, 0]] > 0)
+    cur = walks[live, 0]
+    for t in range(steps):
+        cur = indices[indptr[cur] + (draws[live, t] * deg[cur]).astype(np.int64)]
+        walks[live, t + 1] = cur
+    return WalkCorpus(walks=walks, params=params, present=tuple(int(i) for i in present))
 
 
 def walks_to_pairs(corpus: WalkCorpus, n: int) -> np.ndarray:
     """Ordered co-occurrence counts within the window, both directions.
 
     Returns an (n, n) count matrix C with C[u, v] = number of ordered pairs
-    (anchor u, positive v) emitted by the corpus.
+    (anchor u, positive v) emitted by the corpus.  Entries of -1 in the
+    padded walk array are not nodes and pair with nothing.
     """
-    window = corpus.params.window
-    counts = np.zeros((n, n), dtype=np.float64)
-    for walk in corpus.walks:
-        m = walk.shape[0]
-        for off in range(1, min(window, m - 1) + 1):
-            a = walk[:-off]
-            c = walk[off:]
-            np.add.at(counts, (a, c), 1.0)
-            np.add.at(counts, (c, a), 1.0)
-    return counts
+    walks = corpus.walks
+    forward = np.zeros(n * n, dtype=np.int64)
+    for off in range(1, min(corpus.params.window, walks.shape[1] - 1) + 1):
+        a, c = walks[:, :-off], walks[:, off:]
+        both = (a >= 0) & (c >= 0)
+        forward += np.bincount(a[both] * n + c[both], minlength=n * n)
+    forward = forward.reshape(n, n)
+    return (forward + forward.T).astype(np.float64)
 
 
 def contrastive_value_from_pairs(
@@ -225,6 +228,12 @@ class EmbedModel(LossModel):
         return emb, out
 
     def pair_counts(self, b: PresenceVector) -> np.ndarray:
+        """Pair counts of b's walk corpus, built on a cache miss.
+
+        The cache pins the full-presence counts and keeps one other presence
+        vector, so a drop-one sweep builds n + 1 corpora and holds at most
+        two n x n matrices.
+        """
         key = b.key()
         counts = self._pair_cache.get(key)
         if counts is None:
@@ -232,6 +241,11 @@ class EmbedModel(LossModel):
             counts = walks_to_pairs(corpus, self.graph.n)
             if counts.sum() == 0:
                 log.warning("walk corpus produced no co-occurrence pairs")
+            if not b.is_full:
+                # keep only the full-presence entry, whose key lists all n ids
+                self._pair_cache = {
+                    k: v for k, v in self._pair_cache.items() if len(k) == b.n
+                }
             self._pair_cache[key] = counts
         return counts
 

@@ -13,12 +13,54 @@ from vifkit.embedloss import (
     pair_loss_target,
     walks_to_pairs,
 )
+import vifkit.embedloss as embedloss
 from vifkit.errors import DataError, EmptyGraphError
+from vifkit.harness import synth_graph
 from vifkit.losscore import PresenceVector, check_gradient, check_hessian
 
 
 def path_graph(n):
     return Graph(n=n, edges=np.array([[i, i + 1] for i in range(n - 1)]))
+
+
+def naive_pair_counts(graph, b, params):
+    """Reference corpus: one walk at a time, one np.add.at per window offset.
+
+    Same seeding and one rng.random(walk_length - 1) draw per walk, so its
+    counts must equal EmbedModel.pair_counts bit for bit.
+    """
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    present = b.present_indices()
+    present_nbrs = [np.array([v for v in sorted(a) if b.bits[v]], dtype=np.int64)
+                    for a in nbrs]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(params.seed), *(int(i) for i in present)])
+    )
+    steps = params.walk_length - 1
+    counts = np.zeros((graph.n, graph.n))
+    for start in present:
+        for _ in range(params.walks_per_node):
+            draws = rng.random(steps) if steps else None
+            walk = [start]
+            cur = start
+            for t in range(steps):
+                options = present_nbrs[cur]
+                if options.size == 0:
+                    break
+                cur = int(options[int(draws[t] * options.size)])
+                walk.append(cur)
+            walk = np.array(walk, dtype=np.int64)
+            for off in range(1, min(params.window, walk.size - 1) + 1):
+                np.add.at(counts, (walk[:-off], walk[off:]), 1.0)
+                np.add.at(counts, (walk[off:], walk[:-off]), 1.0)
+    return counts
+
+
+def walk_lengths(corpus):
+    return (corpus.walks >= 0).sum(axis=1)
 
 
 @pytest.fixture
@@ -72,24 +114,24 @@ class TestWalks:
         wp = WalkParams(5, 4, 2, seed=11)
         c1 = generate_walks(g, b, wp)
         c2 = generate_walks(g, b, wp)
-        assert all(np.array_equal(a, z) for a, z in zip(c1.walks, c2.walks))
+        np.testing.assert_array_equal(c1.walks, c2.walks)
         c3 = generate_walks(g, b, WalkParams(5, 4, 2, seed=12))
-        assert any(not np.array_equal(a, z) for a, z in zip(c1.walks, c3.walks))
+        assert not np.array_equal(c1.walks, c3.walks)
 
     def test_walks_respect_presence(self):
         g = path_graph(6)
         b = PresenceVector.drop(6, 3)
         corpus = generate_walks(g, b, WalkParams(8, 5, 2, seed=0))
-        assert len(corpus.walks) == 8 * 5
-        for walk in corpus.walks:
-            assert 3 not in walk
+        assert corpus.walks.shape == (8 * 5, 5)
+        assert not np.any(corpus.walks == 3)
 
     def test_isolated_node_stops_immediately(self):
         g = Graph(n=3, edges=np.array([[0, 1]]))
         corpus = generate_walks(g, PresenceVector.all_ones(3), WalkParams(2, 5, 2, 0))
-        from_isolated = [w for w in corpus.walks if w[0] == 2]
-        assert len(from_isolated) == 2
-        assert all(len(w) == 1 for w in from_isolated)
+        from_isolated = corpus.walks[:, 0] == 2
+        assert from_isolated.sum() == 2
+        np.testing.assert_array_equal(walk_lengths(corpus)[from_isolated], 1)
+        np.testing.assert_array_equal(walk_lengths(corpus)[~from_isolated], 5)
 
     def test_fewer_than_two_present_raises(self):
         g = path_graph(3)
@@ -106,9 +148,10 @@ class TestWalks:
 class TestWalksToPairs:
     def test_single_walk_window_counts(self):
         # walk (0,1,2): offsets 1 and 2 give 3 forward pairs, doubled by the
-        # reverse direction, 6 ordered pairs total
+        # reverse direction, 6 ordered pairs total; the stopped walk (1) and
+        # its -1 padding add none
         corpus = WalkCorpus(
-            walks=(np.array([0, 1, 2]),),
+            walks=np.array([[0, 1, 2], [1, -1, -1]]),
             params=WalkParams(1, 3, 3, 0),
             present=(0, 1, 2),
         )
@@ -119,7 +162,7 @@ class TestWalksToPairs:
 
     def test_window_truncates(self):
         corpus = WalkCorpus(
-            walks=(np.array([0, 1, 2]),),
+            walks=np.array([[0, 1, 2]]),
             params=WalkParams(1, 3, 1, 0),
             present=(0, 1, 2),
         )
@@ -133,6 +176,48 @@ class TestWalksToPairs:
         c = walks_to_pairs(corpus, 2)
         # both walks alternate deterministically; counted by hand
         np.testing.assert_array_equal(c, [[4.0, 8.0], [8.0, 4.0]])
+
+
+KARATE = synth_graph(preset="karate")
+ORACLE_CASES = {
+    # node 11's only neighbor is node 0, so its walks stop at the start
+    "karate-without-0": (KARATE, PresenceVector.drop(34, 0), WalkParams(4, 6, 3, seed=1)),
+    "isolated-last-node": (
+        Graph(n=4, edges=np.array([[0, 1], [1, 2]])),
+        PresenceVector.all_ones(4),
+        WalkParams(3, 5, 2, seed=2),
+    ),
+    "walk-length-1": (KARATE, PresenceVector.all_ones(34), WalkParams(3, 1, 3, seed=3)),
+    "window-beyond-length": (path_graph(7), PresenceVector.drop(7, 2),
+                             WalkParams(5, 4, 9, seed=4)),
+}
+
+
+class TestPairCountsOracle:
+    """Bulk corpus against the walk-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_edge_cases(self, case):
+        graph, b, params = ORACLE_CASES[case]
+        model = EmbedModel(graph, k=2, walk_params=params)
+        np.testing.assert_array_equal(
+            model.pair_counts(b), naive_pair_counts(graph, b, params)
+        )
+
+    def test_stranded_node_counted_nowhere(self):
+        graph, b, params = ORACLE_CASES["karate-without-0"]
+        corpus = generate_walks(graph, b, params)
+        np.testing.assert_array_equal(walk_lengths(corpus)[corpus.walks[:, 0] == 11], 1)
+        assert EmbedModel(graph, 2, params).pair_counts(b)[11].sum() == 0
+
+    def test_karate_full_and_every_drop_one(self):
+        params = WalkParams(3, 6, 3, seed=5)
+        model = EmbedModel(KARATE, k=2, walk_params=params)
+        ones = PresenceVector.all_ones(34)
+        for b in [ones] + [ones.without(i) for i in range(34)]:
+            np.testing.assert_array_equal(
+                model.pair_counts(b), naive_pair_counts(KARATE, b, params)
+            )
 
 
 class TestEmbedModel:
@@ -209,6 +294,29 @@ class TestEmbedModel:
         assert contrastive_value_from_pairs(
             emb_p, out_p, counts_p, present
         ) == pytest.approx(base, rel=1e-12)
+
+    def test_drop_one_sweep_cache_is_bounded(self, small_model, monkeypatch):
+        builds = []
+        real = embedloss.generate_walks
+
+        def counted(graph, b, params):
+            builds.append(b.key())
+            return real(graph, b, params)
+
+        monkeypatch.setattr(embedloss, "generate_walks", counted)
+        rng = np.random.default_rng(7)
+        theta = rng.normal(0.0, 0.2, small_model.dim)
+        ones = PresenceVector.all_ones(5)
+        first = {}
+        for b in [ones] + [ones.without(i) for i in range(5)]:
+            small_model.gradient(theta, ones)
+            small_model.gradient(theta, b)
+            first[b.key()] = small_model.pair_counts(b).copy()
+            assert len(small_model._pair_cache) <= 2
+        assert len(builds) == 5 + 1
+        evicted = ones.without(0)
+        np.testing.assert_array_equal(small_model.pair_counts(evicted), first[evicted.key()])
+        assert len(builds) == 5 + 2 and len(small_model._pair_cache) == 2
 
     def test_num_terms_is_total_pair_count(self, small_model):
         b = PresenceVector.all_ones(5)
