@@ -7,6 +7,7 @@ leave-one-out oracle for validation."""
 __version__ = "0.1.0"
 
 from .attributor import (
+    Attribution,
     DropOne,
     HessianContext,
     HessianSolver,
@@ -42,9 +43,10 @@ from .losscore import (
     train,
 )
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
-from .numkit import cg_solve, lissa_solve, pearson, solve_spd
+from .numkit import SpdFactor, cg_solve, factor_spd, lissa_solve, pearson, solve_spd
 
 __all__ = [
+    "Attribution",
     "CoxModel",
     "DropOne",
     "EmbedModel",
@@ -60,6 +62,7 @@ __all__ = [
     "PointMass",
     "PresenceVector",
     "RankingDataset",
+    "SpdFactor",
     "SurvivalDataset",
     "TargetFunction",
     "TrainConfig",
@@ -72,6 +75,7 @@ __all__ = [
     "check_hessian",
     "classical_if",
     "compare",
+    "factor_spd",
     "finite_difference_if",
     "generate_walks",
     "lissa_solve",

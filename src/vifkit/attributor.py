@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnrealizableMixtureError
 from .losscore import DecomposableLoss, LossModel, PresenceVector, TargetFunction
-from .numkit import cg_solve, lissa_solve, solve_spd
+from .numkit import cg_solve, factor_spd, lissa_solve, solve_spd
 
 log = logging.getLogger("vifkit.attributor")
 
@@ -72,7 +72,8 @@ class HessianContext:
     """One assembled (1/n) Hessian at full presence, reused across objects.
 
     assembly_count tracks how many times the dense Hessian was built; a full
-    attribution pass performs exactly one assembly.
+    attribution pass performs exactly one assembly.  The explicit strategy
+    also factors the damped Hessian here, once, for every later solve.
     """
 
     def __init__(self, model: LossModel, theta: np.ndarray, solver: HessianSolver):
@@ -108,11 +109,18 @@ class HessianContext:
         self._lissa_term_mode = use_term
         if solver.strategy != "lissa" or not use_term:
             self._h_norm = self._assemble()
+        if solver.strategy == "explicit":
+            self._factor = factor_spd(self._h_norm, solver.damping)
 
     def _assemble(self):
         h = self.model.hessian(self.theta, self.ones) / self.n
         self.assembly_count += 1
         return h
+
+    @property
+    def path(self) -> str:
+        """Solver path: cholesky or lu (explicit strategy), cg or lissa."""
+        return self._factor.path if self._factor is not None else self.solver.strategy
 
     @property
     def h_norm(self):
@@ -124,7 +132,7 @@ class HessianContext:
         """x with [(1/n) H + damping I] x = rhs under the chosen strategy."""
         s = self.solver
         if s.strategy == "explicit":
-            return solve_spd(self.h_norm, rhs, damping=s.damping)
+            return solve_spd(self._factor, rhs)
         if s.strategy == "cg":
             h = self.h_norm
             res = cg_solve(
@@ -248,27 +256,50 @@ class InfluenceRecord:
     loo: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Attribution:
+    """Influence scores of objects (rows) on targets (columns).
+
+    scores[r, t] = grad f_t(theta) . vif(objects[r]).  grad_norm is the loss
+    gradient norm at theta and solver the path the inverse-Hessian solves
+    took: cholesky, lu, cg or lissa.
+    """
+
+    objects: np.ndarray
+    scores: np.ndarray
+    grad_norm: float
+    solver: str
+
+    def records(self) -> list[InfluenceRecord]:
+        """One record per (object, target), object-major."""
+        return [
+            InfluenceRecord(object_id=o, test_id=t, vif=v)
+            for o, row in zip(self.objects.tolist(), self.scores.tolist())
+            for t, v in enumerate(row)
+        ]
+
+
 def attribute_target(
     model: LossModel,
     theta: np.ndarray,
     targets: Sequence[TargetFunction] | TargetFunction,
     objects: Sequence[int],
     solver: HessianSolver | None = None,
-) -> list[InfluenceRecord]:
-    """Chain-rule influence scores grad f_t(theta) . vif(i) for each (i, t).
+) -> Attribution:
+    """Chain-rule influence scores V G^T for every (object, target) pair.
 
-    The Hessian is assembled and factorized once; each object costs one
-    solve, shared across every target.
+    Row r of V is vif(objects[r]) and row t of G is grad f_t(theta).  The
+    Hessian is assembled and factorized once; each object costs one solve,
+    and the scores are one matrix product.
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
     context = HessianContext(model, theta, solver or HessianSolver())
-    t_grads = [t.gradient(context.theta) for t in targets]
-    records = []
-    for i in objects:
-        v = vif_params(model, context.theta, i, context=context)
-        for t_id, tg in enumerate(t_grads):
-            records.append(
-                InfluenceRecord(object_id=int(i), test_id=t_id, vif=float(tg @ v))
-            )
-    return records
+    ids = np.array(objects, dtype=np.int64)
+    v = np.empty((ids.size, model.dim))
+    for row, i in enumerate(ids.tolist()):
+        v[row] = vif_params(model, context.theta, i, context=context)
+    g = np.empty((len(targets), model.dim))
+    for t, target in enumerate(targets):
+        g[t] = target.gradient(context.theta)
+    return Attribution(ids, v @ g.T, context.grad_norm, context.path)

@@ -47,6 +47,7 @@ CHECKPOINT_NAME = "checkpoint.bin"
 INFLUENCES_NAME = "influences.csv"
 LOO_NAME = "loo.csv"
 SUMMARY_NAME = "summary.json"
+CSV_CHUNK_ROWS = 8192
 
 # Per-scenario defaults; a config file overrides these, flags override both.
 # Training recipes are tuned per loss family.
@@ -445,14 +446,27 @@ def _load_checkpoint_for(cfg: dict):
     return theta, header
 
 
-def _write_records_csv(path: str, records, with_loo: bool):
+def _write_records_csv(path: str, object_ids, test_ids, vif, loo=None):
+    """Write the influence table from equal-length columns, in row chunks.
+
+    Scores are written as repr(float), the shortest round-trip decimal; a
+    NaN score, and every loo cell when loo is None, is an empty cell.
+    """
+    def cells(values):
+        return [repr(v) if v == v else "" for v in values.tolist()]
+
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["object_id", "test_id", "vif", "loo"])
-        for r in records:
-            loo = "" if r.loo is None or (with_loo is False) else _fmt(r.loo)
-            vif = "" if r.vif is None or np.isnan(r.vif) else _fmt(r.vif)
-            w.writerow([r.object_id, r.test_id, vif, loo])
+        fh.write("object_id,test_id,vif,loo\n")
+        for lo in range(0, len(vif), CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            vif_cells = cells(vif[rows])
+            loo_cells = cells(loo[rows]) if loo is not None else [""] * len(vif_cells)
+            fh.write("".join(
+                f"{o},{t},{v},{l}\n"
+                for o, t, v, l in zip(
+                    object_ids[rows].tolist(), test_ids[rows].tolist(), vif_cells, loo_cells
+                )
+            ))
 
 
 def _read_scores_csv(path: str, column: str):
@@ -485,22 +499,34 @@ def cmd_attribute(args) -> int:
     theta, _ = _load_checkpoint_for(cfg)
     objects = _objects(cfg, model)
     solver = _solver(cfg)
+    if solver.strategy == "explicit":
+        # the factorization imports scipy.linalg on first use; keep that
+        # one-time process cost out of runtime_s, which times attribution
+        import scipy.linalg
     start = time.perf_counter()
-    records = attribute_target(model, theta, targets, objects, solver=solver)
+    result = attribute_target(model, theta, targets, objects, solver=solver)
     runtime = time.perf_counter() - start
-    _write_records_csv(os.path.join(out, INFLUENCES_NAME), records, with_loo=False)
+    k, n_targets = result.scores.shape
+    _write_records_csv(
+        os.path.join(out, INFLUENCES_NAME),
+        np.repeat(result.objects, n_targets),
+        np.tile(np.arange(n_targets), k),
+        result.scores.ravel(),
+    )
     meta = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "runtime_s": runtime,
         "n_objects": len(objects),
         "n_targets": len(targets),
+        "grad_norm": result.grad_norm,
+        "solver": result.solver,
     }
     with open(os.path.join(out, "attribute_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("attributed %d objects x %d targets in %.3fs", len(objects), len(targets), runtime)
-    print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({len(records)} rows, {runtime:.3f}s)")
+    print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({result.scores.size} rows, {runtime:.3f}s)")
     return 0
 
 
@@ -588,7 +614,13 @@ def cmd_compare(args) -> int:
         config=vif_meta.get("config", {}),
     )
     merged = merge_records(vif_recs, loo_recs)
-    _write_records_csv(os.path.join(out, INFLUENCES_NAME), merged, with_loo=True)
+    _write_records_csv(
+        os.path.join(out, INFLUENCES_NAME),
+        np.array([r.object_id for r in merged], dtype=np.int64),
+        np.array([r.test_id for r in merged], dtype=np.int64),
+        np.array([r.vif for r in merged]),
+        np.array([np.nan if r.loo is None else r.loo for r in merged]),
+    )
     summary = report.to_dict()
     summary["config_hash"] = vif_meta.get("config_hash")
     summary["created_utc"] = datetime.now(timezone.utc).isoformat()

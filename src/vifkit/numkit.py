@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateInputError,
@@ -60,44 +59,84 @@ def require_symmetric(a: DenseMatrix) -> None:
         raise ValueError(f"matrix is not symmetric: skew {skew:.3e} at scale {scale:.3e}")
 
 
-def solve_spd(a: DenseMatrix, rhs: DenseVector, damping: float = 0.0) -> DenseVector:
-    """Solve (A + damping*I) x = rhs for symmetric A.
+@dataclass(frozen=True, eq=False)
+class SpdFactor:
+    """One factorization of the damped matrix m = A + damping*I.
 
-    Tries a Cholesky factorization first and falls back to a pivoted LU when
-    the damped matrix is not positive definite.  Raises SingularMatrixError
-    when the system is numerically singular (condition estimate > 1e14) or
-    the residual cannot be brought under 1e-8 * |rhs|.
+    path is "cholesky" when m is positive definite and "lu" when the Cholesky
+    factorization failed and a pivoted LU of the same matrix was taken instead.
     """
+
+    matrix: DenseMatrix
+    path: str
+    factors: tuple
+
+    def solve(self, rhs: DenseVector) -> DenseVector:
+        import scipy.linalg
+
+        if self.path == "cholesky":
+            return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
+        return scipy.linalg.lu_solve(self.factors, rhs, check_finite=False)
+
+
+def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:
+    """Validate and factor A + damping*I once, for any number of solves.
+
+    A must be finite and symmetric.  Tries a Cholesky factorization first and
+    falls back to a pivoted LU when the damped matrix is not positive
+    definite; raises SingularMatrixError when it is numerically singular
+    (condition estimate > 1e14).
+    """
+    # scipy.linalg costs ~0.3 s to import; only stages that solve pay for it
+    import scipy.linalg
+
     a = as_matrix(a)
-    rhs = as_vector(rhs)
-    if a.shape[0] != a.shape[1] or a.shape[0] != rhs.shape[0]:
-        raise ValueError(f"shape mismatch: A {a.shape}, rhs {rhs.shape}")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     require_symmetric(a)
     if damping < 0:
         raise ValueError("damping must be nonnegative")
 
     m = a if damping == 0.0 else a + damping * np.eye(a.shape[0])
-    x = None
     try:
-        factor = scipy.linalg.cho_factor(m, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        solve_again = lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return SpdFactor(m, "cholesky", scipy.linalg.cho_factor(m, check_finite=False))
+    except np.linalg.LinAlgError:
         if np.linalg.cond(m) > COND_LIMIT:
             raise SingularMatrixError(
                 f"condition estimate exceeds {COND_LIMIT:.0e}"
             ) from None
-        lu = scipy.linalg.lu_factor(m, check_finite=False)
-        x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        solve_again = lambda r: scipy.linalg.lu_solve(lu, r, check_finite=False)
+        return SpdFactor(m, "lu", scipy.linalg.lu_factor(m, check_finite=False))
 
+
+def solve_spd(
+    a: DenseMatrix | SpdFactor, rhs: DenseVector, damping: float | None = None
+) -> DenseVector:
+    """Solve (A + damping*I) x = rhs for symmetric A, or m x = rhs for a factor.
+
+    A matrix is factored by factor_spd (damping defaults to 0); a factor
+    from factor_spd already carries its damping, so passing one together with
+    damping is a ValueError.  Raises SingularMatrixError when the residual
+    cannot be brought under 1e-8 * |rhs| with one step of refinement.
+    """
+    if isinstance(a, SpdFactor):
+        if damping is not None:
+            raise ValueError("damping is fixed when the factor is built")
+        factor = a
+    else:
+        factor = factor_spd(a, 0.0 if damping is None else damping)
+    m = factor.matrix
+    rhs = as_vector(rhs)
+    if m.shape[0] != rhs.shape[0]:
+        raise ValueError(f"shape mismatch: A {m.shape}, rhs {rhs.shape}")
+
+    x = factor.solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     resid = rhs - m @ x
     if np.linalg.norm(resid) > RESIDUAL_RTOL * rhs_norm:
         # one step of iterative refinement before giving up
-        x = x + solve_again(resid)
+        x = x + factor.solve(resid)
         resid = rhs - m @ x
         if np.linalg.norm(resid) > RESIDUAL_RTOL * rhs_norm:
             raise SingularMatrixError(

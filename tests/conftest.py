@@ -69,6 +69,19 @@ class LinearTarget(TargetFunction):
         return self.a.copy()
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a counting wrapper; return the list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def quad_model():
     rng = np.random.default_rng(7)

@@ -177,7 +177,7 @@ def cox_study():
 
 
 def test_criterion_3_cox_loo_correlation(capsys, cox_study):
-    report = compare(cox_study["explicit"], loo_records(cox_study["loo"]))
+    report = compare(cox_study["explicit"].records(), loo_records(cox_study["loo"]))
     ceiling = cox_study["ceiling"]
     elapsed = cox_study["elapsed"]
     ok = (
@@ -214,7 +214,7 @@ def test_criterion_4_embedding_loo_correlation(capsys):
         targets,
         objects=range(34),
         solver=HessianSolver(damping=0.05),
-    )
+    ).records()
     loo = loo_retrain(
         model, cfg, range(34), targets, full_result=res, jobs=4, fresh_inits=True
     )
@@ -268,7 +268,7 @@ def test_criterion_5_listmle_loo_correlation(capsys):
         query_loss_target(model, held_out.features[q], held_out.rel_lists[q])
         for q in range(held_out.m)
     ]
-    recs = attribute_target(model, res.params.theta, targets, objects=range(30))
+    recs = attribute_target(model, res.params.theta, targets, objects=range(30)).records()
     loo = loo_retrain(model, cfg, range(30), targets, full_result=res, jobs=4)
     report = compare(recs, loo_records(loo))
     elapsed = time.perf_counter() - start
@@ -282,9 +282,9 @@ def test_criterion_5_listmle_loo_correlation(capsys):
 
 
 def test_criterion_6_solver_agreement(capsys, cox_study):
-    explicit = np.array([r.vif for r in cox_study["explicit"]])
-    cos_cg = _cosine(explicit, np.array([r.vif for r in cox_study["cg"]]))
-    cos_lissa = _cosine(explicit, np.array([r.vif for r in cox_study["lissa"]]))
+    explicit = cox_study["explicit"].scores.ravel()
+    cos_cg = _cosine(explicit, cox_study["cg"].scores.ravel())
+    cos_lissa = _cosine(explicit, cox_study["lissa"].scores.ravel())
     ok = cos_cg >= 0.999 and cos_lissa >= 0.95
     detail = f"score cosine: cg {cos_cg:.6f} >= 0.999, lissa {cos_lissa:.6f} >= 0.95"
     _verdict(capsys, ok, "criterion 6: solver agreement", detail)

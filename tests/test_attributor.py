@@ -4,8 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import LinearTarget
+import vifkit.attributor
+from conftest import LinearTarget, QuadraticModel, count_calls
 from vifkit.attributor import (
     DropOne,
     HessianContext,
@@ -125,7 +127,7 @@ class TestAttributeTarget:
         model, theta = logistic_opt
         rng = np.random.default_rng(2)
         targets = [LinearTarget(rng.standard_normal(4)) for _ in range(3)]
-        records = attribute_target(model, theta, targets, objects=[4, 9])
+        records = attribute_target(model, theta, targets, objects=[4, 9]).records()
         assert len(records) == 6
         for r in records:
             expected = float(
@@ -137,9 +139,61 @@ class TestAttributeTarget:
     def test_single_target_accepted(self, logistic_opt):
         model, theta = logistic_opt
         records = attribute_target(model, theta, LinearTarget(np.ones(4)),
-                                   objects=range(5))
+                                   objects=range(5)).records()
         assert [r.object_id for r in records] == list(range(5))
         assert {r.test_id for r in records} == {0}
+
+    def test_scores_are_one_matrix_product(self, cox_opt):
+        model, theta = cox_opt
+        rng = np.random.default_rng(6)
+        targets = [LinearTarget(rng.standard_normal(3)) for _ in range(4)]
+        objects = [7, 2, 30]
+        result = attribute_target(model, theta, targets, objects=objects)
+        np.testing.assert_array_equal(result.objects, objects)
+        v = np.stack([vif_params(model, theta, i) for i in objects])
+        g = np.stack([t.gradient(theta) for t in targets])
+        np.testing.assert_array_equal(result.scores, v @ g.T)
+        ones = PresenceVector.all_ones(model.n_objects)
+        assert result.grad_norm == np.linalg.norm(model.gradient(theta, ones))
+        assert result.solver == "cholesky"
+        records = result.records()
+        assert [(r.object_id, r.test_id) for r in records] == [
+            (o, t) for o in objects for t in range(4)
+        ]
+        assert [r.vif for r in records] == result.scores.ravel().tolist()
+
+    def test_solver_path_reported(self, cox_opt):
+        model, theta = cox_opt
+        target = LinearTarget(np.ones(3))
+        for strategy in ("cg", "lissa"):
+            solver = HessianSolver(strategy=strategy)
+            assert attribute_target(model, theta, target, [0], solver).solver == strategy
+
+    def test_explicit_attribution_factors_once(self, logistic_opt, monkeypatch):
+        model, theta = logistic_opt
+        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        solves = count_calls(monkeypatch, vifkit.attributor, "solve_spd")
+        result = attribute_target(model, theta, LinearTarget(np.ones(4)), range(30))
+        assert result.scores.shape == (30, 1)
+        assert (len(cho), len(solves)) == (1, 30)
+
+    def test_indefinite_damped_hessian_takes_lu_once(self, quad_model, monkeypatch):
+        class SaddleModel(QuadraticModel):
+            is_convex = False
+
+            def hessian(self, theta, b):
+                return b.count * np.diag([1.0, -1.0, 1.0])
+
+        model = SaddleModel(quad_model.centers)
+        theta = model.minimizer(PresenceVector.all_ones(12))
+        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        cond = count_calls(monkeypatch, np.linalg, "cond")
+        lu = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        solves = count_calls(monkeypatch, vifkit.attributor, "solve_spd")
+        result = attribute_target(model, theta, LinearTarget(np.ones(3)), range(12),
+                                  solver=HessianSolver(damping=0.1))
+        assert result.solver == "lu"
+        assert (len(cho), len(cond), len(lu), len(solves)) == (1, 1, 1, 12)
 
     def test_one_hessian_assembly_for_many_objects(self, logistic_opt):
         model, theta = logistic_opt

@@ -1,12 +1,21 @@
 """End-to-end command-line pipeline: synth, train, attribute, loo, compare."""
 
+import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vifkit
+from vifkit import cli
+from vifkit.attributor import InfluenceRecord, attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
 from vifkit.errors import DataError
+from vifkit.losscore import PresenceVector
 
 
 def run(capsys, *argv):
@@ -79,6 +88,96 @@ class TestPipeline:
         assert code == 0, err
         meta = json.loads((out / "attribute_meta.json").read_text())
         assert meta["config"]["solver"]["strategy"] == "cg"
+
+
+def reference_records_csv(path, records, with_loo):
+    """Row-at-a-time influence writer over InfluenceRecords: the bulk
+    writer's oracle for the bytes of influences.csv."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["object_id", "test_id", "vif", "loo"])
+        for r in records:
+            loo = "" if r.loo is None or (with_loo is False) else repr(float(r.loo))
+            vif = "" if r.vif is None or np.isnan(r.vif) else repr(float(r.vif))
+            w.writerow([r.object_id, r.test_id, vif, loo])
+
+
+def run_config(cfg_path, command):
+    return cli.load_config(cli.build_parser().parse_args([command, "--config", str(cfg_path)]))
+
+
+class TestInfluenceTable:
+    def test_attribute_and_compare_bytes_match_row_writer(self, capsys, cox_run, tmp_path):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train", "attribute", "loo"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        model, targets = cli.build_model(run_config(cfg_path, "attribute"))
+        theta, _ = read_checkpoint(str(out / "checkpoint.bin"))
+        records = attribute_target(model, theta, targets, range(60)).records()
+        expected = tmp_path / "expected.csv"
+        reference_records_csv(expected, records, with_loo=False)
+        assert (out / "influences.csv").read_bytes() == expected.read_bytes()
+
+        # drop one loo row so the merged table has an empty loo cell
+        lines = (out / "loo.csv").read_text().splitlines(keepends=True)
+        assert lines[8].startswith("1,1,")
+        (out / "loo.csv").write_text("".join(lines[:8] + lines[9:]))
+        with open(out / "loo.csv", newline="") as fh:
+            loo = {(int(r["object_id"]), int(r["test_id"])): float(r["loo"])
+                   for r in csv.DictReader(fh)}
+        assert run(capsys, "compare", "--config", str(cfg_path))[0] == 0
+        merged = [
+            InfluenceRecord(r.object_id, r.test_id, r.vif, loo.get((r.object_id, r.test_id)))
+            for r in records
+        ]
+        assert merged[7].loo is None
+        reference_records_csv(expected, merged, with_loo=True)
+        written = (out / "influences.csv").read_bytes()
+        assert written == expected.read_bytes()
+        assert written.splitlines()[8].endswith(b",")
+
+    def test_bulk_writer_matches_row_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)  # several chunks
+        rng = np.random.default_rng(0)
+        ids = np.repeat(np.arange(5), 3)
+        tids = np.tile(np.arange(3), 5)
+        vif = rng.standard_normal(15) * 10.0 ** rng.integers(-300, 300, 15)
+        vif[[2, 11]] = np.nan
+        vif[5] = -0.0
+        loo = rng.standard_normal(15)
+        loo[[0, 9]] = np.nan
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for loo_col, with_loo in ((None, False), (loo, True)):
+            cli._write_records_csv(str(got), ids, tids, vif, loo_col)
+            records = [
+                InfluenceRecord(int(o), int(t), float(v),
+                                None if loo_col is None or np.isnan(lv) else float(lv))
+                for o, t, v, lv in zip(ids, tids, vif, loo)
+            ]
+            reference_records_csv(want, records, with_loo)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_attribute_meta_records_grad_norm_and_solver(self, capsys, cox_run):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        model, _ = cli.build_model(run_config(cfg_path, "attribute"))
+        theta, _ = read_checkpoint(str(out / "checkpoint.bin"))
+        grad = model.gradient(theta, PresenceVector.all_ones(model.n_objects))
+        for flags, solver in (((), "cholesky"), (("--solver", "cg"), "cg")):
+            assert run(capsys, "attribute", "--config", str(cfg_path), *flags)[0] == 0
+            meta = json.loads((out / "attribute_meta.json").read_text())
+            assert meta["solver"] == solver
+            assert meta["grad_norm"] == float(np.linalg.norm(grad))
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        src = str(pathlib.Path(vifkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, vifkit.cli; print('scipy.linalg' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestGuards:

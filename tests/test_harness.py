@@ -189,7 +189,7 @@ class TestCompare:
         targets = [LinearTarget(rng.standard_normal(3)) for _ in range(2)]
         cfg = TrainConfig(optimizer="newton")
         theta = train(quad_model, PresenceVector.all_ones(12), cfg).params.theta
-        vif = attribute_target(quad_model, theta, targets, objects=range(12))
+        vif = attribute_target(quad_model, theta, targets, objects=range(12)).records()
         loo = loo_records(loo_retrain(quad_model, cfg, range(12), targets))
         report = compare(vif, loo)
         assert report.pearson_r == pytest.approx(1.0, abs=1e-10)

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vifkit.errors import DegenerateInputError, DivergedError, SingularMatrixError
-from vifkit.numkit import cg_solve, lissa_solve, pearson, solve_spd
+from conftest import count_calls
+from vifkit.errors import (
+    DegenerateInputError,
+    DivergedError,
+    NonFiniteError,
+    SingularMatrixError,
+)
+from vifkit.numkit import cg_solve, factor_spd, lissa_solve, pearson, solve_spd
 
 
 def random_spd(rng, d, lo=0.5, hi=5.0):
@@ -53,6 +60,48 @@ class TestSolveSpd:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.ones(2))
+
+
+class TestFactorSpd:
+    def test_factor_solves_bit_identical_to_matrix_solves(self):
+        rng = np.random.default_rng(3)
+        spd = random_spd(rng, 7)
+        indefinite = np.diag([2.0, -1.0, 0.5, -3.0, 1.5, 4.0, -0.7])
+        for a, damping, path in ((spd, 0.2, "cholesky"), (indefinite, 0.1, "lu")):
+            factor = factor_spd(a, damping)
+            assert factor.path == path
+            for _ in range(5):
+                rhs = rng.standard_normal(7)
+                np.testing.assert_array_equal(
+                    solve_spd(factor, rhs), solve_spd(a, rhs, damping=damping)
+                )
+
+    def test_factor_with_damping_rejected(self):
+        factor = factor_spd(np.eye(3), 0.5)
+        for damping in (0.5, 0.0):
+            with pytest.raises(ValueError):
+                solve_spd(factor, np.ones(3), damping=damping)
+
+    def test_indefinite_system_factored_once(self, monkeypatch):
+        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        lu = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        cond = count_calls(monkeypatch, np.linalg, "cond")
+        factor = factor_spd(np.diag([1.0, -2.0, 3.0]), 0.5)
+        for j in range(10):
+            solve_spd(factor, np.arange(3.0) + j)
+        assert (len(cho), len(cond), len(lu)) == (1, 1, 1)
+
+    def test_per_rhs_checks_kept(self):
+        factor = factor_spd(np.eye(3))
+        with pytest.raises(ValueError):
+            solve_spd(factor, np.ones(2))
+        with pytest.raises(NonFiniteError):
+            solve_spd(factor, np.array([1.0, np.nan, 0.0]))
+        np.testing.assert_array_equal(solve_spd(factor, np.zeros(3)), np.zeros(3))
+
+    def test_singular_factor_raises(self):
+        with pytest.raises(SingularMatrixError):
+            factor_spd(np.diag([1.0, 0.0]))
 
 
 class TestCgSolve:
