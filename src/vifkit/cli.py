@@ -556,7 +556,12 @@ def cmd_loo(args) -> int:
         "config": cfg,
         "runtime_s": runtime,
         "n_retrains": len(results),
+        "n_converged": sum(r.converged for r in results),
         "all_converged": all(r.converged for r in results),
+        # per retrain, in the object order of loo.csv
+        "grad_norm": [r.grad_norm for r in results],
+        "converged": [r.converged for r in results],
+        "wall_s": [r.wall_time for r in results],
     }
     with open(os.path.join(out, "loo_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -6,12 +6,17 @@ The loss is the negative log partial likelihood
 
 with eta = X theta and at-risk sets R_i = {j present : y_j >= y_i}.  Ties in
 the observed times are rejected at load time, so risk sets are unambiguous.
-Every quantity comes from one reverse sweep over the time-sorted records,
-with a max-shift on eta for stability: the at-risk sums s0 and s1 of each
-event and their ratios r1 = s1/s0.  Value and gradient cost
-O(n log n + n d), the Hessian O(n d^2) as one weighted Gram matrix.
-per_term_hvp (O(n d)) and delta_gradient (O(E d) for E events) reuse one
-cached sweep per point.
+
+The present records are first put in time order with their features
+gathered (the layout, O(n log n), once per presence vector; CoxModel caches
+it).  At each theta one reverse sweep over the layout, with a max-shift on
+eta for stability, gives each event's at-risk sum s0 and each record's
+weight a = w * cumsum_events(1/s0).  The value and the gradient then cost
+O(n d): the gradient is one GEMV, -X^T (delta - a), over the Cox
+martingale residuals.  The Hessian, O(n d^2), is the weighted Gram matrix
+X^T diag(a) X minus the outer products of the event ratios r1 = s1/s0,
+which only the Hessian-side callers build.  per_term_hvp (O(n d)) and
+delta_gradient (O(E d) for E events) reuse one cached sweep per point.
 """
 
 from __future__ import annotations
@@ -109,80 +114,120 @@ def risk_sets(data: SurvivalDataset, b: PresenceVector) -> list[np.ndarray]:
     return out
 
 
-class _Sweep(NamedTuple):
-    """Present records in time order with their at-risk suffix sums."""
+class _Layout(NamedTuple):
+    """Present records in time order; depends on the presence vector only."""
 
     idx: np.ndarray  # original record ids, ascending y
-    xs: np.ndarray
-    eta: np.ndarray
-    shift: float  # max eta; w, s0 and s1 are scaled by exp(-shift)
-    w: np.ndarray
+    xs: np.ndarray  # their features, gathered
     ev: np.ndarray  # positions of the events
-    s0: np.ndarray  # at-risk sums at each event
-    s1: np.ndarray
-    r1: np.ndarray  # s1/s0
+    dlt: np.ndarray  # event indicator (0.0 or 1.0) at each position
 
 
-def _sweep(data: SurvivalDataset, theta: np.ndarray, b: PresenceVector) -> _Sweep:
-    """Sort the present records by time and take the at-risk sums of each
-    event, s0 = sum w and s1 = sum w x, as reverse cumulative sums with
-    w = exp(eta - max eta)."""
+def _layout(data: SurvivalDataset, b: PresenceVector) -> _Layout:
+    """Sort the present records by time and gather their features, O(n log n).
+
+    Only the present records are gathered, so a masked record leaves no
+    trace: masking and deleting give the same arrays.
+    """
     present = b.present_indices()
     if present.size == 0:
         raise NoEventsError("no present records")
     idx = present[np.argsort(data.y[present], kind="stable")]
-    xs = data.x[idx]
-    eta = xs @ theta
-    shift = eta.max()
-    w = np.exp(eta - shift)
-    ev = np.flatnonzero(data.delta[idx] == 1)
+    dlt = data.delta[idx]
+    ev = np.flatnonzero(dlt == 1)
     if ev.size == 0:
         raise NoEventsError("no uncensored events among present records")
-    s0 = np.cumsum(w[::-1])[::-1][ev]
-    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1][ev]
-    return _Sweep(idx, xs, eta, shift, w, ev, s0, s1, s1 / s0[:, None])
+    return _Layout(idx, data.x[idx], ev, dlt.astype(np.float64))
 
 
-def _hessian(s: _Sweep) -> np.ndarray:
+class _Sweep(NamedTuple):
+    """The risk-set sums of one layout at one theta."""
+
+    eta: np.ndarray
+    shift: float  # max eta; w, s0 and a are scaled by exp(-shift)
+    w: np.ndarray
+    s0: np.ndarray  # at-risk sum of w at each event
+    a: np.ndarray  # w * cumsum_events(1/s0), each record's residual weight
+
+
+def _sweep(lay: _Layout, theta: np.ndarray) -> _Sweep:
+    """At-risk sums s0 = sum w at each event, with w = exp(eta - max eta).
+
+    Record k sits in the at-risk set of every event at or before it, so the
+    events' 1/s0 reach it as a_k = w_k * sum_{events j <= k} 1/s0_j, the
+    Breslow cumulative hazard at y_k times w_k.  The gradient and the
+    Hessian both weigh the records by a.
+    """
+    eta = lay.xs @ theta
+    shift = eta.max()
+    w = np.exp(eta - shift)
+    s0 = np.cumsum(w[::-1])[::-1][lay.ev]
+    inv_s0 = np.zeros(w.shape[0])
+    inv_s0[lay.ev] = 1.0 / s0
+    return _Sweep(eta, shift, w, s0, w * np.cumsum(inv_s0))
+
+
+def _r1(lay: _Layout, s: _Sweep) -> np.ndarray:
+    """s1/s0 at each event, with s1 = sum w x over the at-risk set, (E, d)."""
+    s1 = np.cumsum((s.w[:, None] * lay.xs)[::-1], axis=0)[::-1][lay.ev]
+    return s1 / s.s0[:, None]
+
+
+def _value(lay: _Layout, s: _Sweep) -> float:
+    return float(-(s.eta[lay.ev] - (s.shift + np.log(s.s0))).sum())
+
+
+def _gradient(lay: _Layout, s: _Sweep) -> np.ndarray:
+    """-X^T (delta - a): one GEMV over the martingale residuals.
+
+    sum over events of r1_j = sum_k a_k x_k, so the gradient
+    -sum_events (x_j - r1_j) needs no (n, d) suffix sums.
+    """
+    return -((lay.dlt - s.a) @ lay.xs)
+
+
+def _hessian(lay: _Layout, s: _Sweep, r1: np.ndarray) -> np.ndarray:
     """sum over events of s2/s0 - r1 r1^T, as one weighted Gram matrix.
 
-    Record k sits in the at-risk set of every event at or before it, so
-    sum_j s2_j/s0_j = X^T diag(w * cumsum_events(1/s0)) X.
+    sum_j s2_j/s0_j = X^T diag(a) X with the same weights a as the gradient.
     """
-    inv_s0 = np.zeros(s.w.shape[0])
-    inv_s0[s.ev] = 1.0 / s.s0
-    h = (s.xs * (s.w * np.cumsum(inv_s0))[:, None]).T @ s.xs - s.r1.T @ s.r1
+    h = (lay.xs * s.a[:, None]).T @ lay.xs - r1.T @ r1
     return 0.5 * (h + h.T)
 
 
 def cox_value(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> float:
-    s = _sweep(data, theta, b)
-    log_denom = s.shift + np.log(s.s0)
-    return float(-(s.eta[s.ev] - log_denom).sum())
+    lay = _layout(data, b)
+    return _value(lay, _sweep(lay, theta))
 
 
 def cox_gradient(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    s = _sweep(data, theta, b)
-    return -(s.xs[s.ev] - s.r1).sum(axis=0)
+    lay = _layout(data, b)
+    return _gradient(lay, _sweep(lay, theta))
 
 
 def cox_hessian(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    return _hessian(_sweep(data, theta, b))
+    lay = _layout(data, b)
+    s = _sweep(lay, theta)
+    return _hessian(lay, s, _r1(lay, s))
 
 
 class CoxModel(LossModel):
     """Negative log partial likelihood as a presence-masked LossModel.
 
     Data objects are the survival records; unit terms (for per-term Hessian
-    sampling) are the per-event contributions.  Value, gradient and Hessian
-    sweep afresh; per_term_hvp and delta_gradient, which are called many
-    times at one point, share one cached sweep per (theta, b).
+    sampling) are the per-event contributions.  The time-ordered layout is
+    cached per presence vector: the full-presence one stays, plus the most
+    recent other one, so training sorts once and a leave-one-out sweep once
+    per retrain.  Value, gradient and Hessian sweep afresh at each theta;
+    per_term_hvp and delta_gradient, which are called many times at one
+    point, share one cached sweep per (theta, b).
     """
 
     is_convex = True
 
     def __init__(self, data: SurvivalDataset):
         self.data = data
+        self._layouts: dict[bytes, _Layout] = {}
         self._cache_key = None
         self._cache_val = None
 
@@ -194,43 +239,62 @@ class CoxModel(LossModel):
     def dim(self) -> int:
         return self.data.d
 
+    def _layout_of(self, b: PresenceVector) -> _Layout:
+        key = b.bits.tobytes()
+        lay = self._layouts.get(key)
+        if lay is None:
+            lay = _layout(self.data, b)
+            if not b.is_full:
+                # keep only the full-presence entry, whose key is all ones
+                self._layouts = {
+                    k: v for k, v in self._layouts.items() if v.idx.size == b.n
+                }
+            self._layouts[key] = lay
+        return lay
+
     def value(self, theta, b):
-        return cox_value(theta, self.data, b)
+        lay = self._layout_of(b)
+        return _value(lay, _sweep(lay, theta))
 
     def gradient(self, theta, b):
-        return cox_gradient(theta, self.data, b)
+        lay = self._layout_of(b)
+        return _gradient(lay, _sweep(lay, theta))
 
     def hessian(self, theta, b):
-        return cox_hessian(theta, self.data, b)
+        lay = self._layout_of(b)
+        s = _sweep(lay, theta)
+        return _hessian(lay, s, _r1(lay, s))
 
     def num_terms(self, b: PresenceVector) -> int:
         return int(self.data.delta[b.present_indices()].sum())
 
     def _cached_sweep(self, theta, b: PresenceVector):
-        """The sweep at (theta, b) plus each record's time-order position."""
+        """Layout, sweep and r1 at (theta, b), plus each record's position."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         key = (theta.tobytes(), b.bits.tobytes())
         if key != self._cache_key:
-            s = _sweep(self.data, theta, b)
+            lay = self._layout_of(b)
+            s = _sweep(lay, theta)
             rank = np.full(self.data.n, -1)
-            rank[s.idx] = np.arange(s.idx.size)
-            self._cache_key, self._cache_val = key, (s, rank)
+            rank[lay.idx] = np.arange(lay.idx.size)
+            self._cache_key, self._cache_val = key, (lay, s, _r1(lay, s), rank)
         return self._cache_val
 
     def per_term_hvp(self, j, theta, b, v):
         """(s2/s0 - r1 r1^T) v at the j-th present event, O(n d)."""
-        s, _ = self._cached_sweep(theta, b)
-        k = s.ev[j]
-        xs = s.xs[k:]
+        lay, s, r1, _ = self._cached_sweep(theta, b)
+        k = lay.ev[j]
+        xs = lay.xs[k:]
         # suffix sum of w * (x^T v) * x starting at position k
         s2v = ((s.w[k:] * (xs @ v))[:, None] * xs).sum(axis=0)
-        r1 = s.r1[j]
+        r1 = r1[j]
         return s2v / s.s0[j] - r1 * float(r1 @ v)
 
     def term_gradient_sum(self, theta, b, idx):
-        s = _sweep(self.data, theta, b)
+        lay = self._layout_of(b)
+        s = _sweep(lay, theta)
         idx = np.asarray(idx, dtype=np.int64)
-        return -(s.xs[s.ev[idx]] - s.r1[idx]).sum(axis=0)
+        return -(lay.xs[lay.ev[idx]] - _r1(lay, s)[idx]).sum(axis=0)
 
     def delta_gradient(self, theta, i):
         """grad L(theta, 1) - grad L(theta, 1_-i), by direct cancellation.
@@ -245,15 +309,15 @@ class CoxModel(LossModel):
 
         The right-hand form of the change subtracts no nearly equal terms.
         """
-        s, rank = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
+        lay, s, r1, rank = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
         pos = rank[i]
-        x_i, w_i = s.xs[pos], s.w[pos]
+        x_i, w_i = lay.xs[pos], s.w[pos]
         out = np.zeros(self.dim)
-        e = int(np.searchsorted(s.ev, pos))  # events strictly before record i
-        if e < s.ev.size and s.ev[e] == pos:
-            out -= x_i - s.r1[e]
+        e = int(np.searchsorted(lay.ev, pos))  # events strictly before record i
+        if e < lay.ev.size and lay.ev[e] == pos:
+            out -= x_i - r1[e]
         c = 1.0 / (s.s0[:e] - w_i)
-        return out + w_i * (x_i * c.sum() - c @ s.r1[:e])
+        return out + w_i * (x_i * c.sum() - c @ r1[:e])
 
 
 def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
@@ -268,20 +332,22 @@ def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
 
     A record censored before every event time has IF_i = 0.
     """
-    s = _sweep(data, theta, PresenceVector.all_ones(data.n))
-    pos = int(np.flatnonzero(s.idx == i)[0])
-    x_i, w_i = s.xs[pos], s.w[pos]
+    lay = _layout(data, PresenceVector.all_ones(data.n))
+    s = _sweep(lay, theta)
+    r1 = _r1(lay, s)
+    pos = int(np.flatnonzero(lay.idx == i)[0])
+    x_i, w_i = lay.xs[pos], s.w[pos]
 
     score = np.zeros(data.d)
-    upto = int(np.searchsorted(s.ev, pos, side="right"))  # events at or before i
-    if upto and s.ev[upto - 1] == pos:
-        score -= x_i - s.r1[upto - 1]
+    upto = int(np.searchsorted(lay.ev, pos, side="right"))  # events at or before i
+    if upto and lay.ev[upto - 1] == pos:
+        score -= x_i - r1[upto - 1]
 
     # exp(eta_i)/S0(y_j) = n w_i/s0_j in shift-consistent units, and the
     # leading 1/n cancels it, leaving plain w_i/s0_j per event term.
     weights = w_i / s.s0[:upto]
-    c_i = (weights[:, None] * (x_i[None, :] - s.r1[:upto])).sum(axis=0)
-    return -solve_spd(_hessian(s) / data.n, score + c_i)
+    c_i = (weights[:, None] * (x_i[None, :] - r1[:upto])).sum(axis=0)
+    return -solve_spd(_hessian(lay, s, r1) / data.n, score + c_i)
 
 
 class RelativeRiskTarget(TargetFunction):

@@ -72,11 +72,22 @@ class SpdFactor:
     factors: tuple
 
     def solve(self, rhs: DenseVector) -> DenseVector:
-        import scipy.linalg
+        """Solve m x = rhs for a float64 rhs with the LAPACK routine directly.
+
+        potrs/getrs are what cho_solve/lu_solve call, without their argument
+        handling, which costs several times the solve on a small system.
+        """
+        from scipy.linalg import lapack
 
         if self.path == "cholesky":
-            return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
-        return scipy.linalg.lu_solve(self.factors, rhs, check_finite=False)
+            c, lower = self.factors
+            x, info = lapack.dpotrs(c, rhs, lower=lower)
+        else:
+            lu, piv = self.factors
+            x, info = lapack.dgetrs(lu, piv, rhs)
+        if info != 0:
+            raise SingularMatrixError(f"LAPACK {self.path} solve failed (info={info})")
+        return x
 
 
 def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:

@@ -200,6 +200,16 @@ class TestGuards:
             run(capsys, cmd, "--config", str(cfg_path))
         meta_path = out / "loo_meta.json"
         meta = json.loads(meta_path.read_text())
+        loo_ids = [int(line.split(",")[0])
+                   for line in (out / "loo.csv").read_text().splitlines()[1::6]]
+        assert loo_ids == list(range(60))
+        for key in ("grad_norm", "converged", "wall_s"):
+            assert len(meta[key]) == meta["n_retrains"] == 60
+        assert all(g >= 0.0 for g in meta["grad_norm"])
+        assert all(t > 0.0 for t in meta["wall_s"])
+        assert meta["converged"] == [g <= 1e-8 for g in meta["grad_norm"]]
+        assert meta["n_converged"] == sum(meta["converged"])
+        assert meta["all_converged"] == (meta["n_converged"] == 60)
         meta["config_hash"] = "0" * 64
         meta_path.write_text(json.dumps(meta))
         code, _, err = run(capsys, "compare", "--config", str(cfg_path))

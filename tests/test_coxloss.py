@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from vifkit import coxloss
 from vifkit.coxloss import (
     CoxModel,
     SurvivalDataset,
@@ -14,7 +16,7 @@ from vifkit.coxloss import (
     risk_sets,
 )
 from vifkit.errors import DataError, NoEventsError
-from vifkit.harness import synth_survival
+from vifkit.harness import loo_retrain, synth_survival
 from vifkit.losscore import PresenceVector, TrainConfig, train
 
 
@@ -35,6 +37,28 @@ def naive_cox(theta, data, b):
         grad += r1 - data.x[i]
         hess += r2 - np.outer(r1, r1)
     return val, grad, hess
+
+
+def reference_cox_gradient(theta, data, b, dtype=np.float64):
+    """-sum over events of (x_j - s1_j/s0_j) from (n, d) suffix sums of w x.
+
+    The suffix-sum form the one-GEMV gradient replaced, kept as its oracle;
+    dtype=np.longdouble gives an extended-precision evaluation.
+    """
+    present = b.present_indices()
+    idx = present[np.argsort(data.y[present], kind="stable")]
+    xs = data.x[idx].astype(dtype)
+    eta = xs @ np.asarray(theta, dtype=dtype)
+    w = np.exp(eta - eta.max())
+    ev = np.flatnonzero(data.delta[idx] == 1)
+    s0 = np.cumsum(w[::-1])[::-1][ev]
+    s1 = np.cumsum((w[:, None] * xs)[::-1], axis=0)[::-1][ev]
+    return -(xs[ev] - s1 / s0[:, None]).sum(axis=0)
+
+
+class ReferenceGradientCox(CoxModel):
+    def gradient(self, theta, b):
+        return reference_cox_gradient(theta, self.data, b)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +217,72 @@ class TestCoxModel:
         assert model.num_terms(ones) == int(survival40.delta.sum())
         ev = int(np.flatnonzero(survival40.delta == 1)[0])
         assert model.num_terms(ones.without(ev)) == model.num_terms(ones) - 1
+
+
+class TestGradientOracle:
+    def test_matches_suffix_sum_reference(self, survival40):
+        rng = np.random.default_rng(3)
+        ones = PresenceVector.all_ones(40)
+        for trial in range(10):
+            theta = rng.normal(0.0, 0.5, 3)
+            for b in (ones, ones.without(trial)):
+                want = reference_cox_gradient(theta, survival40, b)
+                got = cox_gradient(theta, survival40, b)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                np.testing.assert_array_equal(CoxModel(survival40).gradient(theta, b), got)
+
+    def test_no_less_accurate_than_reference(self):
+        """Against a long-double evaluation, the worst error of the GEMV form
+        over a fixed set of points stays within 2x the suffix-sum form's."""
+        data = synth_survival(2000, 10, theta_star=np.linspace(1.0, -0.5, 10),
+                              censor_rate=0.2, seed=3)
+        rng = np.random.default_rng(0)
+        ones = PresenceVector.all_ones(2000)
+        err_new = err_ref = 0.0
+        for _ in range(6):
+            theta = rng.normal(0.0, 0.3, 10)
+            for b in (ones, ones.without(17)):
+                exact = reference_cox_gradient(theta, data, b, dtype=np.longdouble)
+                err_new = max(err_new, float(np.abs(cox_gradient(theta, data, b) - exact).max()))
+                err_ref = max(err_ref, float(
+                    np.abs(reference_cox_gradient(theta, data, b) - exact).max()))
+        assert 0.0 < err_ref
+        assert err_new <= 2.0 * err_ref
+
+    def test_adam_path_follows_reference(self):
+        data = synth_survival(200, 3, theta_star=[1.0, -0.5, 0.25],
+                              censor_rate=0.2, seed=42)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=200, seed=42)
+        ones = PresenceVector.all_ones(200)
+        for b in (ones, ones.without(5)):
+            got = train(CoxModel(data), b, cfg).params.theta
+            want = train(ReferenceGradientCox(data), b, cfg).params.theta
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestLayoutCache:
+    def test_one_layout_per_presence_vector(self, survival40, monkeypatch):
+        builds = count_calls(monkeypatch, coxloss, "_layout")
+        model = CoxModel(survival40)
+        ones = PresenceVector.all_ones(40)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=50, seed=1)
+        full = train(model, ones, cfg)
+        assert len(builds) == 1
+
+        objects = [0, 5, 13, 39]
+        loo_retrain(model, cfg, objects, targets=[], full_result=full)
+        assert len(builds) == 1 + len(objects)
+        assert len(model._layouts) <= 2
+
+        theta = full.params.theta
+        first = model.gradient(theta, ones.without(0))
+        assert len(builds) == 2 + len(objects)
+        for i in (1, 2, 0):  # evicts vector 0, then rebuilds it
+            model.gradient(theta, ones.without(i))
+            assert len(model._layouts) <= 2
+        assert len(builds) == 5 + len(objects)
+        np.testing.assert_array_equal(model.gradient(theta, ones.without(0)), first)
+        assert len(builds) == 5 + len(objects)
 
 
 class TestReidInfluence:

@@ -76,6 +76,24 @@ class TestFactorSpd:
                     solve_spd(factor, rhs), solve_spd(a, rhs, damping=damping)
                 )
 
+    def test_lapack_solve_bit_identical_to_scipy_solvers(self):
+        rng = np.random.default_rng(4)
+        for n in (10, 240):
+            spd = random_spd(rng, n)
+            # eigenvalues of spd lie in [0.5, 5]; a diagonal entry below zero is indefinite
+            indefinite = spd - 6.0 * np.diag(np.arange(n) % 2.0)
+            for a, path, reference in (
+                (spd, "cholesky", scipy.linalg.cho_solve),
+                (indefinite, "lu", scipy.linalg.lu_solve),
+            ):
+                factor = factor_spd(a, 0.1)
+                assert factor.path == path
+                for _ in range(3):
+                    rhs = rng.standard_normal(n)
+                    np.testing.assert_array_equal(
+                        factor.solve(rhs), reference(factor.factors, rhs, check_finite=False)
+                    )
+
     def test_factor_with_damping_rejected(self):
         factor = factor_spd(np.eye(3), 0.5)
         for damping in (0.5, 0.0):
