@@ -73,7 +73,7 @@ class HessianContext:
 
     assembly_count tracks how many times the dense Hessian was built; a full
     attribution pass performs exactly one assembly.  The explicit strategy
-    also factors the damped Hessian here, once, for every later solve.
+    also checks the damped Hessian and picks its solver path here, once.
     """
 
     def __init__(self, model: LossModel, theta: np.ndarray, solver: HessianSolver):
@@ -289,7 +289,7 @@ def attribute_target(
     """Chain-rule influence scores V G^T for every (object, target) pair.
 
     Row r of V is vif(objects[r]) and row t of G is grad f_t(theta).  The
-    Hessian is assembled and factorized once; each object costs one solve,
+    Hessian is assembled and checked once; each object costs one solve,
     and the scores are one matrix product.
     """
     if isinstance(targets, TargetFunction):

@@ -499,10 +499,6 @@ def cmd_attribute(args) -> int:
     theta, _ = _load_checkpoint_for(cfg)
     objects = _objects(cfg, model)
     solver = _solver(cfg)
-    if solver.strategy == "explicit":
-        # the factorization imports scipy.linalg on first use; keep that
-        # one-time process cost out of runtime_s, which times attribution
-        import scipy.linalg
     start = time.perf_counter()
     result = attribute_target(model, theta, targets, objects, solver=solver)
     runtime = time.perf_counter() - start

@@ -61,46 +61,32 @@ def require_symmetric(a: DenseMatrix) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
-    """One factorization of the damped matrix m = A + damping*I.
+    """The validated damped matrix m = A + damping*I and its solver path.
 
     path is "cholesky" when m is positive definite and "lu" when the Cholesky
-    factorization failed and a pivoted LU of the same matrix was taken instead.
+    factorization failed but m is not numerically singular.  Either way a
+    solve is one pivoted LU solve of m (numpy's gesv).
     """
 
     matrix: DenseMatrix
     path: str
-    factors: tuple
 
     def solve(self, rhs: DenseVector) -> DenseVector:
-        """Solve m x = rhs for a float64 rhs with the LAPACK routine directly.
-
-        potrs/getrs are what cho_solve/lu_solve call, without their argument
-        handling, which costs several times the solve on a small system.
-        """
-        from scipy.linalg import lapack
-
-        if self.path == "cholesky":
-            c, lower = self.factors
-            x, info = lapack.dpotrs(c, rhs, lower=lower)
-        else:
-            lu, piv = self.factors
-            x, info = lapack.dgetrs(lu, piv, rhs)
-        if info != 0:
-            raise SingularMatrixError(f"LAPACK {self.path} solve failed (info={info})")
-        return x
+        """Solve m x = rhs; a singular pivot raises SingularMatrixError."""
+        try:
+            return np.linalg.solve(self.matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"{self.path} path solve failed: {exc}") from None
 
 
 def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:
-    """Validate and factor A + damping*I once, for any number of solves.
+    """Validate A + damping*I once and choose its solver path.
 
-    A must be finite and symmetric.  Tries a Cholesky factorization first and
-    falls back to a pivoted LU when the damped matrix is not positive
-    definite; raises SingularMatrixError when it is numerically singular
-    (condition estimate > 1e14).
+    A must be finite and symmetric.  A Cholesky factorization tests positive
+    definiteness; when it fails the LU path is taken unless the damped matrix
+    is numerically singular (condition number > 1e14), which raises
+    SingularMatrixError.
     """
-    # scipy.linalg costs ~0.3 s to import; only stages that solve pay for it
-    import scipy.linalg
-
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -110,13 +96,14 @@ def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:
 
     m = a if damping == 0.0 else a + damping * np.eye(a.shape[0])
     try:
-        return SpdFactor(m, "cholesky", scipy.linalg.cho_factor(m, check_finite=False))
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         if np.linalg.cond(m) > COND_LIMIT:
             raise SingularMatrixError(
                 f"condition estimate exceeds {COND_LIMIT:.0e}"
             ) from None
-        return SpdFactor(m, "lu", scipy.linalg.lu_factor(m, check_finite=False))
+        return SpdFactor(m, "lu")
+    return SpdFactor(m, "cholesky")
 
 
 def solve_spd(

@@ -4,7 +4,6 @@ import logging
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import vifkit.attributor
 from conftest import LinearTarget, QuadraticModel, count_calls
@@ -171,11 +170,13 @@ class TestAttributeTarget:
 
     def test_explicit_attribution_factors_once(self, logistic_opt, monkeypatch):
         model, theta = logistic_opt
-        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        cho = count_calls(monkeypatch, np.linalg, "cholesky")
+        cond = count_calls(monkeypatch, np.linalg, "cond")
         solves = count_calls(monkeypatch, vifkit.attributor, "solve_spd")
         result = attribute_target(model, theta, LinearTarget(np.ones(4)), range(30))
         assert result.scores.shape == (30, 1)
-        assert (len(cho), len(solves)) == (1, 30)
+        assert result.solver == "cholesky"
+        assert (len(cho), len(cond), len(solves)) == (1, 0, 30)
 
     def test_indefinite_damped_hessian_takes_lu_once(self, quad_model, monkeypatch):
         class SaddleModel(QuadraticModel):
@@ -186,14 +187,13 @@ class TestAttributeTarget:
 
         model = SaddleModel(quad_model.centers)
         theta = model.minimizer(PresenceVector.all_ones(12))
-        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
+        cho = count_calls(monkeypatch, np.linalg, "cholesky")
         cond = count_calls(monkeypatch, np.linalg, "cond")
-        lu = count_calls(monkeypatch, scipy.linalg, "lu_factor")
         solves = count_calls(monkeypatch, vifkit.attributor, "solve_spd")
         result = attribute_target(model, theta, LinearTarget(np.ones(3)), range(12),
                                   solver=HessianSolver(damping=0.1))
         assert result.solver == "lu"
-        assert (len(cho), len(cond), len(lu), len(solves)) == (1, 1, 1, 12)
+        assert (len(cho), len(cond), len(solves)) == (1, 1, 12)
 
     def test_one_hessian_assembly_for_many_objects(self, logistic_opt):
         model, theta = logistic_opt

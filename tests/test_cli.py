@@ -179,6 +179,24 @@ class TestInfluenceTable:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_explicit_attribute_pipeline_never_loads_scipy(self, cox_run):
+        _, cfg_path, out = cox_run
+        src = str(pathlib.Path(vifkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from vifkit.cli import main\n"
+            "for stage in ('synth', 'train', 'attribute'):\n"
+            f"    assert main([stage, '--config', {str(cfg_path)!r}]) == 0, stage\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
+        meta = json.loads((out / "attribute_meta.json").read_text())
+        assert meta["solver"] == "cholesky"
+
 
 class TestGuards:
     def test_checkpoint_hash_mismatch_refused(self, capsys, cox_run, tmp_path):

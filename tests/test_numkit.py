@@ -76,23 +76,24 @@ class TestFactorSpd:
                     solve_spd(factor, rhs), solve_spd(a, rhs, damping=damping)
                 )
 
-    def test_lapack_solve_bit_identical_to_scipy_solvers(self):
+    def test_factor_solve_matches_scipy_oracle(self):
         rng = np.random.default_rng(4)
         for n in (10, 240):
             spd = random_spd(rng, n)
             # eigenvalues of spd lie in [0.5, 5]; a diagonal entry below zero is indefinite
             indefinite = spd - 6.0 * np.diag(np.arange(n) % 2.0)
-            for a, path, reference in (
-                (spd, "cholesky", scipy.linalg.cho_solve),
-                (indefinite, "lu", scipy.linalg.lu_solve),
+            for a, path, factor_fn, solve_fn in (
+                (spd, "cholesky", scipy.linalg.cho_factor, scipy.linalg.cho_solve),
+                (indefinite, "lu", scipy.linalg.lu_factor, scipy.linalg.lu_solve),
             ):
                 factor = factor_spd(a, 0.1)
                 assert factor.path == path
+                oracle = factor_fn(factor.matrix)
                 for _ in range(3):
                     rhs = rng.standard_normal(n)
-                    np.testing.assert_array_equal(
-                        factor.solve(rhs), reference(factor.factors, rhs, check_finite=False)
-                    )
+                    want = solve_fn(oracle, rhs)
+                    got = factor.solve(rhs)
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_factor_with_damping_rejected(self):
         factor = factor_spd(np.eye(3), 0.5)
@@ -101,13 +102,28 @@ class TestFactorSpd:
                 solve_spd(factor, np.ones(3), damping=damping)
 
     def test_indefinite_system_factored_once(self, monkeypatch):
-        cho = count_calls(monkeypatch, scipy.linalg, "cho_factor")
-        lu = count_calls(monkeypatch, scipy.linalg, "lu_factor")
+        cho = count_calls(monkeypatch, np.linalg, "cholesky")
         cond = count_calls(monkeypatch, np.linalg, "cond")
+        solves = count_calls(monkeypatch, np.linalg, "solve")
         factor = factor_spd(np.diag([1.0, -2.0, 3.0]), 0.5)
+        assert factor.path == "lu"
         for j in range(10):
             solve_spd(factor, np.arange(3.0) + j)
-        assert (len(cho), len(cond), len(lu)) == (1, 1, 1)
+        assert (len(cho), len(cond), len(solves)) == (1, 1, 10)
+
+    def test_solve_failure_is_singular_matrix_error(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        for a, path in ((np.eye(3), "cholesky"), (np.diag([1.0, -2.0, 3.0]), "lu")):
+            factor = factor_spd(a)
+            assert factor.path == path
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", singular)
+                with pytest.raises(SingularMatrixError):
+                    factor.solve(np.ones(3))
+                with pytest.raises(SingularMatrixError):
+                    solve_spd(factor, np.ones(3))
 
     def test_per_rhs_checks_kept(self):
         factor = factor_spd(np.eye(3))
