@@ -11,7 +11,6 @@ from .attributor import (
     DropOne,
     HessianContext,
     HessianSolver,
-    InfluenceRecord,
     PointMass,
     attribute_target,
     classical_if,
@@ -34,7 +33,6 @@ from .harness import (
 )
 from .losscore import (
     LossModel,
-    ParamVector,
     PresenceVector,
     TargetFunction,
     TrainConfig,
@@ -54,11 +52,9 @@ __all__ = [
     "Graph",
     "HessianContext",
     "HessianSolver",
-    "InfluenceRecord",
     "ListMLEModel",
     "LogisticModel",
     "LossModel",
-    "ParamVector",
     "PointMass",
     "PresenceVector",
     "RankingDataset",

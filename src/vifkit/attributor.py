@@ -248,14 +248,6 @@ def finite_difference_if(
     return -solve_spd(h_norm, diff, damping=damping) / n
 
 
-@dataclass(frozen=True)
-class InfluenceRecord:
-    object_id: int
-    test_id: int
-    vif: float
-    loo: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Attribution:
     """Influence scores of objects (rows) on targets (columns).
@@ -269,14 +261,6 @@ class Attribution:
     scores: np.ndarray
     grad_norm: float
     solver: str
-
-    def records(self) -> list[InfluenceRecord]:
-        """One record per (object, target), object-major."""
-        return [
-            InfluenceRecord(object_id=o, test_id=t, vif=v)
-            for o, row in zip(self.objects.tolist(), self.scores.tolist())
-            for t, v in enumerate(row)
-        ]
 
 
 def attribute_target(

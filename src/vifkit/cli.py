@@ -13,16 +13,18 @@ import argparse
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .attributor import HessianSolver, InfluenceRecord, attribute_target
+from .attributor import HessianSolver, attribute_target
 from .coxloss import CoxModel, SurvivalDataset, relative_risk_target
 from .embedloss import EmbedModel, Graph, WalkParams, pair_loss_target
 from .errors import ConfigError, DataError, NumericalError, VifError
@@ -31,9 +33,7 @@ from .harness import (
     LogLossTarget,
     compare,
     logistic_fixture,
-    loo_records,
     loo_retrain,
-    merge_records,
     synth_graph,
     synth_ranking,
     synth_survival,
@@ -366,14 +366,19 @@ def build_model(cfg: dict):
 
 
 def _objects(cfg: dict, model) -> list[int]:
+    """The configured object ids: "all", or a list of distinct in-range ints."""
     sel = cfg["objects"]
     if sel == "all":
         return list(range(model.n_objects))
-    ids = [int(i) for i in sel]
-    bad = [i for i in ids if not 0 <= i < model.n_objects]
+    # bool is an int subtype, but JSON true is not an object id
+    if not isinstance(sel, list) or any(type(i) is not int for i in sel):
+        raise ConfigError(f'objects must be "all" or a list of integer ids, got {sel!r}')
+    bad = [i for i in sel if not 0 <= i < model.n_objects]
     if bad:
         raise ConfigError(f"object ids out of range: {bad}")
-    return ids
+    if len(set(sel)) != len(sel):
+        raise ConfigError(f"objects lists an id more than once: {sel}")
+    return sel
 
 
 def write_checkpoint(path: str, theta: np.ndarray, layout: dict, extra: dict):
@@ -415,8 +420,8 @@ def cmd_train(args) -> int:
     path = os.path.join(out, CHECKPOINT_NAME)
     write_checkpoint(
         path,
-        res.params.theta,
-        res.params.layout,
+        res.theta,
+        model.layout,
         {
             "config_hash": config_hash(cfg),
             "scenario": cfg["scenario"],
@@ -434,7 +439,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(cfg: dict):
+def _load_checkpoint_for(cfg: dict, model):
     path = os.path.join(cfg["out"], CHECKPOINT_NAME)
     theta, header = read_checkpoint(path)
     want = config_hash(cfg)
@@ -443,60 +448,83 @@ def _load_checkpoint_for(cfg: dict):
             f"checkpoint {path} was trained under a different config "
             f"(hash {header.get('config_hash')!r} != {want!r}); retrain or fix the config"
         )
+    if theta.shape != (model.dim,):
+        raise DataError(
+            f"{path}: {theta.shape[0]} parameters, the {cfg['scenario']} model has {model.dim}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise DataError(f"{path}: non-finite parameters")
     return theta, header
 
 
-def _write_records_csv(path: str, object_ids, test_ids, vif, loo=None):
-    """Write the influence table from equal-length columns, in row chunks.
+def _write_records_csv(path: str, **columns):
+    """Write a score table from equal-length named columns, in row chunks.
 
-    Scores are written as repr(float), the shortest round-trip decimal; a
-    NaN score, and every loo cell when loo is None, is an empty cell.
+    The header is the column names.  Integer columns are written as
+    integers, float columns as repr(float), the shortest round-trip decimal;
+    a NaN score, and every cell of a column given as None, is an empty cell.
     """
-    def cells(values):
-        return [repr(v) if v == v else "" for v in values.tolist()]
+    n_rows = len(next(col for col in columns.values() if col is not None))
+
+    def cells(col, rows):
+        if col is None:
+            return itertools.repeat("")
+        values = col[rows].tolist()
+        if col.dtype.kind in "iu":
+            return map(str, values)
+        return [repr(v) if v == v else "" for v in values]
 
     with open(path, "w", newline="") as fh:
-        fh.write("object_id,test_id,vif,loo\n")
-        for lo in range(0, len(vif), CSV_CHUNK_ROWS):
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
             rows = slice(lo, lo + CSV_CHUNK_ROWS)
-            vif_cells = cells(vif[rows])
-            loo_cells = cells(loo[rows]) if loo is not None else [""] * len(vif_cells)
-            fh.write("".join(
-                f"{o},{t},{v},{l}\n"
-                for o, t, v, l in zip(
-                    object_ids[rows].tolist(), test_ids[rows].tolist(), vif_cells, loo_cells
-                )
-            ))
+            parts = [cells(col, rows) for col in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def _read_scores_csv(path: str, column: str):
-    """(object_id, test_id) -> score for one column of an influence CSV."""
+    """Object ids, test ids and one score column of a score table.
+
+    An empty score cell reads as NaN.  Ids must be non-negative integers and
+    each (object_id, test_id) pair may appear once.
+    """
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         raise DataError(f"missing {path}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise DataError(f"{path}: expected a {column} column")
-        out = {}
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        names = ("object_id", "test_id", column)
+        if not all(name in header for name in names):
+            raise DataError(f"{path}: expected object_id, test_id and {column} columns")
+        at = [header.index(name) for name in names]
+        ids, values = [], []
         for row in reader:
             try:
-                key = (int(row["object_id"]), int(row["test_id"]))
-                val = row[column]
-                out[key] = float(val) if val not in ("", None) else None
-            except (KeyError, ValueError):
+                o, t, v = (row[j] for j in at)
+                ids.append((int(o), int(t)))
+                values.append(float(v) if v else np.nan)
+            except (IndexError, ValueError):
                 raise DataError(f"{path}: malformed row {row}") from None
-    if not out:
+    if not ids:
         raise DataError(f"{path}: no data rows")
-    return out
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: object or test id out of range") from None
+    if (ids < 0).any():
+        raise DataError(f"{path}: negative object or test id")
+    if np.unique(ids, axis=0).shape[0] != ids.shape[0]:
+        raise DataError(f"{path}: duplicate (object_id, test_id) rows")
+    return ids[:, 0], ids[:, 1], np.array(values)
 
 
 def cmd_attribute(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg)
     model, targets = build_model(cfg)
-    theta, _ = _load_checkpoint_for(cfg)
+    theta, _ = _load_checkpoint_for(cfg, model)
     objects = _objects(cfg, model)
     solver = _solver(cfg)
     start = time.perf_counter()
@@ -505,9 +533,10 @@ def cmd_attribute(args) -> int:
     k, n_targets = result.scores.shape
     _write_records_csv(
         os.path.join(out, INFLUENCES_NAME),
-        np.repeat(result.objects, n_targets),
-        np.tile(np.arange(n_targets), k),
-        result.scores.ravel(),
+        object_id=np.repeat(result.objects, n_targets),
+        test_id=np.tile(np.arange(n_targets), k),
+        vif=result.scores.ravel(),
+        loo=None,
     )
     meta = {
         "config_hash": config_hash(cfg),
@@ -530,40 +559,45 @@ def cmd_loo(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg)
     model, targets = build_model(cfg)
-    theta, header = _load_checkpoint_for(cfg)
+    theta, header = _load_checkpoint_for(cfg, model)
     objects = _objects(cfg, model)
     tc = _train_config(cfg, model)
     # the config hash ties the checkpoint to this exact full-data training run
     stats = [header.get(k) for k in ("grad_norm", "converged", "iterations", "loss")]
-    full = TrainResult(model.param_vector(theta), *stats)
+    full = TrainResult(theta, *stats)
     start = time.perf_counter()
-    results = loo_retrain(
-        model, tc, objects, targets, full_result=full, jobs=cfg["jobs"]
-    )
+    result = loo_retrain(model, tc, objects, targets, full_result=full, jobs=cfg["jobs"])
     runtime = time.perf_counter() - start
-    records = loo_records(results)
-    with open(os.path.join(out, LOO_NAME), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["object_id", "test_id", "loo"])
-        for r in records:
-            w.writerow([r.object_id, r.test_id, _fmt(r.loo)])
+    k, n_targets = result.deltas.shape
+    path = os.path.join(out, LOO_NAME)
+    # scores in the influence convention, f(full) - f(drop i): negated deltas
+    _write_records_csv(
+        path,
+        object_id=np.repeat(result.objects, n_targets),
+        test_id=np.tile(np.arange(n_targets), k),
+        loo=-result.deltas.ravel(),
+    )
+    n_converged = int(result.converged.sum())
     meta = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "runtime_s": runtime,
-        "n_retrains": len(results),
-        "n_converged": sum(r.converged for r in results),
-        "all_converged": all(r.converged for r in results),
+        "n_retrains": k,
+        "n_converged": n_converged,
+        "all_converged": n_converged == k,
         # per retrain, in the object order of loo.csv
-        "grad_norm": [r.grad_norm for r in results],
-        "converged": [r.converged for r in results],
-        "wall_s": [r.wall_time for r in results],
+        "grad_norm": result.grad_norm.tolist(),
+        "converged": result.converged.tolist(),
+        "wall_s": result.wall_s.tolist(),
     }
     with open(os.path.join(out, "loo_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    log.info("retrained %d times in %.3fs", len(results), runtime)
-    print(f"wrote {os.path.join(out, LOO_NAME)} ({len(records)} rows, {runtime:.3f}s)")
+    log.info("retrained %d times in %.3fs", k, runtime)
+    print(
+        f"wrote {path} ({result.deltas.size} rows, {runtime:.3f}s, "
+        f"{n_converged}/{k} retrains converged)"
+    )
     return 0
 
 
@@ -595,34 +629,33 @@ def cmd_compare(args) -> int:
                 f"({sorted(hashes)}); rerun the stale stage or pass --force"
             )
         log.warning("config hash mismatch overridden by --force")
-    vif_scores = _read_scores_csv(os.path.join(out, INFLUENCES_NAME), "vif")
-    loo_scores = _read_scores_csv(os.path.join(out, LOO_NAME), "loo")
-    vif_recs = [
-        InfluenceRecord(object_id=o, test_id=t, vif=v)
-        for (o, t), v in sorted(vif_scores.items())
-        if v is not None
-    ]
-    loo_recs = [
-        InfluenceRecord(object_id=o, test_id=t, vif=float("nan"), loo=v)
-        for (o, t), v in sorted(loo_scores.items())
-        if v is not None
-    ]
+    vif_obj, vif_test, vif_score = _read_scores_csv(os.path.join(out, INFLUENCES_NAME), "vif")
+    loo_obj, loo_test, loo_score = _read_scores_csv(os.path.join(out, LOO_NAME), "loo")
+    # both files as objects x tests tables over the distinct ids they name
+    objects, obj_at = np.unique(np.concatenate([vif_obj, loo_obj]), return_inverse=True)
+    tests, test_at = np.unique(np.concatenate([vif_test, loo_test]), return_inverse=True)
+    vif = np.full((objects.size, tests.size), np.nan)
+    loo = vif.copy()
+    n_vif = vif_score.size
+    vif[obj_at[:n_vif], test_at[:n_vif]] = vif_score
+    loo[obj_at[n_vif:], test_at[n_vif:]] = loo_score
     report = compare(
-        vif_recs,
-        loo_recs,
+        vif,
+        loo,
         vif_runtime=vif_meta.get("runtime_s"),
         loo_runtime=loo_meta.get("runtime_s"),
         config=vif_meta.get("config", {}),
     )
-    merged = merge_records(vif_recs, loo_recs)
+    has_vif = ~np.isnan(vif)
+    obj_rows, test_cols = np.nonzero(has_vif)
     _write_records_csv(
         os.path.join(out, INFLUENCES_NAME),
-        np.array([r.object_id for r in merged], dtype=np.int64),
-        np.array([r.test_id for r in merged], dtype=np.int64),
-        np.array([r.vif for r in merged]),
-        np.array([np.nan if r.loo is None else r.loo for r in merged]),
+        object_id=objects[obj_rows],
+        test_id=tests[test_cols],
+        vif=vif[has_vif],
+        loo=loo[has_vif],
     )
-    summary = report.to_dict()
+    summary = asdict(report)
     summary["config_hash"] = vif_meta.get("config_hash")
     summary["created_utc"] = datetime.now(timezone.utc).isoformat()
     with open(os.path.join(out, SUMMARY_NAME), "w") as fh:

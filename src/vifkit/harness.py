@@ -1,10 +1,10 @@
 """Experiment harness: synthetic data, brute-force leave-one-out, comparison.
 
 The leave-one-out oracle retrains from scratch per dropped object under the
-same configuration and measures target deltas f(theta_-i) - f(theta_full);
-compare() correlates those deltas (sign-aligned) against the chain-rule
-influence scores, Table-style, and tracks attribution wall time on both
-sides.
+same configuration and returns the objects x targets matrix of deltas
+f(theta_-i) - f(theta_full); compare() correlates the negated deltas against
+the chain-rule influence score matrix, Table-style, and tracks attribution
+wall time on both sides.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .attributor import InfluenceRecord
 from .coxloss import SurvivalDataset
 from .embedloss import Graph
 from .errors import DataError, DegenerateInputError
@@ -241,31 +241,40 @@ def logistic_fixture(
     return LogisticModel(x=x, labels=labels, reg=reg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LooResult:
-    object_id: int
-    target_deltas: np.ndarray  # f(theta_-i) - f(theta_full) per target
+    """Leave-one-out retrainings of objects (ascending ids), one row each.
+
+    deltas[r, t] = f_t(theta_-objects[r]) - f_t(theta_full); grad_norm,
+    converged and wall_s hold each retraining's final gradient norm, whether
+    it met the training grad_tol, and its wall time in seconds.
+    """
+
+    objects: np.ndarray
+    deltas: np.ndarray
+    grad_norm: np.ndarray
+    converged: np.ndarray
+    wall_s: np.ndarray
+
+
+class _Retrain(NamedTuple):
+    """One retraining, the row of LooResult that _loo_one returns."""
+
+    deltas: np.ndarray
     grad_norm: float
     converged: bool
-    wall_time: float
+    wall_s: float
 
 
-def _loo_one(model, cfg, init, base_values, targets, i):
+def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
     start = time.perf_counter()
     b = PresenceVector.all_ones(model.n_objects).without(i)
     cfg_i = replace(cfg, seed=derive_seed(cfg.seed, i))
     if init is None:
         init = model.initial_params(cfg_i.seed)
     res = train(model, b, cfg_i, init=init)
-    theta_i = res.params.theta
-    deltas = np.array([t.value(theta_i) - base for t, base in zip(targets, base_values)])
-    return LooResult(
-        object_id=int(i),
-        target_deltas=deltas,
-        grad_norm=res.grad_norm,
-        converged=res.converged,
-        wall_time=time.perf_counter() - start,
-    )
+    deltas = np.array([t.value(res.theta) - base for t, base in zip(targets, base_values)])
+    return _Retrain(deltas, res.grad_norm, res.converged, time.perf_counter() - start)
 
 
 def loo_retrain(
@@ -276,7 +285,7 @@ def loo_retrain(
     full_result: TrainResult | None = None,
     jobs: int = 1,
     fresh_inits: bool = False,
-) -> list[LooResult]:
+) -> LooResult:
     """Brute-force leave-one-out: retrain from scratch per dropped object.
 
     By default every retraining starts from the same initialization as the
@@ -293,40 +302,25 @@ def loo_retrain(
         full_result = train(model, ones, cfg, init=init)
     if fresh_inits:
         init = None
-    theta_full = full_result.params.theta
-    base_values = [t.value(theta_full) for t in targets]
-    objects = [int(i) for i in objects]
+    base_values = [t.value(full_result.theta) for t in targets]
+    objects = sorted(int(i) for i in objects)
 
     if jobs <= 1:
-        results = [
-            _loo_one(model, cfg, init, base_values, targets, i) for i in objects
-        ]
+        rows = [_loo_one(model, cfg, init, base_values, targets, i) for i in objects]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_loo_one, model, cfg, init, base_values, targets, i)
                 for i in objects
             ]
-            results = [f.result() for f in futures]
-    return sorted(results, key=lambda r: r.object_id)
-
-
-def loo_records(results: list[LooResult]) -> list[InfluenceRecord]:
-    """Flatten retraining results to (object, test) influence records.
-
-    Scores are recorded in the influence convention f(full) - f(drop i), the
-    negative of the raw removal delta, so they share VIF's sign: positive
-    means the object pushes the target value up.  vif is left at nan.
-    """
-    out = []
-    for r in results:
-        for t_id, delta in enumerate(r.target_deltas):
-            out.append(
-                InfluenceRecord(
-                    object_id=r.object_id, test_id=t_id, vif=float("nan"), loo=float(-delta)
-                )
-            )
-    return out
+            rows = [f.result() for f in futures]
+    return LooResult(
+        objects=np.array(objects, dtype=np.int64),
+        deltas=np.array([r.deltas for r in rows]).reshape(len(objects), len(targets)),
+        grad_norm=np.array([r.grad_norm for r in rows]),
+        converged=np.array([r.converged for r in rows], dtype=bool),
+        wall_s=np.array([r.wall_s for r in rows]),
+    )
 
 
 @dataclass(frozen=True)
@@ -335,8 +329,8 @@ class RepeatResult:
 
     pearson_pooled: float
     pearson_per_test: np.ndarray
-    first: list[LooResult]
-    second: list[LooResult]
+    first: LooResult
+    second: LooResult
 
 
 def brute_force_repeat(
@@ -345,7 +339,7 @@ def brute_force_repeat(
     objects,
     targets,
     seed2: int,
-    first: list[LooResult] | None = None,
+    first: LooResult | None = None,
     jobs: int = 1,
     fresh_inits: bool = False,
 ) -> RepeatResult:
@@ -356,8 +350,7 @@ def brute_force_repeat(
     model2 = model.reseeded(seed2)
     cfg2 = replace(cfg, seed=seed2)
     second = loo_retrain(model2, cfg2, objects, targets, jobs=jobs, fresh_inits=fresh_inits)
-    a = np.stack([r.target_deltas for r in first])
-    c = np.stack([r.target_deltas for r in second])
+    a, c = first.deltas, second.deltas
     per_test = []
     for t in range(a.shape[1]):
         try:
@@ -382,65 +375,37 @@ class ExperimentReport:
     config: dict
     package_version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "pearson_r": self.pearson_r,
-            "n_pairs": self.n_pairs,
-            "vif_runtime": self.vif_runtime,
-            "loo_runtime": self.loo_runtime,
-            "improvement_ratio": self.improvement_ratio,
-            "config": self.config,
-            "package_version": self.package_version,
-        }
-
 
 def compare(
-    vif_records: list[InfluenceRecord],
-    loo_records_: list[InfluenceRecord],
+    vif: np.ndarray,
+    loo: np.ndarray,
     vif_runtime: float | None = None,
     loo_runtime: float | None = None,
     config: dict | None = None,
 ) -> ExperimentReport:
     """Pearson correlation between VIF scores and LOO ground truth.
 
-    Both sides are expected in the same influence convention (loo_records
-    already flips removal deltas), so identical score columns correlate at
-    exactly +1.  Records are matched on (object_id, test_id); unmatched rows
-    are dropped.
+    vif and loo are aligned arrays of the same (object, test) cells, NaN where
+    a score is missing; only cells where both scores are finite count.  Both
+    must be in the influence convention, f(full) - f(drop i), so LOO deltas
+    enter negated and identical score arrays correlate at exactly +1.
     """
-    loo_map = {(r.object_id, r.test_id): r.loo for r in loo_records_}
-    a, c = [], []
-    for r in vif_records:
-        key = (r.object_id, r.test_id)
-        if key in loo_map and loo_map[key] is not None:
-            a.append(r.vif)
-            c.append(loo_map[key])
-    if len(a) < 2:
+    vif = np.asarray(vif, dtype=np.float64)
+    loo = np.asarray(loo, dtype=np.float64)
+    if vif.shape != loo.shape:
+        raise ValueError(f"score arrays differ in shape: {vif.shape} != {loo.shape}")
+    both = np.isfinite(vif) & np.isfinite(loo)
+    n_pairs = int(both.sum())
+    if n_pairs < 2:
         raise DegenerateInputError("fewer than two matched (object, test) pairs")
     ratio = None
     if vif_runtime and loo_runtime:
         ratio = loo_runtime / vif_runtime
     return ExperimentReport(
-        pearson_r=pearson(np.array(a), np.array(c)),
-        n_pairs=len(a),
+        pearson_r=pearson(vif[both], loo[both]),
+        n_pairs=n_pairs,
         vif_runtime=vif_runtime,
         loo_runtime=loo_runtime,
         improvement_ratio=ratio,
         config=config or {},
     )
-
-
-def merge_records(
-    vif_records: list[InfluenceRecord], loo_records_: list[InfluenceRecord]
-) -> list[InfluenceRecord]:
-    """Join VIF and LOO scores on (object_id, test_id), keeping VIF order."""
-    loo_map = {(r.object_id, r.test_id): r.loo for r in loo_records_}
-    return [
-        InfluenceRecord(
-            object_id=r.object_id,
-            test_id=r.test_id,
-            vif=r.vif,
-            loo=loo_map.get((r.object_id, r.test_id)),
-        )
-        for r in vif_records
-    ]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import abc
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, SingularMatrixError
-from .numkit import as_vector, require_finite, solve_spd
+from .numkit import require_finite, solve_spd
 
 log = logging.getLogger("vifkit.losscore")
 
@@ -86,32 +86,6 @@ class PresenceVector:
 
     def __repr__(self):
         return f"PresenceVector(n={self.n}, present={self.count})"
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat float64 parameter vector plus a named segment map.
-
-    layout maps a segment name to (offset, length) into theta; models define
-    what shape each segment is reshaped to internally.
-    """
-
-    theta: np.ndarray
-    layout: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_vector(self.theta))
-        for name, (off, length) in self.layout.items():
-            if off < 0 or length < 0 or off + length > self.theta.shape[0]:
-                raise ValueError(f"segment {name!r} out of bounds")
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[0]
-
-    def segment(self, name: str) -> np.ndarray:
-        off, length = self.layout[name]
-        return self.theta[off : off + length]
 
 
 class TargetFunction(abc.ABC):
@@ -194,9 +168,6 @@ class LossModel(abc.ABC):
         """Clone with fresh internal randomness; identity for deterministic losses."""
         return self
 
-    def param_vector(self, theta: np.ndarray) -> ParamVector:
-        return ParamVector(theta, dict(self.layout))
-
 
 class DecomposableLoss(abc.ABC):
     """Capability mixin: the loss is a sum of independent per-object terms."""
@@ -231,7 +202,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    params: ParamVector
+    theta: np.ndarray
     grad_norm: float
     converged: bool
     iterations: int
@@ -305,7 +276,7 @@ def _train_newton(model, b, cfg, theta):
         gn = float(np.linalg.norm(g))
         it += 1
     return TrainResult(
-        params=model.param_vector(theta),
+        theta=theta,
         grad_norm=gn,
         converged=bool(gn <= cfg.grad_tol),
         iterations=it,
@@ -377,7 +348,7 @@ def _train_first_order(model, b, cfg, theta):
     g = _grad(model, b, cfg, theta)
     gn = float(np.linalg.norm(g))
     return TrainResult(
-        params=model.param_vector(theta),
+        theta=theta,
         grad_norm=gn,
         converged=bool(gn <= cfg.grad_tol),
         iterations=cfg.epochs,

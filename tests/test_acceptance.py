@@ -28,7 +28,6 @@ from vifkit.harness import (
     brute_force_repeat,
     compare,
     logistic_fixture,
-    loo_records,
     loo_retrain,
     synth_graph,
     synth_ranking,
@@ -75,7 +74,7 @@ def test_criterion_1_m_estimator_exactness(capsys):
             PresenceVector.all_ones(n),
             TrainConfig(optimizer="newton", epochs=100, grad_tol=1e-12),
         )
-        theta = res.params.theta
+        theta = res.theta
         ctx = HessianContext(model, theta, HessianSolver())
         for i in range(n):
             scaled = n * classical_if(model, theta, i)
@@ -112,7 +111,7 @@ def test_criterion_2_cox_gap_rate(capsys):
                 PresenceVector.all_ones(n),
                 TrainConfig(optimizer="newton", epochs=60),
             )
-            theta = res.params.theta
+            theta = res.theta
             ctx = HessianContext(model, theta, HessianSolver())
             gaps = [
                 np.linalg.norm(
@@ -145,7 +144,7 @@ def cox_study():
     model = CoxModel(data)
     cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=200, seed=42)
     res = train(model, PresenceVector.all_ones(200), cfg)
-    theta = res.params.theta
+    theta = res.theta
     targets = [RelativeRiskTarget(pool.x[200 + j]) for j in range(50)]
     objects = range(200)
 
@@ -177,7 +176,7 @@ def cox_study():
 
 
 def test_criterion_3_cox_loo_correlation(capsys, cox_study):
-    report = compare(cox_study["explicit"].records(), loo_records(cox_study["loo"]))
+    report = compare(cox_study["explicit"].scores, -cox_study["loo"].deltas)
     ceiling = cox_study["ceiling"]
     elapsed = cox_study["elapsed"]
     ok = (
@@ -208,13 +207,13 @@ def test_criterion_4_embedding_loo_correlation(capsys):
     cfg = TrainConfig(optimizer="adam", learning_rate=0.05, epochs=300, seed=5)
     res = train(model, PresenceVector.all_ones(34), cfg)
     targets = [pair_loss_target(model, u, v) for u in range(34) for v in range(34)]
-    recs = attribute_target(
+    result = attribute_target(
         model,
-        res.params.theta,
+        res.theta,
         targets,
         objects=range(34),
         solver=HessianSolver(damping=0.05),
-    ).records()
+    )
     loo = loo_retrain(
         model, cfg, range(34), targets, full_result=res, jobs=4, fresh_inits=True
     )
@@ -223,15 +222,9 @@ def test_criterion_4_embedding_loo_correlation(capsys):
     )
 
     n_targets = 34 * 34
-    vif = np.empty((34, n_targets))
-    loo_a = np.empty((34, n_targets))
-    loo_b = np.empty((34, n_targets))
-    for r in recs:
-        vif[r.object_id, r.test_id] = r.vif
-    for r in loo:
-        loo_a[r.object_id] = -r.target_deltas
-    for r in repeat.second:
-        loo_b[r.object_id] = -r.target_deltas
+    vif = result.scores
+    loo_a = -loo.deltas
+    loo_b = -repeat.second.deltas
 
     # Per-target correlation across objects, excluding the target pair's own
     # endpoints: dropping an endpoint node moves the target through its own
@@ -268,9 +261,9 @@ def test_criterion_5_listmle_loo_correlation(capsys):
         query_loss_target(model, held_out.features[q], held_out.rel_lists[q])
         for q in range(held_out.m)
     ]
-    recs = attribute_target(model, res.params.theta, targets, objects=range(30)).records()
+    result = attribute_target(model, res.theta, targets, objects=range(30))
     loo = loo_retrain(model, cfg, range(30), targets, full_result=res, jobs=4)
-    report = compare(recs, loo_records(loo))
+    report = compare(result.scores, -loo.deltas)
     elapsed = time.perf_counter() - start
     ok = report.pearson_r >= 0.75 and elapsed < 900.0
     detail = (

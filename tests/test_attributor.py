@@ -30,7 +30,7 @@ def logistic_opt():
     res = train(model, PresenceVector.all_ones(30),
                 TrainConfig(optimizer="newton", epochs=50, grad_tol=1e-11))
     assert res.converged
-    return model, res.params.theta
+    return model, res.theta
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def cox_opt():
     model = CoxModel(data)
     res = train(model, PresenceVector.all_ones(35),
                 TrainConfig(optimizer="newton", epochs=60))
-    return model, res.params.theta
+    return model, res.theta
 
 
 class TestQuadraticIdentities:
@@ -126,21 +126,18 @@ class TestAttributeTarget:
         model, theta = logistic_opt
         rng = np.random.default_rng(2)
         targets = [LinearTarget(rng.standard_normal(4)) for _ in range(3)]
-        records = attribute_target(model, theta, targets, objects=[4, 9]).records()
-        assert len(records) == 6
-        for r in records:
-            expected = float(
-                targets[r.test_id].gradient(theta)
-                @ vif_params(model, theta, r.object_id)
-            )
-            assert r.vif == pytest.approx(expected, rel=1e-12)
+        result = attribute_target(model, theta, targets, objects=[4, 9])
+        assert result.scores.size == 6
+        for o, row in zip(result.objects.tolist(), result.scores.tolist()):
+            for t, vif in enumerate(row):
+                expected = float(targets[t].gradient(theta) @ vif_params(model, theta, o))
+                assert vif == pytest.approx(expected, rel=1e-12)
 
     def test_single_target_accepted(self, logistic_opt):
         model, theta = logistic_opt
-        records = attribute_target(model, theta, LinearTarget(np.ones(4)),
-                                   objects=range(5)).records()
-        assert [r.object_id for r in records] == list(range(5))
-        assert {r.test_id for r in records} == {0}
+        result = attribute_target(model, theta, LinearTarget(np.ones(4)), objects=range(5))
+        assert result.objects.tolist() == list(range(5))
+        assert result.scores.shape == (5, 1)
 
     def test_scores_are_one_matrix_product(self, cox_opt):
         model, theta = cox_opt
@@ -155,11 +152,6 @@ class TestAttributeTarget:
         ones = PresenceVector.all_ones(model.n_objects)
         assert result.grad_norm == np.linalg.norm(model.gradient(theta, ones))
         assert result.solver == "cholesky"
-        records = result.records()
-        assert [(r.object_id, r.test_id) for r in records] == [
-            (o, t) for o in objects for t in range(4)
-        ]
-        assert [r.vif for r in records] == result.scores.ravel().tolist()
 
     def test_solver_path_reported(self, cox_opt):
         model, theta = cox_opt

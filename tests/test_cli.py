@@ -12,7 +12,7 @@ import pytest
 
 import vifkit
 from vifkit import cli
-from vifkit.attributor import InfluenceRecord, attribute_target
+from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
 from vifkit.errors import DataError
 from vifkit.losscore import PresenceVector
@@ -90,16 +90,21 @@ class TestPipeline:
         assert meta["config"]["solver"]["strategy"] == "cg"
 
 
-def reference_records_csv(path, records, with_loo):
-    """Row-at-a-time influence writer over InfluenceRecords: the bulk
-    writer's oracle for the bytes of influences.csv."""
+def reference_records_csv(path, header, rows):
+    """Row-at-a-time score table writer over (ids..., scores...) tuples: the
+    bulk writer's oracle for the bytes of influences.csv and loo.csv.  A None
+    or NaN score is an empty cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["object_id", "test_id", "vif", "loo"])
-        for r in records:
-            loo = "" if r.loo is None or (with_loo is False) else repr(float(r.loo))
-            vif = "" if r.vif is None or np.isnan(r.vif) else repr(float(r.vif))
-            w.writerow([r.object_id, r.test_id, vif, loo])
+        w.writerow(header)
+        for row in rows:
+            w.writerow([
+                c if isinstance(c, int) else "" if c is None or np.isnan(c) else repr(float(c))
+                for c in row
+            ])
+
+
+INFLUENCE_HEADER = ["object_id", "test_id", "vif", "loo"]
 
 
 def run_config(cfg_path, command):
@@ -113,9 +118,14 @@ class TestInfluenceTable:
             assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
         model, targets = cli.build_model(run_config(cfg_path, "attribute"))
         theta, _ = read_checkpoint(str(out / "checkpoint.bin"))
-        records = attribute_target(model, theta, targets, range(60)).records()
+        result = attribute_target(model, theta, targets, range(60))
+        records = [
+            (o, t, vif)
+            for o, row in zip(result.objects.tolist(), result.scores.tolist())
+            for t, vif in enumerate(row)
+        ]
         expected = tmp_path / "expected.csv"
-        reference_records_csv(expected, records, with_loo=False)
+        reference_records_csv(expected, INFLUENCE_HEADER, [r + (None,) for r in records])
         assert (out / "influences.csv").read_bytes() == expected.read_bytes()
 
         # drop one loo row so the merged table has an empty loo cell
@@ -126,12 +136,9 @@ class TestInfluenceTable:
             loo = {(int(r["object_id"]), int(r["test_id"])): float(r["loo"])
                    for r in csv.DictReader(fh)}
         assert run(capsys, "compare", "--config", str(cfg_path))[0] == 0
-        merged = [
-            InfluenceRecord(r.object_id, r.test_id, r.vif, loo.get((r.object_id, r.test_id)))
-            for r in records
-        ]
-        assert merged[7].loo is None
-        reference_records_csv(expected, merged, with_loo=True)
+        merged = [(o, t, vif, loo.get((o, t))) for o, t, vif in records]
+        assert merged[7][3] is None
+        reference_records_csv(expected, INFLUENCE_HEADER, merged)
         written = (out / "influences.csv").read_bytes()
         assert written == expected.read_bytes()
         assert written.splitlines()[8].endswith(b",")
@@ -148,14 +155,18 @@ class TestInfluenceTable:
         loo[[0, 9]] = np.nan
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         for loo_col, with_loo in ((None, False), (loo, True)):
-            cli._write_records_csv(str(got), ids, tids, vif, loo_col)
+            cli._write_records_csv(str(got), object_id=ids, test_id=tids, vif=vif, loo=loo_col)
             records = [
-                InfluenceRecord(int(o), int(t), float(v),
-                                None if loo_col is None or np.isnan(lv) else float(lv))
+                (int(o), int(t), float(v), float(lv) if with_loo else None)
                 for o, t, v, lv in zip(ids, tids, vif, loo)
             ]
-            reference_records_csv(want, records, with_loo)
+            reference_records_csv(want, INFLUENCE_HEADER, records)
             assert got.read_bytes() == want.read_bytes()
+        # loo.csv: the header follows the named columns
+        cli._write_records_csv(str(got), object_id=ids, test_id=tids, loo=loo)
+        reference_records_csv(want, ["object_id", "test_id", "loo"],
+                              [(int(o), int(t), float(lv)) for o, t, lv in zip(ids, tids, loo)])
+        assert got.read_bytes() == want.read_bytes()
 
     def test_attribute_meta_records_grad_norm_and_solver(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
@@ -215,9 +226,10 @@ class TestGuards:
     def test_compare_hash_mismatch_needs_force(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
         for cmd in ("synth", "train", "attribute", "loo"):
-            run(capsys, cmd, "--config", str(cfg_path))
+            _, stdout, _ = run(capsys, cmd, "--config", str(cfg_path))
         meta_path = out / "loo_meta.json"
         meta = json.loads(meta_path.read_text())
+        assert stdout.rstrip().endswith(f", {meta['n_converged']}/60 retrains converged)")
         loo_ids = [int(line.split(",")[0])
                    for line in (out / "loo.csv").read_text().splitlines()[1::6]]
         assert loo_ids == list(range(60))
@@ -264,6 +276,20 @@ class TestGuards:
         payload = stderr_payload(err)
         assert payload["error"] == "DataError"
         assert "dim" in payload["message"]
+
+    @pytest.mark.parametrize("stage", ["attribute", "loo"])
+    @pytest.mark.parametrize("theta", [[0.5, 0.5], [0.5, np.nan, 0.5]], ids=["short", "nan"])
+    def test_checkpoint_not_fitting_model_is_data_error(self, capsys, cox_run, stage, theta):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        path = out / "checkpoint.bin"
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        extra = {k: v for k, v in header.items() if k not in ("format", "dim", "layout")}
+        write_checkpoint(str(path), np.array(theta), {"theta": (0, len(theta))}, extra)
+        code, _, err = run(capsys, stage, "--config", str(cfg_path))
+        assert code == 2
+        assert stderr_payload(err)["error"] == "DataError"
 
     def test_loo_without_checkpoint_is_data_error(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
@@ -337,6 +363,20 @@ class TestExitCodes:
         assert payload["error"] == "ConfigError"
         assert "batch_size" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "objects", [5, "some", [1.5, 2], [3, 3, 1], [True], [-1]], ids=repr
+    )
+    def test_bad_objects_are_config_errors(self, capsys, cox_run, objects):
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, objects=objects)))
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        code, _, err = run(capsys, "attribute", "--config", str(cfg_path))
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["exit_code"] == 1
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
@@ -347,6 +387,45 @@ class TestExitCodes:
         code, _, err = run(capsys, "synth", "--config", str(cfg_path))
         assert code == 1
         assert "VIF_LOG" in stderr_payload(err)["message"]
+
+
+def write_score_run(out, influences, loo):
+    """A run directory holding only what compare reads."""
+    out.mkdir()
+    for stage in ("attribute", "loo"):
+        (out / f"{stage}_meta.json").write_text(json.dumps({"config_hash": "h", "runtime_s": 1.0}))
+    (out / "influences.csv").write_text("object_id,test_id,vif,loo\n" + influences)
+    (out / "loo.csv").write_text("object_id,test_id,loo\n" + loo)
+
+
+class TestCompareTable:
+    def test_unmatched_pairs_dropped_and_rows_ascending(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        write_score_run(
+            out,
+            "2,0,3.0,\n0,1,1.5,\n0,0,1.0,\n1,0,2.0,\n10,0,5.0,\n",
+            "0,0,1.0\n1,0,2.5\n0,1,1.0\n9,0,9.0\n2,0,\n",
+        )
+        code, stdout, err = run(capsys, "compare", "--out", str(out))
+        assert code == 0, err
+        assert json.loads((out / "summary.json").read_text())["n_pairs"] == 3
+        assert (out / "influences.csv").read_text() == (
+            "object_id,test_id,vif,loo\n"
+            "0,0,1.0,1.0\n0,1,1.5,1.0\n1,0,2.0,2.5\n2,0,3.0,\n10,0,5.0,\n"
+        )
+
+    @pytest.mark.parametrize("rows", [
+        "0,0,1.0,\n1,0,2.0,\n0,0,3.0,\n",
+        "0,0,1.0,\n-1,0,2.0,\n1,0,3.0,\n",
+        "0,0,1.0,\n1,0,2.0,\n1.5,0,3.0,\n",
+        "0,0,1.0,\n1,x,2.0,\n",
+    ], ids=["duplicate", "negative", "fractional", "text"])
+    def test_bad_score_ids_are_data_errors(self, capsys, tmp_path, rows):
+        out = tmp_path / "run"
+        write_score_run(out, rows, "0,0,1.0\n1,0,2.0\n")
+        code, _, err = run(capsys, "compare", "--out", str(out))
+        assert code == 2
+        assert stderr_payload(err)["error"] == "DataError"
 
 
 class TestCheckpointFormat:

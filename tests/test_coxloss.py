@@ -255,8 +255,8 @@ class TestGradientOracle:
         cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=200, seed=42)
         ones = PresenceVector.all_ones(200)
         for b in (ones, ones.without(5)):
-            got = train(CoxModel(data), b, cfg).params.theta
-            want = train(ReferenceGradientCox(data), b, cfg).params.theta
+            got = train(CoxModel(data), b, cfg).theta
+            want = train(ReferenceGradientCox(data), b, cfg).theta
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -274,7 +274,7 @@ class TestLayoutCache:
         assert len(builds) == 1 + len(objects)
         assert len(model._layouts) <= 2
 
-        theta = full.params.theta
+        theta = full.theta
         first = model.gradient(theta, ones.without(0))
         assert len(builds) == 2 + len(objects)
         for i in (1, 2, 0):  # evicts vector 0, then rebuilds it
@@ -297,11 +297,11 @@ class TestReidInfluence:
     def test_tracks_loo_refit(self, survival40):
         model = CoxModel(survival40)
         cfg = TrainConfig(optimizer="newton", epochs=50)
-        theta = train(model, PresenceVector.all_ones(40), cfg).params.theta
+        theta = train(model, PresenceVector.all_ones(40), cfg).theta
         rel_errs = []
         for i in range(40):
             cut = CoxModel(survival40.without(i))
-            theta_i = train(cut, PresenceVector.all_ones(39), cfg).params.theta
+            theta_i = train(cut, PresenceVector.all_ones(39), cfg).theta
             truth = 40.0 * (theta - theta_i)
             if np.linalg.norm(truth) < 1e-9:
                 continue
@@ -319,7 +319,7 @@ class TestReidInfluence:
                                   censor_rate=0.2, seed=9)
             model = CoxModel(data)
             cfg = TrainConfig(optimizer="newton", epochs=60)
-            theta = train(model, PresenceVector.all_ones(n), cfg).params.theta
+            theta = train(model, PresenceVector.all_ones(n), cfg).theta
             ctx = HessianContext(model, theta, HessianSolver())
             gap = [
                 np.linalg.norm(vif_params(model, theta, i, context=ctx)

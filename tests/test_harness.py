@@ -1,20 +1,19 @@
 """Experiment harness: synthetic data, LOO retraining, report assembly."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import LinearTarget, QuadraticModel
-from vifkit.attributor import InfluenceRecord, attribute_target
+from vifkit.attributor import attribute_target
 from vifkit.errors import DegenerateInputError
 from vifkit.harness import (
     brute_force_repeat,
     compare,
     logistic_fixture,
-    loo_records,
     loo_retrain,
-    merge_records,
     synth_graph,
     synth_ranking,
     synth_survival,
@@ -104,22 +103,12 @@ class TestLooRetrain:
         targets = [LinearTarget(rng.standard_normal(3)) for _ in range(2)]
         cfg = TrainConfig(optimizer="newton")
         results = loo_retrain(quad_model, cfg, range(12), targets)
-        assert [r.object_id for r in results] == list(range(12))
-        for r in results:
-            shift = quad_model.loo_shift(r.object_id)
+        assert results.objects.tolist() == list(range(12))
+        for i, deltas, converged in zip(results.objects, results.deltas, results.converged):
+            shift = quad_model.loo_shift(i)
             for t, target in enumerate(targets):
-                assert r.target_deltas[t] == pytest.approx(
-                    float(target.a @ shift), abs=1e-12
-                )
-            assert r.converged
-
-    def test_loo_records_flip_to_influence_convention(self, quad_model):
-        targets = [LinearTarget(np.array([1.0, 0.0, 0.0]))]
-        results = loo_retrain(quad_model, TrainConfig(), range(4), targets)
-        recs = loo_records(results)
-        for rec, res in zip(recs, results):
-            assert rec.loo == -res.target_deltas[0]
-            assert np.isnan(rec.vif)
+                assert deltas[t] == pytest.approx(float(target.a @ shift), abs=1e-12)
+            assert converged
 
     def test_jobs_do_not_change_results(self):
         model = logistic_fixture(12, 3, seed=1)
@@ -127,9 +116,8 @@ class TestLooRetrain:
         cfg = TrainConfig(optimizer="newton", epochs=40)
         seq = loo_retrain(model, cfg, range(12), targets, jobs=1)
         par = loo_retrain(model, cfg, range(12), targets, jobs=2)
-        for a, b in zip(seq, par):
-            assert a.object_id == b.object_id
-            np.testing.assert_array_equal(a.target_deltas, b.target_deltas)
+        np.testing.assert_array_equal(seq.objects, par.objects)
+        np.testing.assert_array_equal(seq.deltas, par.deltas)
 
     def test_fresh_inits_noop_for_seedless_models(self):
         # logistic initial_params is zeros regardless of seed, so both
@@ -139,8 +127,7 @@ class TestLooRetrain:
         cfg = TrainConfig(optimizer="adam", learning_rate=0.05, epochs=5, seed=9)
         warm = loo_retrain(model, cfg, range(10), targets)
         fresh = loo_retrain(model, cfg, range(10), targets, fresh_inits=True)
-        for a, b in zip(warm, fresh):
-            np.testing.assert_allclose(a.target_deltas, b.target_deltas, atol=1e-12)
+        np.testing.assert_allclose(warm.deltas, fresh.deltas, atol=1e-12)
 
     def test_fresh_inits_draws_per_object_starts(self, quad_model):
         class SeededInit(QuadraticModel):
@@ -154,9 +141,9 @@ class TestLooRetrain:
         warm = loo_retrain(model, cfg, range(12), targets)
         fresh1 = loo_retrain(model, cfg, range(12), targets, fresh_inits=True)
         fresh2 = loo_retrain(model, cfg, range(12), targets, fresh_inits=True)
-        f1 = np.array([r.target_deltas[0] for r in fresh1])
-        f2 = np.array([r.target_deltas[0] for r in fresh2])
-        w = np.array([r.target_deltas[0] for r in warm])
+        f1 = fresh1.deltas[:, 0]
+        f2 = fresh2.deltas[:, 0]
+        w = warm.deltas[:, 0]
         np.testing.assert_array_equal(f1, f2)
         assert not np.allclose(f1, w)
 
@@ -175,10 +162,7 @@ class TestCompare:
     def test_identical_columns_correlate_exactly(self):
         rng = np.random.default_rng(4)
         scores = rng.standard_normal(20)
-        vif = [InfluenceRecord(i, 0, float(s)) for i, s in enumerate(scores)]
-        loo = [InfluenceRecord(i, 0, float("nan"), float(s))
-               for i, s in enumerate(scores)]
-        report = compare(vif, loo)
+        report = compare(scores, scores.copy())
         assert report.pearson_r == pytest.approx(1.0, abs=1e-12)
         assert report.n_pairs == 20
 
@@ -188,50 +172,33 @@ class TestCompare:
         rng = np.random.default_rng(5)
         targets = [LinearTarget(rng.standard_normal(3)) for _ in range(2)]
         cfg = TrainConfig(optimizer="newton")
-        theta = train(quad_model, PresenceVector.all_ones(12), cfg).params.theta
-        vif = attribute_target(quad_model, theta, targets, objects=range(12)).records()
-        loo = loo_records(loo_retrain(quad_model, cfg, range(12), targets))
+        theta = train(quad_model, PresenceVector.all_ones(12), cfg).theta
+        vif = attribute_target(quad_model, theta, targets, objects=range(12)).scores
+        loo = -loo_retrain(quad_model, cfg, range(12), targets).deltas
         report = compare(vif, loo)
         assert report.pearson_r == pytest.approx(1.0, abs=1e-10)
-        by_key = {(r.object_id, r.test_id): r.loo for r in loo}
-        for r in vif:
-            assert r.vif == pytest.approx(11.0 * by_key[(r.object_id, r.test_id)],
-                                          abs=1e-10)
+        for v, lo in zip(vif.ravel(), loo.ravel()):
+            assert v == pytest.approx(11.0 * lo, abs=1e-10)
 
     def test_unmatched_records_dropped(self):
-        vif = [InfluenceRecord(0, 0, 1.0), InfluenceRecord(1, 0, 2.0),
-               InfluenceRecord(2, 0, 3.0)]
-        loo = [InfluenceRecord(0, 0, float("nan"), 1.0),
-               InfluenceRecord(1, 0, float("nan"), 2.0),
-               InfluenceRecord(9, 0, float("nan"), 9.0)]
+        # cells (0, 1, 2, 9) of one target: loo lacks 2, vif lacks 9
+        vif = np.array([1.0, 2.0, 3.0, np.nan])
+        loo = np.array([1.0, 2.0, np.nan, 9.0])
         assert compare(vif, loo).n_pairs == 2
 
     def test_too_few_matches_raise(self):
-        vif = [InfluenceRecord(0, 0, 1.0)]
-        loo = [InfluenceRecord(0, 0, float("nan"), 1.0)]
         with pytest.raises(DegenerateInputError):
-            compare(vif, loo)
+            compare(np.array([1.0]), np.array([1.0]))
 
     def test_runtime_ratio_is_symmetric(self):
-        vif = [InfluenceRecord(i, 0, float(i)) for i in range(3)]
-        loo = [InfluenceRecord(i, 0, float("nan"), float(i)) for i in range(3)]
-        a = compare(vif, loo, vif_runtime=2.0, loo_runtime=50.0)
-        b = compare(vif, loo, vif_runtime=50.0, loo_runtime=2.0)
+        scores = np.arange(3.0)
+        a = compare(scores, scores, vif_runtime=2.0, loo_runtime=50.0)
+        b = compare(scores, scores, vif_runtime=50.0, loo_runtime=2.0)
         assert a.improvement_ratio == pytest.approx(25.0)
         assert a.improvement_ratio == pytest.approx(1.0 / b.improvement_ratio)
 
     def test_report_serializes(self):
-        vif = [InfluenceRecord(i, 0, float(i)) for i in range(3)]
-        loo = [InfluenceRecord(i, 0, float("nan"), float(i)) for i in range(3)]
-        report = compare(vif, loo, config={"scenario": "cox"})
-        blob = json.dumps(report.to_dict())
+        scores = np.arange(3.0)
+        report = compare(scores, scores, config={"scenario": "cox"})
+        blob = json.dumps(asdict(report))
         assert json.loads(blob)["config"]["scenario"] == "cox"
-
-
-class TestMergeRecords:
-    def test_join_keeps_vif_order(self):
-        vif = [InfluenceRecord(1, 0, 10.0), InfluenceRecord(0, 0, 20.0)]
-        loo = [InfluenceRecord(0, 0, float("nan"), 5.0)]
-        merged = merge_records(vif, loo)
-        assert [(r.object_id, r.loo) for r in merged] == [(1, None), (0, 5.0)]
-        assert [r.vif for r in merged] == [10.0, 20.0]

@@ -76,13 +76,13 @@ class TestNewton:
         assert res.converged
         assert res.iterations == 1
         np.testing.assert_allclose(
-            res.params.theta, quad_model.minimizer(full12), atol=1e-12
+            res.theta, quad_model.minimizer(full12), atol=1e-12
         )
 
     def test_masked_optimum_excludes_dropped_center(self, quad_model, full12):
         b = full12.without(3)
         res = train(quad_model, b, TrainConfig(optimizer="newton"))
-        np.testing.assert_allclose(res.params.theta, quad_model.minimizer(b), atol=1e-12)
+        np.testing.assert_allclose(res.theta, quad_model.minimizer(b), atol=1e-12)
 
     def test_init_invariance(self):
         model = logistic_fixture(60, 3, seed=0)
@@ -91,7 +91,7 @@ class TestNewton:
         a = train(model, b, cfg)
         z = train(model, b, cfg, init=np.full(3, 5.0))
         assert a.converged and z.converged
-        np.testing.assert_allclose(a.params.theta, z.params.theta, atol=1e-7)
+        np.testing.assert_allclose(a.theta, z.theta, atol=1e-7)
 
     def test_weight_decay_augments_objective(self, quad_model, full12):
         wd = 2.5
@@ -99,7 +99,7 @@ class TestNewton:
         n = quad_model.n_objects
         expected = n * quad_model.minimizer(full12) / (n + wd)
         assert res.converged
-        np.testing.assert_allclose(res.params.theta, expected, atol=1e-10)
+        np.testing.assert_allclose(res.theta, expected, atol=1e-10)
 
     def test_init_shape_rejected(self, quad_model, full12):
         with pytest.raises(ValueError):
@@ -111,14 +111,14 @@ class TestFirstOrder:
         cfg = TrainConfig(optimizer="gd", learning_rate=0.05, epochs=400)
         res = train(quad_model, full12, cfg)
         np.testing.assert_allclose(
-            res.params.theta, quad_model.minimizer(full12), atol=1e-6
+            res.theta, quad_model.minimizer(full12), atol=1e-6
         )
 
     def test_adam_reaches_quadratic_optimum(self, quad_model, full12):
         cfg = TrainConfig(optimizer="adam", learning_rate=0.1, epochs=600)
         res = train(quad_model, full12, cfg)
         np.testing.assert_allclose(
-            res.params.theta, quad_model.minimizer(full12), atol=1e-4
+            res.theta, quad_model.minimizer(full12), atol=1e-4
         )
 
     def test_gd_divergence_raises(self, quad_model, full12):
@@ -133,7 +133,7 @@ class TestFirstOrder:
                           batch_size=16, seed=3)
         a = train(model, b, cfg)
         z = train(model, b, cfg)
-        np.testing.assert_array_equal(a.params.theta, z.params.theta)
+        np.testing.assert_array_equal(a.theta, z.theta)
 
     def test_minibatch_seed_changes_trajectory(self):
         model = logistic_fixture(50, 4, seed=1)
@@ -141,7 +141,7 @@ class TestFirstOrder:
         base = dict(optimizer="adam", learning_rate=0.05, epochs=5, batch_size=16)
         a = train(model, b, TrainConfig(seed=3, **base))
         z = train(model, b, TrainConfig(seed=4, **base))
-        assert not np.array_equal(a.params.theta, z.params.theta)
+        assert not np.array_equal(a.theta, z.theta)
 
     def test_minibatch_needs_unit_terms(self, quad_model, full12):
         cfg = TrainConfig(optimizer="adam", batch_size=4)
@@ -152,7 +152,7 @@ class TestFirstOrder:
         model = logistic_fixture(40, 3, seed=2)
         b = PresenceVector.all_ones(40)
         res = train(model, b, TrainConfig(optimizer="gd", learning_rate=0.01, epochs=20))
-        gn = float(np.linalg.norm(model.gradient(res.params.theta, b)))
+        gn = float(np.linalg.norm(model.gradient(res.theta, b)))
         assert res.grad_norm == pytest.approx(gn, rel=1e-12)
         assert res.converged == (gn <= 1e-8)
 
