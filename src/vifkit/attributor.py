@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnrealizableMixtureError
 from .losscore import DecomposableLoss, LossModel, PresenceVector, TargetFunction
-from .numkit import cg_solve, factor_spd, lissa_solve, solve_spd
+from .numkit import cg_solve, factor_spd, is_int, is_real, lissa_solve, solve_spd
 
 log = logging.getLogger("vifkit.attributor")
 
@@ -43,11 +43,16 @@ class DropOne(NamedTuple):
 class HessianSolver:
     """Inverse-Hessian strategy: explicit factorization, CG, or LiSSA.
 
-    damping is added to the (1/n)-scaled Hessian; it must be positive for
-    models that declare themselves non-convex.  LiSSA samples per-unit-term
-    Hessian-vector products when the model provides them and falls back to
-    the deterministic full-batch recursion otherwise (lissa_batch forces
-    either mode).  lissa_scale defaults to 10 * (1 + damping).
+    damping (a real >= 0) is added to the (1/n)-scaled Hessian; it must be
+    positive for models that declare themselves non-convex.  CG stops at a
+    relative residual of cg_tol (a positive real) or after cg_max_iter
+    iterations (None for 10 * dim, else an int >= 1).  LiSSA runs
+    lissa_steps (an int >= 1) steps at lissa_scale (None for
+    10 * (1 + damping), else a positive real) over an index stream seeded by
+    lissa_seed (an int >= 0).  It samples per-unit-term Hessian-vector
+    products when the model provides them (supports_per_term_hvp) and runs
+    the deterministic full-batch recursion otherwise.  Every field is
+    checked here; a bool is not accepted as a number.
     """
 
     strategy: str = "explicit"
@@ -56,23 +61,30 @@ class HessianSolver:
     cg_max_iter: int | None = None
     lissa_steps: int = 100
     lissa_scale: float | None = None
-    lissa_batch: str = "auto"
     lissa_seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in ("explicit", "cg", "lissa"):
             raise ValueError(f"unknown solver strategy {self.strategy!r}")
-        if self.damping < 0:
-            raise ValueError("damping must be >= 0")
-        if self.lissa_batch not in ("auto", "full", "term"):
-            raise ValueError("lissa_batch must be auto, full, or term")
+        cap, scale = self.cg_max_iter, self.lissa_scale
+        for name, ok, rule in (
+            ("damping", is_real(self.damping) and self.damping >= 0, "a real >= 0"),
+            ("cg_tol", is_real(self.cg_tol) and self.cg_tol > 0, "a positive real"),
+            ("cg_max_iter", cap is None or is_int(cap) and cap >= 1, "null or an int >= 1"),
+            ("lissa_steps", is_int(self.lissa_steps) and self.lissa_steps >= 1, "an int >= 1"),
+            ("lissa_scale", scale is None or is_real(scale) and scale > 0, "null or a positive real"),
+            ("lissa_seed", is_int(self.lissa_seed) and self.lissa_seed >= 0, "an int >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class HessianContext:
     """One assembled (1/n) Hessian at full presence, reused across objects.
 
     assembly_count tracks how many times the dense Hessian was built; a full
-    attribution pass performs exactly one assembly.  The explicit strategy
+    attribution pass performs exactly one assembly, or none when LiSSA
+    samples per-term products (h_norm is then None).  The explicit strategy
     also checks the damped Hessian and picks its solver path here, once.
     """
 
@@ -85,8 +97,6 @@ class HessianContext:
         self.n = model.n_objects
         self.ones = PresenceVector.all_ones(self.n)
         self.assembly_count = 0
-        self._factor = None
-        self._h_norm = None
 
         grad_norm = float(np.linalg.norm(model.gradient(self.theta, self.ones)))
         self.grad_norm = grad_norm
@@ -99,18 +109,11 @@ class HessianContext:
                 threshold,
             )
 
-        use_term = (
-            solver.strategy == "lissa"
-            and solver.lissa_batch in ("auto", "term")
-            and model.supports_per_term_hvp
+        self._lissa_term_mode = solver.strategy == "lissa" and model.supports_per_term_hvp
+        self.h_norm = None if self._lissa_term_mode else self._assemble()
+        self._factor = (
+            factor_spd(self.h_norm, solver.damping) if solver.strategy == "explicit" else None
         )
-        if solver.lissa_batch == "term" and not model.supports_per_term_hvp:
-            raise ValueError("lissa_batch='term' needs per-term Hessian products")
-        self._lissa_term_mode = use_term
-        if solver.strategy != "lissa" or not use_term:
-            self._h_norm = self._assemble()
-        if solver.strategy == "explicit":
-            self._factor = factor_spd(self._h_norm, solver.damping)
 
     def _assemble(self):
         h = self.model.hessian(self.theta, self.ones) / self.n
@@ -122,19 +125,13 @@ class HessianContext:
         """Solver path: cholesky or lu (explicit strategy), cg or lissa."""
         return self._factor.path if self._factor is not None else self.solver.strategy
 
-    @property
-    def h_norm(self):
-        if self._h_norm is None:
-            self._h_norm = self._assemble()
-        return self._h_norm
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with [(1/n) H + damping I] x = rhs under the chosen strategy."""
         s = self.solver
         if s.strategy == "explicit":
             return solve_spd(self._factor, rhs)
+        h = self.h_norm
         if s.strategy == "cg":
-            h = self.h_norm
             res = cg_solve(
                 lambda v: h @ v,
                 rhs,
@@ -160,23 +157,24 @@ class HessianContext:
             return lissa_solve(
                 sample, s.lissa_steps, scale, s.damping, rhs, s.lissa_seed, n_terms
             )
-        h = self.h_norm
         return lissa_solve(
             lambda j, v: h @ v, s.lissa_steps, scale, s.damping, rhs, s.lissa_seed, 1
         )
 
+    def vif(self, i: int) -> np.ndarray:
+        """Versatile influence of object i on the parameters at self.theta."""
+        return -self.solve(self.model.delta_gradient(self.theta, i))
+
 
 def vif_params(
-    model: LossModel,
-    theta: np.ndarray,
-    i: int,
-    solver: HessianSolver | None = None,
-    context: HessianContext | None = None,
+    model: LossModel, theta: np.ndarray, i: int, solver: HessianSolver | None = None
 ) -> np.ndarray:
-    """Versatile influence of object i on the parameters at theta."""
-    if context is None:
-        context = HessianContext(model, theta, solver or HessianSolver())
-    return -context.solve(model.delta_gradient(context.theta, i))
+    """Versatile influence of object i on the parameters at theta.
+
+    Builds a HessianContext for this one object; to attribute many objects
+    at one theta, build the context once and call its vif method.
+    """
+    return HessianContext(model, theta, solver or HessianSolver()).vif(i)
 
 
 def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
@@ -189,7 +187,7 @@ def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
         raise TypeError("classical_if requires a decomposable loss")
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     h = model.hessian(theta, PresenceVector.all_ones(model.n_objects))
-    return -solve_spd(h, model.point_gradient(theta, i))
+    return -solve_spd(factor_spd(h), model.point_gradient(theta, i))
 
 
 def finite_difference_if(
@@ -236,7 +234,7 @@ def finite_difference_if(
         w_mix = (1.0 - eps) * w_p + eps * w_q
         diff = (w_mix - w_p) @ grads / eps
         h_p = model.hessian(theta, ones) / n
-        return -solve_spd(h_p, diff, damping=damping)
+        return -solve_spd(factor_spd(h_p, damping), diff)
 
     if not isinstance(q, DropOne) or eps != 1:
         raise UnrealizableMixtureError(
@@ -245,7 +243,7 @@ def finite_difference_if(
     diff = -model.delta_gradient(theta, q.index)  # grad L(1_-i) - grad L(1)
     h_norm = model.hessian(theta, ones) / n
     # damping is specified against the (1/n)-scaled Hessian everywhere
-    return -solve_spd(h_norm, diff, damping=damping) / n
+    return -solve_spd(factor_spd(h_norm, damping), diff) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +280,7 @@ def attribute_target(
     ids = np.array(objects, dtype=np.int64)
     v = np.empty((ids.size, model.dim))
     for row, i in enumerate(ids.tolist()):
-        v[row] = vif_params(model, context.theta, i, context=context)
+        v[row] = context.vif(i)
     g = np.empty((len(targets), model.dim))
     for t, target in enumerate(targets):
         g[t] = target.gradient(context.theta)

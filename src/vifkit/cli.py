@@ -40,6 +40,7 @@ from .harness import (
 )
 from .losscore import PresenceVector, TrainConfig, TrainResult, check_gradient, check_hessian, train
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
+from .numkit import is_int
 
 log = logging.getLogger("vifkit.cli")
 
@@ -136,6 +137,8 @@ def load_config(args, need_out: bool = True) -> dict:
         raise ConfigError("seed is required (config field or --seed)")
     if not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    if not is_int(cfg["jobs"]) or cfg["jobs"] < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {cfg['jobs']!r}")
     if need_out and "out" not in cfg:
         raise ConfigError("output directory is required (config field or --out)")
     return cfg
@@ -145,11 +148,6 @@ def config_hash(cfg: dict) -> str:
     subset = {k: cfg[k] for k in HASHED_KEYS if k in cfg}
     blob = json.dumps(subset, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _fmt(v: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(v))
 
 
 def _out_dir(cfg: dict) -> str:
@@ -211,20 +209,9 @@ def _require_files(paths: list[str]):
         )
 
 
-def _write_survival_csv(path: str, x: np.ndarray, y: np.ndarray, delta: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["y", "delta"] + [f"x{j + 1}" for j in range(x.shape[1])])
-        for i in range(x.shape[0]):
-            w.writerow([_fmt(y[i]), int(delta[i])] + [_fmt(v) for v in x[i]])
-
-
-def _write_points_csv(path: str, x: np.ndarray, labels: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["label"] + [f"x{j + 1}" for j in range(x.shape[1])])
-        for i in range(x.shape[0]):
-            w.writerow([int(labels[i])] + [_fmt(v) for v in x[i]])
+def _x_columns(x: np.ndarray) -> dict:
+    """Feature columns x1..xd for the table writer, one per column of x."""
+    return {f"x{j + 1}": x[:, j] for j in range(x.shape[1])}
 
 
 def _read_points_csv(path: str):
@@ -244,17 +231,14 @@ def _read_points_csv(path: str):
 
 
 def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
-    with open(qpath, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["query_id"] + [f"x{j + 1}" for j in range(data.p)])
-        for qi in range(data.m):
-            w.writerow([qi] + [_fmt(v) for v in data.features[qi]])
-    with open(lpath, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["query_id", "rank", "item_id"])
-        for qi, lst in enumerate(data.rel_lists):
-            for rank, item in enumerate(lst):
-                w.writerow([qi, rank, item])
+    _write_records_csv(qpath, query_id=np.arange(data.m), **_x_columns(data.features))
+    lengths = [len(lst) for lst in data.rel_lists]
+    _write_records_csv(
+        lpath,
+        query_id=np.repeat(np.arange(data.m), lengths),
+        rank=np.concatenate([np.arange(k) for k in lengths]),
+        item_id=np.concatenate(data.rel_lists),
+    )
 
 
 def _split_survival(full: SurvivalDataset, n: int):
@@ -284,9 +268,8 @@ def cmd_synth(args) -> int:
             censor_rate=s["censor_rate"],
             seed=seed,
         )
-        train_part, test_part = _split_survival(full, s["n"])
-        _write_survival_csv(paths[0], train_part.x, train_part.y, train_part.delta)
-        _write_survival_csv(paths[1], test_part.x, test_part.y, test_part.delta)
+        for path, part in zip(paths, _split_survival(full, s["n"])):
+            _write_records_csv(path, y=part.y, delta=part.delta, **_x_columns(part.x))
     elif scenario == "ltr":
         full = synth_ranking(
             m=s["m"] + s["n_test"], n=s["n"], k=s["k"], p=s["p"], seed=seed
@@ -313,17 +296,16 @@ def cmd_synth(args) -> int:
                 fh.write(f"{u} {v}\n")
     else:
         full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
-        _write_points_csv(paths[0], full.x[: s["n"]], full.labels[: s["n"]])
-        _write_points_csv(paths[1], full.x[s["n"] :], full.labels[s["n"] :])
+        labels = full.labels.astype(np.int64)
+        for path, rows in zip(paths, (slice(None, s["n"]), slice(s["n"], None))):
+            _write_records_csv(path, label=labels[rows], **_x_columns(full.x[rows]))
     meta = {
         "config_hash": config_hash(cfg),
         "scenario": scenario,
         "seed": seed,
         "files": [os.path.basename(p) for p in paths],
     }
-    with open(os.path.join(out, "synth_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "synth_meta.json"), meta)
     log.info("synthesized %s dataset into %s", scenario, out)
     print(f"wrote {len(paths)} dataset file(s) to {out}")
     return 0
@@ -458,7 +440,7 @@ def _load_checkpoint_for(cfg: dict, model):
 
 
 def _write_records_csv(path: str, **columns):
-    """Write a score table from equal-length named columns, in row chunks.
+    """Write a CSV table from equal-length named columns, in row chunks.
 
     The header is the column names.  Integer columns are written as
     integers, float columns as repr(float), the shortest round-trip decimal;
@@ -480,6 +462,13 @@ def _write_records_csv(path: str, **columns):
             rows = slice(lo, lo + CSV_CHUNK_ROWS)
             parts = [cells(col, rows) for col in columns.values()]
             fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    """Write obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_scores_csv(path: str, column: str):
@@ -547,9 +536,7 @@ def cmd_attribute(args) -> int:
         "grad_norm": result.grad_norm,
         "solver": result.solver,
     }
-    with open(os.path.join(out, "attribute_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "attribute_meta.json"), meta)
     log.info("attributed %d objects x %d targets in %.3fs", len(objects), len(targets), runtime)
     print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({result.scores.size} rows, {runtime:.3f}s)")
     return 0
@@ -590,9 +577,7 @@ def cmd_loo(args) -> int:
         "converged": result.converged.tolist(),
         "wall_s": result.wall_s.tolist(),
     }
-    with open(os.path.join(out, "loo_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "loo_meta.json"), meta)
     log.info("retrained %d times in %.3fs", k, runtime)
     print(
         f"wrote {path} ({result.deltas.size} rows, {runtime:.3f}s, "
@@ -658,9 +643,7 @@ def cmd_compare(args) -> int:
     summary = asdict(report)
     summary["config_hash"] = vif_meta.get("config_hash")
     summary["created_utc"] = datetime.now(timezone.utc).isoformat()
-    with open(os.path.join(out, SUMMARY_NAME), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, SUMMARY_NAME), summary)
     print(
         f"pearson_r={report.pearson_r:.6f} over {report.n_pairs} pairs"
         + (
@@ -696,9 +679,7 @@ def cmd_check(args) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if "out" in cfg:
-        with open(os.path.join(_out_dir(cfg), "check_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(_out_dir(cfg), "check_report.json"), report)
     return 0
 
 

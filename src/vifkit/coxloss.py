@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, EmptyRiskSetError, NoEventsError
 from .losscore import LossModel, PresenceVector, TargetFunction
-from .numkit import solve_spd
+from .numkit import factor_spd, solve_spd
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
     # leading 1/n cancels it, leaving plain w_i/s0_j per event term.
     weights = w_i / s.s0[:upto]
     c_i = (weights[:, None] * (x_i[None, :] - r1[:upto])).sum(axis=0)
-    return -solve_spd(_hessian(lay, s, r1) / data.n, score + c_i)
+    return -solve_spd(factor_spd(_hessian(lay, s, r1) / data.n), score + c_i)
 
 
 class RelativeRiskTarget(TargetFunction):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, SingularMatrixError
-from .numkit import require_finite, solve_spd
+from .numkit import factor_spd, is_real, require_finite, solve_spd
 
 log = logging.getLogger("vifkit.losscore")
 
@@ -192,6 +192,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("newton", "gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -272,7 +274,7 @@ def _train_newton(model, b, cfg, theta):
             break
         theta, loss = cand, cand_loss
         g = _grad(model, b, cfg, theta)
-        require_finite(g, context="gradient during Newton")
+        require_finite(g, what="gradient during Newton")
         gn = float(np.linalg.norm(g))
         it += 1
     return TrainResult(
@@ -289,7 +291,7 @@ def _newton_step(h, g):
     scale = max(np.abs(np.diag(h)).max(), 1.0)
     for _ in range(20):
         try:
-            step = solve_spd(h, g, damping=damping)
+            step = solve_spd(factor_spd(h, damping), g)
         except SingularMatrixError:
             damping = 1e-10 * scale if damping == 0.0 else damping * 100.0
             continue

@@ -7,6 +7,8 @@ can stay terse.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +33,7 @@ def as_vector(x) -> DenseVector:
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    require_finite(v, context="vector")
+    require_finite(v, what="vector")
     return v
 
 
@@ -39,14 +41,14 @@ def as_matrix(a) -> DenseMatrix:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    require_finite(m, context="matrix")
+    require_finite(m, what="matrix")
     return m
 
 
-def require_finite(*arrays, context: str = "array") -> None:
+def require_finite(*arrays, what: str = "array") -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"non-finite entries in {context}")
+            raise NonFiniteError(f"non-finite entries in {what}")
 
 
 def require_symmetric(a: DenseMatrix) -> None:
@@ -57,6 +59,16 @@ def require_symmetric(a: DenseMatrix) -> None:
     skew = np.abs(a - a.T).max()
     if skew > SYMMETRY_RTOL * scale:
         raise ValueError(f"matrix is not symmetric: skew {skew:.3e} at scale {scale:.3e}")
+
+
+def is_int(x) -> bool:
+    """An integer setting; bool, which JSON spells true/false, is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A finite real setting: an int or a float, but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,22 +118,14 @@ def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:
     return SpdFactor(m, "cholesky")
 
 
-def solve_spd(
-    a: DenseMatrix | SpdFactor, rhs: DenseVector, damping: float | None = None
-) -> DenseVector:
-    """Solve (A + damping*I) x = rhs for symmetric A, or m x = rhs for a factor.
+def solve_spd(factor: SpdFactor, rhs: DenseVector) -> DenseVector:
+    """Solve m x = rhs against a factor from factor_spd.
 
-    A matrix is factored by factor_spd (damping defaults to 0); a factor
-    from factor_spd already carries its damping, so passing one together with
-    damping is a ValueError.  Raises SingularMatrixError when the residual
-    cannot be brought under 1e-8 * |rhs| with one step of refinement.
+    The factor carries the damped matrix m = A + damping*I and its solver
+    path; a symmetric matrix A is solved as solve_spd(factor_spd(A, damping),
+    rhs).  Raises SingularMatrixError when the residual cannot be brought
+    under 1e-8 * |rhs| with one step of refinement.
     """
-    if isinstance(a, SpdFactor):
-        if damping is not None:
-            raise ValueError("damping is fixed when the factor is built")
-        factor = a
-    else:
-        factor = factor_spd(a, 0.0 if damping is None else damping)
     m = factor.matrix
     rhs = as_vector(rhs)
     if m.shape[0] != rhs.shape[0]:
@@ -141,7 +145,7 @@ def solve_spd(
                 f"residual {np.linalg.norm(resid):.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}"
             )
-    require_finite(x, context="solve_spd result")
+    require_finite(x, what="solve_spd result")
     return x
 
 
@@ -199,7 +203,7 @@ def cg_solve(
         rs = rs_new
         it += 1
     resid = np.sqrt(rs)
-    require_finite(x, context="cg_solve result")
+    require_finite(x, what="cg_solve result")
     return CgResult(x, bool(resid <= tol * rhs_norm), it, float(resid))
 
 

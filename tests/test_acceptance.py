@@ -19,7 +19,6 @@ from vifkit.attributor import (
     attribute_target,
     classical_if,
     finite_difference_if,
-    vif_params,
 )
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset, reid_if
 from vifkit.embedloss import EmbedModel, WalkParams, pair_loss_target
@@ -78,7 +77,7 @@ def test_criterion_1_m_estimator_exactness(capsys):
         ctx = HessianContext(model, theta, HessianSolver())
         for i in range(n):
             scaled = n * classical_if(model, theta, i)
-            v = vif_params(model, theta, i, context=ctx)
+            v = ctx.vif(i)
             fd_pm = finite_difference_if(model, theta, PointMass(i), eps=-1.0 / (n - 1))
             fd_do = finite_difference_if(model, theta, DropOne(i), eps=1.0)
             worst_vif = max(worst_vif, _rel_inf(v, scaled))
@@ -114,9 +113,7 @@ def test_criterion_2_cox_gap_rate(capsys):
             theta = res.theta
             ctx = HessianContext(model, theta, HessianSolver())
             gaps = [
-                np.linalg.norm(
-                    vif_params(model, theta, i, context=ctx) - reid_if(theta, ds, i)
-                )
+                np.linalg.norm(ctx.vif(i) - reid_if(theta, ds, i))
                 for i in range(n)
             ]
             medians.append(float(np.median(gaps)))

@@ -21,7 +21,7 @@ from vifkit.coxloss import CoxModel
 from vifkit.embedloss import EmbedModel, Graph, WalkParams
 from vifkit.errors import UnrealizableMixtureError
 from vifkit.harness import logistic_fixture, synth_survival
-from vifkit.losscore import PresenceVector, TrainConfig, train
+from vifkit.losscore import LossModel, PresenceVector, TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ class TestAttributeTarget:
         model, theta = logistic_opt
         ctx = HessianContext(model, theta, HessianSolver())
         for i in range(30):
-            vif_params(model, theta, i, context=ctx)
+            ctx.vif(i)
         assert ctx.assembly_count == 1
 
     def test_warns_away_from_stationarity(self, logistic_opt, caplog):
@@ -209,12 +209,16 @@ class TestSolverStrategies:
         np.testing.assert_allclose(cg, ex, rtol=1e-7, atol=1e-12)
 
     def test_lissa_full_batch_deterministic_limit(self, cox_opt):
+        class WholeCox(CoxModel):
+            per_term_hvp = LossModel.per_term_hvp  # no per-term products
+
         model, theta = cox_opt
+        whole = WholeCox(model.data)
+        assert not whole.supports_per_term_hvp
         ex = vif_params(model, theta, 3, solver=HessianSolver())
         li = vif_params(
-            model, theta, 3,
-            solver=HessianSolver(strategy="lissa", lissa_steps=3000,
-                                 lissa_scale=1.0, lissa_batch="full"),
+            whole, theta, 3,
+            solver=HessianSolver(strategy="lissa", lissa_steps=3000, lissa_scale=1.0),
         )
         np.testing.assert_allclose(li, ex, rtol=1e-6, atol=1e-10)
 
@@ -222,10 +226,7 @@ class TestSolverStrategies:
         model, theta = cox_opt
         assert model.supports_per_term_hvp
         ex = vif_params(model, theta, 5, solver=HessianSolver())
-        li = vif_params(
-            model, theta, 5,
-            solver=HessianSolver(strategy="lissa", lissa_batch="term"),
-        )
+        li = vif_params(model, theta, 5, solver=HessianSolver(strategy="lissa"))
         cos = (li @ ex) / (np.linalg.norm(li) * np.linalg.norm(ex))
         assert cos > 0.95
 
@@ -238,20 +239,33 @@ class TestSolverStrategies:
         ctx = HessianContext(model, theta, HessianSolver(damping=0.1))
         assert np.all(np.isfinite(ctx.solve(np.ones(model.dim))))
 
-    def test_term_mode_needs_per_term_products(self):
+    def test_lissa_without_per_term_products_runs_full_batch(self):
         g = Graph(n=4, edges=np.array([[0, 1], [1, 2], [2, 3], [0, 3]]))
         model = EmbedModel(g, k=2, walk_params=WalkParams(4, 3, 2, seed=0))
+        assert not model.supports_per_term_hvp
         theta = model.initial_params(0)
-        solver = HessianSolver(strategy="lissa", damping=0.1, lissa_batch="term")
-        with pytest.raises(ValueError):
-            HessianContext(model, theta, solver)
+        ctx = HessianContext(model, theta, HessianSolver(strategy="lissa", damping=0.1))
+        assert ctx.assembly_count == 1
+        assert ctx.path == "lissa"
+        assert np.all(np.isfinite(ctx.solve(np.ones(model.dim))))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"strategy": "newton"},
             {"damping": -0.1},
-            {"lissa_batch": "half"},
+            {"cg_tol": "x"},
+            {"cg_tol": 0.0},
+            {"cg_max_iter": 0},
+            {"cg_max_iter": 2.5},
+            {"lissa_steps": -5},
+            {"lissa_steps": "100"},
+            {"lissa_steps": True},
+            {"lissa_scale": 0.0},
+            {"lissa_scale": float("nan")},
+            {"lissa_seed": 1.5},
+            {"lissa_seed": -1},
+            {"damping": float("inf")},
         ],
     )
     def test_solver_validation(self, kwargs):

@@ -14,8 +14,10 @@ import vifkit
 from vifkit import cli
 from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
+from vifkit.coxloss import SurvivalDataset
 from vifkit.errors import DataError
 from vifkit.losscore import PresenceVector
+from vifkit.ltrloss import RankingDataset
 
 
 def run(capsys, *argv):
@@ -377,6 +379,50 @@ class TestExitCodes:
         assert payload["error"] == "ConfigError"
         assert payload["exit_code"] == 1
 
+    @pytest.mark.parametrize(
+        "solver",
+        [{"cg_max_iter": 0}, {"lissa_steps": -5}, {"lissa_steps": "100"}, {"cg_tol": "x"},
+         {"lissa_batch": "full"}],
+        ids=repr,
+    )
+    def test_bad_solver_settings_are_config_errors(self, capsys, cox_run, solver):
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, solver=solver)))
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        code, _, err = run(capsys, "attribute", "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_payload(err)["error"] == "ConfigError"
+        assert not (out / "influences.csv").exists()
+
+    @pytest.mark.parametrize(
+        "jobs, flags",
+        [("2", ()), (2.5, ()), (True, ()), (1, ("--jobs", "0"))],
+        ids=["text", "fractional", "bool", "zero-flag"],
+    )
+    def test_bad_jobs_are_config_errors(self, capsys, cox_run, jobs, flags):
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, jobs=jobs)))
+        code, _, err = run(capsys, "loo", "--config", str(cfg_path), *flags)
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert "jobs" in payload["message"]
+
+    @pytest.mark.parametrize("rate", ["0.1", -0.1, 0.0])
+    def test_bad_learning_rate_is_config_error(self, capsys, cox_run, rate):
+        cfg, cfg_path, out = cox_run
+        train = {"optimizer": "gd", "learning_rate": rate, "epochs": 5}
+        cfg_path.write_text(json.dumps(dict(cfg, train=train)))
+        run(capsys, "synth", "--config", str(cfg_path))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert "learning_rate" in payload["message"]
+        assert not (out / "checkpoint.bin").exists()
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
@@ -387,6 +433,63 @@ class TestExitCodes:
         code, _, err = run(capsys, "synth", "--config", str(cfg_path))
         assert code == 1
         assert "VIF_LOG" in stderr_payload(err)["message"]
+
+
+def row_writer_survival_csv(path, x, y, delta):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["y", "delta"] + [f"x{j + 1}" for j in range(x.shape[1])])
+        for i in range(x.shape[0]):
+            w.writerow([repr(float(y[i])), int(delta[i])] + [repr(float(v)) for v in x[i]])
+
+
+def row_writer_points_csv(path, x, labels):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["label"] + [f"x{j + 1}" for j in range(x.shape[1])])
+        for i in range(x.shape[0]):
+            w.writerow([int(labels[i])] + [repr(float(v)) for v in x[i]])
+
+
+def row_writer_ranking_csv(qpath, lpath, data):
+    with open(qpath, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["query_id"] + [f"x{j + 1}" for j in range(data.p)])
+        for qi in range(data.m):
+            w.writerow([qi] + [repr(float(v)) for v in data.features[qi]])
+    with open(lpath, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["query_id", "rank", "item_id"])
+        for qi, lst in enumerate(data.rel_lists):
+            for rank, item in enumerate(lst):
+                w.writerow([qi, rank, item])
+
+
+class TestSynthFiles:
+    @pytest.mark.parametrize("scenario", ["cox", "ltr", "logistic"])
+    def test_synth_bytes_match_row_writers(self, capsys, tmp_path, scenario):
+        """The row-at-a-time dataset writers are the oracle: each synth file,
+        read back and rewritten by them, is unchanged byte for byte."""
+        out, want = tmp_path / "run", tmp_path / "want"
+        want.mkdir()
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "seed": 42, "out": str(out)}))
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        names = cli._FILES[scenario]
+        if scenario == "cox":
+            for name in names:
+                data = SurvivalDataset.from_csv(str(out / name))
+                row_writer_survival_csv(want / name, data.x, data.y, data.delta)
+        elif scenario == "ltr":
+            for qname, lname in (names[:2], names[2:]):
+                data = RankingDataset.from_csv(str(out / qname), str(out / lname))
+                row_writer_ranking_csv(want / qname, want / lname, data)
+        else:
+            for name in names:
+                x, labels = cli._read_points_csv(str(out / name))
+                row_writer_points_csv(want / name, x, labels)
+        for name in names:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def write_score_run(out, influences, loo):

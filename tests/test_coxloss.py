@@ -311,7 +311,7 @@ class TestReidInfluence:
 
     def test_gap_to_vif_shrinks_with_n(self):
         """The versatile and classical influences drift together at rate 1/n."""
-        from vifkit.attributor import HessianContext, HessianSolver, vif_params
+        from vifkit.attributor import HessianContext, HessianSolver
 
         gaps = {}
         for n in (100, 200):
@@ -321,11 +321,7 @@ class TestReidInfluence:
             cfg = TrainConfig(optimizer="newton", epochs=60)
             theta = train(model, PresenceVector.all_ones(n), cfg).theta
             ctx = HessianContext(model, theta, HessianSolver())
-            gap = [
-                np.linalg.norm(vif_params(model, theta, i, context=ctx)
-                               - reid_if(theta, data, i))
-                for i in range(n)
-            ]
+            gap = [np.linalg.norm(ctx.vif(i) - reid_if(theta, data, i)) for i in range(n)]
             gaps[n] = float(np.median(gap))
         ratio = gaps[200] / gaps[100]
         assert 0.25 < ratio < 0.85

@@ -63,6 +63,10 @@ class TestTrainConfigValidation:
             {"batch_size": 0},
             {"weight_decay": -1.0},
             {"grad_tol": 0.0},
+            {"learning_rate": -0.1},
+            {"learning_rate": 0.0},
+            {"learning_rate": "0.1"},
+            {"learning_rate": True},
         ],
     )
     def test_rejects(self, kwargs):
