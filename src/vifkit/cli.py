@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -40,7 +40,7 @@ from .harness import (
 )
 from .losscore import PresenceVector, TrainConfig, TrainResult, check_gradient, check_hessian, train
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
-from .numkit import is_int
+from .numkit import is_int, is_real
 
 log = logging.getLogger("vifkit.cli")
 
@@ -135,8 +135,8 @@ def load_config(args, need_out: bool = True) -> dict:
         cfg["out"] = args.out
     if "seed" not in cfg:
         raise ConfigError("seed is required (config field or --seed)")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    if not is_int(cfg["seed"]):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
     if not is_int(cfg["jobs"]) or cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {cfg['jobs']!r}")
     if need_out and "out" not in cfg:
@@ -158,7 +158,7 @@ def _out_dir(cfg: dict) -> str:
 
 def _train_config(cfg: dict, model) -> TrainConfig:
     t = cfg["train"]
-    known = {"optimizer", "learning_rate", "epochs", "batch_size", "weight_decay", "grad_tol"}
+    known = {"optimizer", "learning_rate", "epochs", "batch_size", "grad_tol"}
     extra = set(t) - known
     if extra:
         raise ConfigError(f"unknown train settings: {sorted(extra)}")
@@ -169,6 +169,53 @@ def _train_config(cfg: dict, model) -> TrainConfig:
     if tc.batch_size is not None and not model.supports_term_gradients:
         raise ConfigError(f"train.batch_size: {type(model).__name__} has no per-term gradients")
     return tc
+
+
+_SIZE = (lambda v: is_int(v) and v >= 1, "an int >= 1")
+_PENALTY = (lambda v: is_real(v) and v >= 0, "a real >= 0")
+
+# The keys each scenario accepts in its synth and model sections, with the
+# rule every value must meet.
+_SECTION_RULES = {
+    "synth": {
+        "cox": {
+            **dict.fromkeys(("n", "d", "n_test"), _SIZE),
+            "censor_rate": (lambda v: is_real(v) and 0 <= v < 1, "a real in [0, 1)"),
+            "theta_star": (
+                lambda v: isinstance(v, list) and all(map(is_real, v)),
+                "a list of reals",
+            ),
+        },
+        "ltr": dict.fromkeys(("m", "n", "k", "p", "n_test"), _SIZE),
+        "embed": {
+            "preset": (lambda v: v in (None, "karate"), 'null or "karate"'),
+            "n": _SIZE,
+            "edge_prob": (lambda v: is_real(v) and 0 <= v <= 1, "a real in [0, 1]"),
+        },
+        "logistic": dict.fromkeys(("n", "d", "n_test"), _SIZE),
+    },
+    "model": {
+        "cox": {},
+        "ltr": {"l2": _PENALTY},
+        "embed": dict.fromkeys(("k", "walks_per_node", "walk_length", "window"), _SIZE),
+        "logistic": {"reg": _PENALTY},
+    },
+}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The synth or model section, checked against the scenario's rules."""
+    section, rules = cfg[name], _SECTION_RULES[name][cfg["scenario"]]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    extra = set(section) - set(rules)
+    if extra:
+        raise ConfigError(f"unknown {name} settings: {sorted(extra)}")
+    for key, val in section.items():
+        ok, rule = rules[key]
+        if not ok(val):
+            raise ConfigError(f"{name}.{key} must be {rule}, got {val!r}")
+    return section
 
 
 def _solver(cfg: dict) -> HessianSolver:
@@ -209,25 +256,83 @@ def _require_files(paths: list[str]):
         )
 
 
+def _write_records_csv(path: str, **columns):
+    """Write a CSV table from equal-length named columns, in row chunks.
+
+    The header is the column names.  Integer columns are written as
+    integers, float columns as repr(float), the shortest round-trip decimal;
+    a NaN score, and every cell of a column given as None, is an empty cell.
+    """
+    n_rows = len(next(col for col in columns.values() if col is not None))
+
+    def cells(col, rows):
+        if col is None:
+            return itertools.repeat("")
+        values = col[rows].tolist()
+        if col.dtype.kind in "iu":
+            return map(str, values)
+        return [repr(v) if v == v else "" for v in values]
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            parts = [cells(col, rows) for col in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
+
+
+def _read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
+    """Header and (rows x columns) float cells of a table _write_records_csv wrote.
+
+    The header must start with the column names in lead and every row must
+    have one number per header column; an empty cell reads as NaN.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            body = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"missing {path}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not a text file") from None
+    if tuple(header[: len(lead)]) != lead:
+        raise DataError(f"{path}: expected a header starting {','.join(lead)}")
+    if not body.strip():
+        raise DataError(f"{path}: no data rows")
+    try:
+        cells = np.loadtxt(
+            io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+            converters=lambda v: float(v) if v else np.nan,
+        )
+    except ValueError as exc:  # a ragged row or a non-numeric cell
+        raise DataError(f"{path}: {exc}") from None
+    if cells.shape[1] != len(header):
+        raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
+    return header, cells
+
+
+def _ids(path: str, column: np.ndarray) -> np.ndarray:
+    """An id column as int64; every value must be a non-negative integer."""
+    # 2**53 bounds the integers a float64 cell holds exactly
+    if not np.all((column >= 0) & (column < 2.0**53) & (column == np.floor(column))):
+        raise DataError(f"{path}: an id is not a non-negative integer")
+    return column.astype(np.int64)
+
+
 def _x_columns(x: np.ndarray) -> dict:
     """Feature columns x1..xd for the table writer, one per column of x."""
     return {f"x{j + 1}": x[:, j] for j in range(x.shape[1])}
 
 
-def _read_points_csv(path: str):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise DataError(f"{path}: expected header label,x1,...")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        arr = np.array(rows, dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from None
-    return arr[:, 1:], arr[:, 0]
+def _read_survival(path: str) -> SurvivalDataset:
+    _, cells = _read_table(path, ("y", "delta", "x1"))
+    return SurvivalDataset(x=cells[:, 2:], y=cells[:, 0], delta=cells[:, 1])
+
+
+def _read_points(path: str):
+    """Features and labels of a label,x1,...,xd table."""
+    _, cells = _read_table(path, ("label", "x1"))
+    return cells[:, 1:], cells[:, 0]
 
 
 def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
@@ -239,6 +344,66 @@ def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
         rank=np.concatenate([np.arange(k) for k in lengths]),
         item_id=np.concatenate(data.rel_lists),
     )
+
+
+def _read_ranking(qpath: str, lpath: str) -> RankingDataset:
+    """Queries (query_id,x1,...,xp) and their ranked items (query_id,rank,item_id)."""
+    _, queries = _read_table(qpath, ("query_id", "x1"))
+    m = queries.shape[0]
+    if not np.array_equal(queries[:, 0], np.arange(m)):
+        raise DataError(f"{qpath}: query_id must be 0..m-1 in order")
+    _, labels = _read_table(lpath, ("query_id", "rank", "item_id"))
+    query, rank, item = _ids(lpath, labels[:, :3]).T
+    if query.max() >= m:
+        raise DataError(f"{lpath}: unknown query_id {query.max()}")
+    order = np.lexsort((rank, query))
+    query, rank, item = query[order], rank[order], item[order]
+    starts = np.searchsorted(query, np.arange(m + 1))
+    if not np.array_equal(rank, np.arange(rank.size) - starts[query]):
+        raise DataError(f"{lpath}: each query's ranks must be 0..k-1")
+    lists = tuple(tuple(item[a:b].tolist()) for a, b in zip(starts[:-1], starts[1:]))
+    return RankingDataset(features=queries[:, 1:], rel_lists=lists, n_items=int(item.max()) + 1)
+
+
+def _write_edges(path: str, graph: Graph):
+    with open(path, "w") as fh:
+        for u, v in graph.edges:
+            fh.write(f"{u} {v}\n")
+
+
+def _read_edges(path: str) -> Graph:
+    """Whitespace-separated 'u v' lines; '#' starts a comment."""
+    pairs = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'u v'")
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
+    if not pairs:
+        raise DataError(f"{path}: no edges")
+    n = max(max(u, v) for u, v in pairs) + 1
+    return Graph(n=n, edges=np.array(pairs, dtype=np.int64))
+
+
+def _read_scores_csv(path: str, column: str):
+    """Object ids, test ids and one score column of a score table.
+
+    Each (object_id, test_id) pair may appear once.
+    """
+    header, cells = _read_table(path, ("object_id", "test_id"))
+    if column not in header:
+        raise DataError(f"{path}: no {column} column")
+    ids = _ids(path, cells[:, :2])
+    if np.unique(ids, axis=0).shape[0] != ids.shape[0]:
+        raise DataError(f"{path}: duplicate (object_id, test_id) rows")
+    return ids[:, 0], ids[:, 1], cells[:, header.index(column)]
 
 
 def _split_survival(full: SurvivalDataset, n: int):
@@ -256,8 +421,8 @@ def cmd_synth(args) -> int:
     cfg = load_config(args)
     if cfg.get("data") is not None:
         raise ConfigError("config points at external data files; nothing to synthesize")
+    scenario, seed, s = cfg["scenario"], cfg["seed"], _section(cfg, "synth")
     out = _out_dir(cfg)
-    scenario, seed, s = cfg["scenario"], cfg["seed"], cfg["synth"]
     paths = _data_paths(cfg)
     if scenario == "cox":
         theta_star = np.asarray(s.get("theta_star", _default_theta_star(s["d"])))
@@ -287,13 +452,10 @@ def cmd_synth(args) -> int:
         _write_ranking_csv(paths[0], paths[1], train_part)
         _write_ranking_csv(paths[2], paths[3], test_part)
     elif scenario == "embed":
-        if "preset" in s:
-            g = synth_graph(preset=s["preset"])
-        else:
-            g = synth_graph(n=s["n"], edge_prob=s["edge_prob"], seed=seed)
-        with open(paths[0], "w") as fh:
-            for u, v in g.edges:
-                fh.write(f"{u} {v}\n")
+        g = synth_graph(
+            n=s.get("n"), edge_prob=s.get("edge_prob"), seed=seed, preset=s.get("preset")
+        )
+        _write_edges(paths[0], g)
     else:
         full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
         labels = full.labels.astype(np.int64)
@@ -313,24 +475,24 @@ def cmd_synth(args) -> int:
 
 def build_model(cfg: dict):
     """Model plus the target list implied by the scenario's test artifacts."""
-    scenario, m = cfg["scenario"], cfg["model"]
+    scenario, m = cfg["scenario"], _section(cfg, "model")
     paths = _data_paths(cfg)
     _require_files(paths)
     if scenario == "cox":
-        data = SurvivalDataset.from_csv(paths[0])
-        test = SurvivalDataset.from_csv(paths[1])
+        data = _read_survival(paths[0])
+        test = _read_survival(paths[1])
         model = CoxModel(data)
         targets = [relative_risk_target(row) for row in test.x]
     elif scenario == "ltr":
-        data = RankingDataset.from_csv(paths[0], paths[1])
-        test = RankingDataset.from_csv(paths[2], paths[3])
+        data = _read_ranking(paths[0], paths[1])
+        test = _read_ranking(paths[2], paths[3])
         model = ListMLEModel(data, l2=m.get("l2", 0.0))
         targets = [
             query_loss_target(model, test.features[q], test.rel_lists[q])
             for q in range(test.m)
         ]
     elif scenario == "embed":
-        graph = Graph.from_edge_list(paths[0])
+        graph = _read_edges(paths[0])
         walks = WalkParams(
             walks_per_node=m["walks_per_node"],
             walk_length=m["walk_length"],
@@ -340,8 +502,8 @@ def build_model(cfg: dict):
         model = EmbedModel(graph, k=m["k"], walk_params=walks)
         targets = [pair_loss_target(model, int(u), int(v)) for u, v in graph.edges]
     else:
-        x, labels = _read_points_csv(paths[0])
-        xt, lt = _read_points_csv(paths[1])
+        x, labels = _read_points(paths[0])
+        xt, lt = _read_points(paths[1])
         model = LogisticModel(x, labels, reg=m.get("reg", 1e-3))
         targets = [LogLossTarget(xt[i], lt[i]) for i in range(xt.shape[0])]
     return model, targets
@@ -439,74 +601,11 @@ def _load_checkpoint_for(cfg: dict, model):
     return theta, header
 
 
-def _write_records_csv(path: str, **columns):
-    """Write a CSV table from equal-length named columns, in row chunks.
-
-    The header is the column names.  Integer columns are written as
-    integers, float columns as repr(float), the shortest round-trip decimal;
-    a NaN score, and every cell of a column given as None, is an empty cell.
-    """
-    n_rows = len(next(col for col in columns.values() if col is not None))
-
-    def cells(col, rows):
-        if col is None:
-            return itertools.repeat("")
-        values = col[rows].tolist()
-        if col.dtype.kind in "iu":
-            return map(str, values)
-        return [repr(v) if v == v else "" for v in values]
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + CSV_CHUNK_ROWS)
-            parts = [cells(col, rows) for col in columns.values()]
-            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
-
-
 def _write_json(path: str, obj) -> None:
     """Write obj as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_scores_csv(path: str, column: str):
-    """Object ids, test ids and one score column of a score table.
-
-    An empty score cell reads as NaN.  Ids must be non-negative integers and
-    each (object_id, test_id) pair may appear once.
-    """
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        names = ("object_id", "test_id", column)
-        if not all(name in header for name in names):
-            raise DataError(f"{path}: expected object_id, test_id and {column} columns")
-        at = [header.index(name) for name in names]
-        ids, values = [], []
-        for row in reader:
-            try:
-                o, t, v = (row[j] for j in at)
-                ids.append((int(o), int(t)))
-                values.append(float(v) if v else np.nan)
-            except (IndexError, ValueError):
-                raise DataError(f"{path}: malformed row {row}") from None
-    if not ids:
-        raise DataError(f"{path}: no data rows")
-    try:
-        ids = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise DataError(f"{path}: object or test id out of range") from None
-    if (ids < 0).any():
-        raise DataError(f"{path}: negative object or test id")
-    if np.unique(ids, axis=0).shape[0] != ids.shape[0]:
-        raise DataError(f"{path}: duplicate (object_id, test_id) rows")
-    return ids[:, 0], ids[:, 1], np.array(values)
 
 
 def cmd_attribute(args) -> int:

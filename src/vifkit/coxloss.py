@@ -21,7 +21,6 @@ delta_gradient (O(E d) for E events) reuse one cached sweep per point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +42,7 @@ class SurvivalDataset:
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
-        d = np.ascontiguousarray(self.delta, dtype=np.int64)
+        d = np.asarray(self.delta)
         if x.ndim != 2 or y.ndim != 1 or d.ndim != 1:
             raise DataError("x must be (n, d); y and delta must be (n,)")
         n = x.shape[0]
@@ -53,8 +52,10 @@ class SurvivalDataset:
             raise DataError("non-finite values in survival data")
         if np.any(y <= 0):
             raise DataError("observed times must be positive")
+        # checked on the values as given: casting a NaN to int warns and yields garbage
         if not np.all((d == 0) | (d == 1)):
             raise DataError("delta must be 0 or 1")
+        d = np.ascontiguousarray(d, dtype=np.int64)
         if np.unique(y).shape[0] != n:
             raise DataError("tied observed times are not supported; jitter the data")
         for name, arr in (("x", x), ("y", y), ("delta", d)):
@@ -68,28 +69,6 @@ class SurvivalDataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @classmethod
-    def from_csv(cls, path) -> "SurvivalDataset":
-        """Load records from a CSV with header y,delta,x1,...,xd."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            if len(header) < 3 or header[0] != "y" or header[1] != "delta":
-                raise DataError(f"{path}: expected header y,delta,x1,...")
-            rows = list(reader)
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-        try:
-            arr = np.array(rows, dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric cell ({exc})") from None
-        if arr.shape[1] != len(header):
-            raise DataError(f"{path}: ragged rows")
-        return cls(x=arr[:, 2:], y=arr[:, 0], delta=arr[:, 1])
 
     def without(self, i: int) -> "SurvivalDataset":
         keep = np.ones(self.n, dtype=bool)

@@ -56,27 +56,6 @@ class Graph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @classmethod
-    def from_edge_list(cls, path) -> "Graph":
-        """Whitespace-separated 'u v' lines; '#' starts a comment."""
-        pairs = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                parts = body.split()
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'u v'")
-                try:
-                    pairs.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
-        if not pairs:
-            raise DataError(f"{path}: no edges")
-        n = max(max(u, v) for u, v in pairs) + 1
-        return cls(n=n, edges=np.array(pairs, dtype=np.int64))
-
     def without_node(self, i: int) -> "Graph":
         """Physically delete node i, renumbering later nodes down by one."""
         keep = ~np.any(self.edges == i, axis=1)

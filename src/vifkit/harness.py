@@ -139,6 +139,8 @@ class LogisticModel(LossModel, DecomposableLoss):
         labels = np.ascontiguousarray(labels, dtype=np.float64)
         if x.ndim != 2 or labels.shape != (x.shape[0],):
             raise DataError("x must be (n, d) with one label per row")
+        if not np.all(np.isfinite(x)):
+            raise DataError("non-finite feature values")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise DataError("labels must be -1 or +1")
         if reg < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, SingularMatrixError
-from .numkit import factor_spd, is_real, require_finite, solve_spd
+from .numkit import factor_spd, is_int, is_real, require_finite, solve_spd
 
 log = logging.getLogger("vifkit.losscore")
 
@@ -185,21 +185,21 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 100
     batch_size: int | None = None
-    weight_decay: float = 0.0
     grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.optimizer not in ("newton", "gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not (is_real(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 or None for full batch")
-        if self.weight_decay < 0 or self.grad_tol <= 0:
-            raise ValueError("weight_decay must be >= 0 and grad_tol > 0")
+        lr, batch = self.learning_rate, self.batch_size
+        for name, ok, rule in (
+            ("learning_rate", is_real(lr) and lr > 0, "a positive real"),
+            ("epochs", is_int(self.epochs) and self.epochs >= 1, "an int >= 1"),
+            ("batch_size", batch is None or is_int(batch) and batch >= 1, "null or an int >= 1"),
+            ("grad_tol", is_real(self.grad_tol) and self.grad_tol > 0, "a positive real"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,10 @@ def train(
     cfg: TrainConfig,
     init: np.ndarray | None = None,
 ) -> TrainResult:
-    """Minimize L(theta, b) (+ weight_decay/2 |theta|^2) deterministically.
+    """Minimize L(theta, b) deterministically.
 
     Newton stops at |grad| <= grad_tol; gd/adam run for cfg.epochs and report
     the final gradient norm, with converged flagging whether it met grad_tol.
-    weight_decay augments the objective itself; keep it at zero when the
-    trained point feeds attribution against the bare model loss.
     """
     theta = np.array(
         model.initial_params(cfg.seed) if init is None else init, dtype=np.float64
@@ -235,45 +233,28 @@ def train(
     return _train_first_order(model, b, cfg, theta)
 
 
-def _objective(model, b, cfg, theta):
-    val = model.value(theta, b)
-    if cfg.weight_decay:
-        val += 0.5 * cfg.weight_decay * float(theta @ theta)
-    return val
-
-
-def _grad(model, b, cfg, theta):
-    g = model.gradient(theta, b)
-    if cfg.weight_decay:
-        g = g + cfg.weight_decay * theta
-    return g
-
-
 def _train_newton(model, b, cfg, theta):
-    loss = _objective(model, b, cfg, theta)
+    loss = model.value(theta, b)
     if not np.isfinite(loss):
         raise NonFiniteError("objective is non-finite at the initial point")
-    g = _grad(model, b, cfg, theta)
+    g = model.gradient(theta, b)
     gn = float(np.linalg.norm(g))
     it = 0
     while gn > cfg.grad_tol and it < cfg.epochs:
-        h = model.hessian(theta, b)
-        if cfg.weight_decay:
-            h = h + cfg.weight_decay * np.eye(model.dim)
-        step = _newton_step(h, g)
+        step = _newton_step(model.hessian(theta, b), g)
         # Armijo backtracking keeps the iteration safe far from the optimum
         t = 1.0
         descent = float(g @ step)
         while t > 1e-10:
             cand = theta - t * step
-            cand_loss = _objective(model, b, cfg, cand)
+            cand_loss = model.value(cand, b)
             if np.isfinite(cand_loss) and cand_loss <= loss - 1e-4 * t * descent:
                 break
             t *= 0.5
         else:
             break
         theta, loss = cand, cand_loss
-        g = _grad(model, b, cfg, theta)
+        g = model.gradient(theta, b)
         require_finite(g, what="gradient during Newton")
         gn = float(np.linalg.norm(g))
         it += 1
@@ -325,11 +306,9 @@ def _train_first_order(model, b, cfg, theta):
             batches = [None]
         for batch in batches:
             if batch is None:
-                g = _grad(model, b, cfg, theta)
+                g = model.gradient(theta, b)
             else:
                 g = model.term_gradient_sum(theta, b, batch) * (n_terms / batch.size)
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * theta
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(
                     "non-finite gradient during training (learning rate too high?)"
@@ -344,10 +323,10 @@ def _train_first_order(model, b, cfg, theta):
                 vhat = v / (1 - beta2**step_count)
                 theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
 
-    loss = _objective(model, b, cfg, theta)
+    loss = model.value(theta, b)
     if not np.isfinite(loss):
         raise NonFiniteError("objective is non-finite after training")
-    g = _grad(model, b, cfg, theta)
+    g = model.gradient(theta, b)
     gn = float(np.linalg.norm(g))
     return TrainResult(
         theta=theta,

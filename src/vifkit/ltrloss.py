@@ -19,7 +19,6 @@ diag(sum_j P_j) - sum_j P_j^T P_j.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,52 +67,6 @@ class RankingDataset:
     @property
     def p(self) -> int:
         return self.features.shape[1]
-
-    @classmethod
-    def from_csv(cls, queries_path, labels_path) -> "RankingDataset":
-        """queries.csv: query_id,x1..xp ; labels.csv: query_id,rank,item_id."""
-        with open(queries_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "query_id":
-                raise DataError(f"{queries_path}: expected header query_id,x1,...")
-            rows = list(reader)
-        if not rows:
-            raise DataError(f"{queries_path}: no data rows")
-        try:
-            qids = [int(r[0]) for r in rows]
-            feats = np.array([[float(v) for v in r[1:]] for r in rows])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{queries_path}: malformed row ({exc})") from None
-        if qids != list(range(len(qids))):
-            raise DataError(f"{queries_path}: query_id must be 0..m-1 in order")
-
-        per_query: dict[int, list[tuple[int, int]]] = {q: [] for q in qids}
-        with open(labels_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["query_id", "rank", "item_id"]:
-                raise DataError(f"{labels_path}: expected header query_id,rank,item_id")
-            for lineno, row in enumerate(reader, 2):
-                try:
-                    q, rank, item = int(row[0]), int(row[1]), int(row[2])
-                except (ValueError, IndexError):
-                    raise DataError(f"{labels_path}:{lineno}: malformed row") from None
-                if q not in per_query:
-                    raise DataError(f"{labels_path}:{lineno}: unknown query_id {q}")
-                per_query[q].append((rank, item))
-        lists = []
-        max_item = -1
-        for q in qids:
-            entries = sorted(per_query[q])
-            if [r for r, _ in entries] != list(range(len(entries))):
-                raise DataError(f"labels for query {q}: ranks must be 0..k-1")
-            ids = [item for _, item in entries]
-            if ids:
-                max_item = max(max_item, max(ids))
-            lists.append(tuple(ids))
-        return cls(features=feats, rel_lists=tuple(lists), n_items=max_item + 1)
-
 
 def _pad(rel_lists):
     """Relevance lists as a left-aligned (m, K) id array plus its validity mask."""

@@ -14,10 +14,9 @@ import vifkit
 from vifkit import cli
 from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
-from vifkit.coxloss import SurvivalDataset
 from vifkit.errors import DataError
+from vifkit.harness import synth_graph
 from vifkit.losscore import PresenceVector
-from vifkit.ltrloss import RankingDataset
 
 
 def run(capsys, *argv):
@@ -423,6 +422,69 @@ class TestExitCodes:
         assert "learning_rate" in payload["message"]
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("stage", ["synth", "train"])
+    def test_bool_seed_is_config_error(self, capsys, cox_run, stage):
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, seed=True)))
+        code, _, err = run(capsys, stage, "--config", str(cfg_path))
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert "seed" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "train",
+        [{"epochs": 2.5}, {"batch_size": True}, {"grad_tol": "1e-8"}, {"weight_decay": 0.1}],
+        ids=repr,
+    )
+    def test_bad_train_settings_are_config_errors(self, capsys, cox_run, train):
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, train={"optimizer": "gd", "epochs": 1, **train})))
+        run(capsys, "synth", "--config", str(cfg_path))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_payload(err)["error"] == "ConfigError"
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, section, settings",
+        [
+            ("cox", "synth", {"n": "30"}),
+            ("cox", "synth", {"n_test": 0}),
+            ("cox", "synth", {"censor_rate": 1.0}),
+            ("cox", "synth", {"theta_star": "planted"}),
+            ("cox", "synth", {"size": 30}),
+            ("ltr", "synth", {"k": 2.0}),
+            ("embed", "synth", {"preset": "dolphins"}),
+            ("embed", "synth", {"edge_prob": True}),
+            ("logistic", "synth", {"d": None}),
+            ("cox", "model", {"l2": 0.1}),
+            ("ltr", "model", {"l2": -1.0}),
+            ("embed", "model", {"k": "2"}),
+            ("embed", "model", {"walks_per_node": 0}),
+            ("logistic", "model", {"reg": True}),
+            ("logistic", "model", []),
+        ],
+        ids=repr,
+    )
+    def test_bad_synth_and_model_settings_are_config_errors(
+        self, capsys, tmp_path, scenario, section, settings
+    ):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(
+            {"scenario": scenario, "seed": 1, "out": str(out), section: settings}
+        ))
+        stage = "synth" if section == "synth" else "train"
+        code, _, err = run(capsys, stage, "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert section in payload["message"]
+        assert not out.exists() or os.listdir(out) == []
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
@@ -478,18 +540,31 @@ class TestSynthFiles:
         names = cli._FILES[scenario]
         if scenario == "cox":
             for name in names:
-                data = SurvivalDataset.from_csv(str(out / name))
+                data = cli._read_survival(str(out / name))
                 row_writer_survival_csv(want / name, data.x, data.y, data.delta)
         elif scenario == "ltr":
             for qname, lname in (names[:2], names[2:]):
-                data = RankingDataset.from_csv(str(out / qname), str(out / lname))
+                data = cli._read_ranking(str(out / qname), str(out / lname))
                 row_writer_ranking_csv(want / qname, want / lname, data)
         else:
             for name in names:
-                x, labels = cli._read_points_csv(str(out / name))
+                x, labels = cli._read_points(str(out / name))
                 row_writer_points_csv(want / name, x, labels)
         for name in names:
             assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_embed_random_graph_without_preset(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "embed", "seed": 5, "out": str(out),
+            "synth": {"preset": None, "n": 8, "edge_prob": 0.5},
+        }))
+        code, _, err = run(capsys, "synth", "--config", str(cfg_path))
+        assert code == 0, err
+        graph = cli._read_edges(str(out / "edges.txt"))
+        want = synth_graph(n=8, edge_prob=0.5, seed=5)
+        np.testing.assert_array_equal(graph.edges, want.edges)
 
 
 def write_score_run(out, influences, loo):
@@ -499,6 +574,103 @@ def write_score_run(out, influences, loo):
         (out / f"{stage}_meta.json").write_text(json.dumps({"config_hash": "h", "runtime_s": 1.0}))
     (out / "influences.csv").write_text("object_id,test_id,vif,loo\n" + influences)
     (out / "loo.csv").write_text("object_id,test_id,loo\n" + loo)
+
+
+# One small valid run directory per reader; each malformed-table case below
+# replaces one of its files.
+VALID_TABLES = {
+    "cox": {
+        "survival.csv": "y,delta,x1\n1.0,1,0.5\n2.0,0,-0.5\n3.0,1,0.25\n",
+        "survival_test.csv": "y,delta,x1\n1.5,1,0.5\n",
+    },
+    "ltr": {
+        "queries.csv": "query_id,x1\n0,0.5\n1,-0.5\n",
+        "labels.csv": "query_id,rank,item_id\n0,0,0\n0,1,1\n1,0,1\n",
+        "queries_test.csv": "query_id,x1\n0,0.25\n",
+        "labels_test.csv": "query_id,rank,item_id\n0,0,1\n",
+    },
+    "logistic": {
+        "points.csv": "label,x1\n1,0.5\n-1,-0.5\n",
+        "points_test.csv": "label,x1\n1,0.25\n",
+    },
+    "compare": {
+        "influences.csv": "object_id,test_id,vif,loo\n0,0,1.0,\n1,0,2.0,\n2,0,0.5,\n",
+        "loo.csv": "object_id,test_id,loo\n0,0,1.5\n1,0,2.5\n2,0,0.0\n",
+        "attribute_meta.json": '{"config_hash": "h", "runtime_s": 1.0}',
+        "loo_meta.json": '{"config_hash": "h", "runtime_s": 1.0}',
+    },
+}
+
+MALFORMED_TABLES = {
+    "cox-bad-header": ("cox", "survival.csv", "time,delta,x1\n1.0,1,0.5\n"),
+    "cox-no-rows": ("cox", "survival_test.csv", "y,delta,x1\n"),
+    "cox-ragged-row": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n2.0,0\n"),
+    "cox-non-numeric": ("cox", "survival.csv", "y,delta,x1\n1.0,1,oops\n2.0,0,0.5\n"),
+    "cox-empty-delta": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n2.0,,0.5\n"),
+    "cox-nan-delta": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n2.0,nan,0.5\n"),
+    "cox-not-text": ("cox", "survival.csv", b"y,delta,x1\n1.0,1,\xff\n"),
+    "logistic-bad-header": ("logistic", "points.csv", "lbl,x1\n1,0.5\n"),
+    "logistic-ragged-row": ("logistic", "points.csv", "label,x1\n1,0.5,0.5\n-1,0.5,0.5\n"),
+    "logistic-non-numeric": ("logistic", "points_test.csv", "label,x1\nyes,0.5\n"),
+    "logistic-empty-feature": ("logistic", "points.csv", "label,x1\n1,0.5\n-1,\n"),
+    "ltr-bad-header": ("ltr", "labels.csv", "query_id,position,item_id\n0,0,0\n1,0,1\n"),
+    "ltr-no-rows": ("ltr", "queries.csv", "query_id,x1\n"),
+    "ltr-fractional-id": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0.5\n1,0,1\n"),
+    "ltr-negative-id": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,-1\n1,0,1\n"),
+    "ltr-huge-id": ("ltr", "labels_test.csv", "query_id,rank,item_id\n0,0,1e30\n"),
+    "ltr-query-order": ("ltr", "queries.csv", "query_id,x1\n1,0.5\n0,-0.5\n"),
+    "ltr-unknown-query": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0\n1,0,1\n2,0,1\n"),
+    "ltr-rank-gap": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0\n0,2,1\n1,0,1\n"),
+    "compare-bad-header": ("compare", "influences.csv", "object,test_id,vif,loo\n0,0,1.0,\n"),
+    "compare-no-rows": ("compare", "loo.csv", "object_id,test_id,loo\n"),
+    "compare-ragged-row": ("compare", "influences.csv", "object_id,test_id,vif,loo\n0,0,1.0\n"),
+    "compare-non-numeric": ("compare", "loo.csv", "object_id,test_id,loo\n0,0,high\n"),
+    "compare-huge-id": ("compare", "loo.csv", "object_id,test_id,loo\n" + "9" * 20 + ",0,1.0\n"),
+}
+
+
+def write_tables(out, scenario, replace=None):
+    """Write VALID_TABLES[scenario] into out, with replace = (name, text) swapped in."""
+    out.mkdir()
+    files = dict(VALID_TABLES[scenario])
+    if replace is not None:
+        files[replace[0]] = replace[1]
+    for name, text in files.items():
+        (out / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+
+
+def run_on_tables(capsys, tmp_path, scenario):
+    out = tmp_path / "run"
+    if scenario == "compare":
+        return run(capsys, "compare", "--out", str(out))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": scenario, "seed": 1, "out": str(out),
+        "train": {"optimizer": "gd", "epochs": 1},
+    }))
+    return run(capsys, "train", "--config", str(cfg_path))
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("scenario", list(VALID_TABLES))
+    def test_valid_tables_run(self, capsys, tmp_path, scenario):
+        write_tables(tmp_path / "run", scenario)
+        code, _, err = run_on_tables(capsys, tmp_path, scenario)
+        assert code == 0, err
+
+    # a warning raised on the way, such as numpy's for casting a NaN, fails
+    # the case instead of reaching stderr ahead of the JSON error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scenario, name, text", MALFORMED_TABLES.values(), ids=list(MALFORMED_TABLES)
+    )
+    def test_malformed_table_is_one_data_error(self, capsys, tmp_path, scenario, name, text):
+        write_tables(tmp_path / "run", scenario, (name, text))
+        code, _, err = run_on_tables(capsys, tmp_path, scenario)
+        assert code == 2
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DataError" and payload["exit_code"] == 2
 
 
 class TestCompareTable:

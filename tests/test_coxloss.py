@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from vifkit import coxloss
+from vifkit import cli, coxloss
 from vifkit.coxloss import (
     CoxModel,
     SurvivalDataset,
@@ -91,7 +91,7 @@ class TestSurvivalDataset:
             cells += [repr(float(v)) for v in survival40.x[i]]
             rows.append(",".join(cells))
         path.write_text("\n".join(rows) + "\n")
-        loaded = SurvivalDataset.from_csv(path)
+        loaded = cli._read_survival(path)
         np.testing.assert_array_equal(loaded.y, survival40.y)
         np.testing.assert_array_equal(loaded.delta, survival40.delta)
         np.testing.assert_array_equal(loaded.x, survival40.x)
@@ -100,7 +100,7 @@ class TestSurvivalDataset:
         path = tmp_path / "bad.csv"
         path.write_text("time,delta,x1\n1.0,1,0.5\n")
         with pytest.raises(DataError):
-            SurvivalDataset.from_csv(path)
+            cli._read_survival(path)
 
     def test_without_removes_one_record(self, survival40):
         cut = survival40.without(7)

@@ -61,12 +61,16 @@ class TestTrainConfigValidation:
             {"optimizer": "sgd"},
             {"epochs": 0},
             {"batch_size": 0},
-            {"weight_decay": -1.0},
             {"grad_tol": 0.0},
             {"learning_rate": -0.1},
             {"learning_rate": 0.0},
             {"learning_rate": "0.1"},
             {"learning_rate": True},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": True},
+            {"batch_size": 4.0},
+            {"grad_tol": "1e-8"},
         ],
     )
     def test_rejects(self, kwargs):
@@ -96,14 +100,6 @@ class TestNewton:
         z = train(model, b, cfg, init=np.full(3, 5.0))
         assert a.converged and z.converged
         np.testing.assert_allclose(a.theta, z.theta, atol=1e-7)
-
-    def test_weight_decay_augments_objective(self, quad_model, full12):
-        wd = 2.5
-        res = train(quad_model, full12, TrainConfig(optimizer="newton", weight_decay=wd))
-        n = quad_model.n_objects
-        expected = n * quad_model.minimizer(full12) / (n + wd)
-        assert res.converged
-        np.testing.assert_allclose(res.theta, expected, atol=1e-10)
 
     def test_init_shape_rejected(self, quad_model, full12):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vifkit import cli
 from vifkit.errors import DataError, NoPresentItemsError
 from vifkit.harness import synth_ranking
 from vifkit.losscore import PresenceVector, check_gradient, check_hessian
@@ -77,7 +78,7 @@ class TestRankingDataset:
             for rank, item in enumerate(lst):
                 l_rows.append(f"{qi},{rank},{item}")
         lp.write_text("\n".join(l_rows) + "\n")
-        loaded = RankingDataset.from_csv(qp, lp)
+        loaded = cli._read_ranking(qp, lp)
         np.testing.assert_array_equal(loaded.features, ranking_data.features)
         assert loaded.rel_lists == ranking_data.rel_lists
 
@@ -87,7 +88,7 @@ class TestRankingDataset:
         qp.write_text("query_id,x1\n0,1.0\n")
         lp.write_text("query_id,rank,item_id\n0,0,0\n0,2,1\n")
         with pytest.raises(DataError):
-            RankingDataset.from_csv(qp, lp)
+            cli._read_ranking(qp, lp)
 
 
 class TestListMLEValue:
