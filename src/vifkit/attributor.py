@@ -6,8 +6,14 @@ The versatile influence of object i at the trained point theta is
 
 with H the loss Hessian at full presence and n the number of data objects.
 For a decomposable loss this reduces exactly to -n H^{-1} grad l_i at an
-optimum, n times the classical per-point influence; target attribution
-chains a scalar f through it as grad f . vif(i).
+optimum, n times the classical per-point influence.  Target attribution
+chains scalars f_t through it, and for every object and target at once it is
+one matrix expression,
+
+    scores = -D [(1/n) H + damping I]^{-1} G^T,
+
+with D the drop-one gradients (objects x dim) and G the target gradients
+(targets x dim): one delta_gradients call, one block solve, one product.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import UnrealizableMixtureError
 from .losscore import DecomposableLoss, LossModel, PresenceVector, TargetFunction
-from .numkit import cg_solve, factor_spd, is_int, is_real, lissa_solve, solve_spd
+from .numkit import as_rhs, cg_solve, factor_spd, is_int, is_real, lissa_solve, solve_spd
 
 log = logging.getLogger("vifkit.attributor")
 
@@ -86,6 +92,8 @@ class HessianContext:
     attribution pass performs exactly one assembly, or none when LiSSA
     samples per-term products (h_norm is then None).  The explicit strategy
     also checks the damped Hessian and picks its solver path here, once.
+    solve takes a vector or a (dim, k) block of right-hand sides; CG runs
+    are recorded so that details() can report them.
     """
 
     def __init__(self, model: LossModel, theta: np.ndarray, solver: HessianSolver):
@@ -97,6 +105,7 @@ class HessianContext:
         self.n = model.n_objects
         self.ones = PresenceVector.all_ones(self.n)
         self.assembly_count = 0
+        self._cg_runs: list[tuple[int, float, bool]] = []
 
         grad_norm = float(np.linalg.norm(model.gradient(self.theta, self.ones)))
         self.grad_norm = grad_norm
@@ -125,45 +134,92 @@ class HessianContext:
         """Solver path: cholesky or lu (explicit strategy), cg or lissa."""
         return self._factor.path if self._factor is not None else self.solver.strategy
 
+    @property
+    def lissa_scale(self) -> float:
+        """The LiSSA scale in effect: lissa_scale, or 10 * (1 + damping) by default."""
+        s = self.solver
+        return s.lissa_scale if s.lissa_scale is not None else 10.0 * (1.0 + s.damping)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with [(1/n) H + damping I] x = rhs under the chosen strategy."""
+        """X with [(1/n) H + damping I] X = rhs under the chosen strategy.
+
+        rhs is a vector or a (dim, k) block.  The explicit strategy takes one
+        block solve, CG one run per column, and LiSSA one recursion over the
+        block with the seeded index stream of a single-column run.
+        """
         s = self.solver
         if s.strategy == "explicit":
             return solve_spd(self._factor, rhs)
-        h = self.h_norm
         if s.strategy == "cg":
-            res = cg_solve(
-                lambda v: h @ v,
-                rhs,
-                damping=s.damping,
-                tol=s.cg_tol,
-                max_iter=s.cg_max_iter,
-            )
-            if not res.converged:
-                log.warning(
-                    "CG stopped at iteration %d with residual %.3e",
-                    res.iterations,
-                    res.residual_norm,
-                )
-            return res.x
-        scale = s.lissa_scale if s.lissa_scale is not None else 10.0 * (1.0 + s.damping)
+            return self._cg(rhs)
         if self._lissa_term_mode:
-            n_terms = self.model.num_terms(self.ones)
+            model, theta, ones = self.model, self.theta, self.ones
+            n_terms = model.num_terms(ones)
             factor = n_terms / self.n
 
             def sample(j, v):
-                return factor * self.model.per_term_hvp(j, self.theta, self.ones, v)
+                return factor * model.per_term_hvp(j, theta, ones, v)
 
-            return lissa_solve(
-                sample, s.lissa_steps, scale, s.damping, rhs, s.lissa_seed, n_terms
-            )
+        else:
+            h, n_terms = self.h_norm, 1
+
+            def sample(j, v):
+                return h @ v
+
         return lissa_solve(
-            lambda j, v: h @ v, s.lissa_steps, scale, s.damping, rhs, s.lissa_seed, 1
+            sample, s.lissa_steps, self.lissa_scale, s.damping, rhs, s.lissa_seed, n_terms
         )
 
+    def _cg(self, rhs: np.ndarray) -> np.ndarray:
+        """One CG run per column; (iterations, relative residual, converged) recorded."""
+        s, h = self.solver, self.h_norm
+        rhs = as_rhs(rhs)
+        b = rhs.reshape(rhs.shape[0], -1)
+        x = np.empty_like(b)
+        runs = []
+        for c, col in enumerate(b.T):
+            res = cg_solve(lambda v: h @ v, col, s.damping, s.cg_tol, s.cg_max_iter)
+            x[:, c] = res.x
+            norm = float(np.linalg.norm(col))
+            runs.append((res.iterations, res.residual_norm / norm if norm else 0.0, res.converged))
+        self._cg_runs += runs
+        stopped = [run for run in runs if not run[2]]
+        if stopped:
+            log.warning(
+                "CG stopped short of cg_tol on %d of %d columns: worst relative "
+                "residual %.3e, up to %d iterations",
+                len(stopped),
+                len(runs),
+                max(run[1] for run in stopped),
+                max(run[0] for run in stopped),
+            )
+        return x.reshape(rhs.shape)
+
+    def details(self) -> dict:
+        """Strategy settings and outcomes for the run record.
+
+        LiSSA: its steps, the scale in effect, seed and mode (per_term or
+        full_batch).  CG: over every column solved so far, the largest
+        iteration count, the worst relative residual and the converged count.
+        The explicit strategy returns {}: its path says all there is.
+        """
+        s = self.solver
+        if s.strategy == "lissa":
+            mode = "per_term" if self._lissa_term_mode else "full_batch"
+            return {"lissa": {"steps": s.lissa_steps, "scale": self.lissa_scale,
+                              "seed": s.lissa_seed, "mode": mode}}
+        if s.strategy == "cg":
+            runs = self._cg_runs
+            return {"cg": {
+                "max_iterations": max((run[0] for run in runs), default=0),
+                "worst_relative_residual": max((run[1] for run in runs), default=0.0),
+                "n_converged": sum(run[2] for run in runs),
+            }}
+        return {}
+
     def vif(self, i: int) -> np.ndarray:
-        """Versatile influence of object i on the parameters at self.theta."""
-        return -self.solve(self.model.delta_gradient(self.theta, i))
+        """Versatile influence of object i: the one-column case of the block solve."""
+        return -self.solve(self.model.delta_gradients(self.theta, [i]).T)[:, 0]
 
 
 def vif_params(
@@ -172,7 +228,7 @@ def vif_params(
     """Versatile influence of object i on the parameters at theta.
 
     Builds a HessianContext for this one object; to attribute many objects
-    at one theta, build the context once and call its vif method.
+    at one theta, use attribute_target, which solves them as one block.
     """
     return HessianContext(model, theta, solver or HessianSolver()).vif(i)
 
@@ -252,13 +308,18 @@ class Attribution:
 
     scores[r, t] = grad f_t(theta) . vif(objects[r]).  grad_norm is the loss
     gradient norm at theta and solver the path the inverse-Hessian solves
-    took: cholesky, lu, cg or lissa.
+    took: cholesky, lu, cg or lissa.  solve_side says which gradients were
+    solved against the Hessian, "objects" (D^T) or "targets" (G^T), and n_rhs
+    how many columns that was; details holds HessianContext.details().
     """
 
     objects: np.ndarray
     scores: np.ndarray
     grad_norm: float
     solver: str
+    solve_side: str
+    n_rhs: int
+    details: dict
 
 
 def attribute_target(
@@ -268,20 +329,27 @@ def attribute_target(
     objects: Sequence[int],
     solver: HessianSolver | None = None,
 ) -> Attribution:
-    """Chain-rule influence scores V G^T for every (object, target) pair.
+    """Influence scores -D [(1/n) H + damping I]^{-1} G^T for every (object, target) pair.
 
-    Row r of V is vif(objects[r]) and row t of G is grad f_t(theta).  The
-    Hessian is assembled and checked once; each object costs one solve,
-    and the scores are one matrix product.
+    Row r of D is the drop-one gradient of objects[r], from one
+    delta_gradients call, and row t of G is grad f_t(theta).  The Hessian is
+    assembled and checked once, then one block solve and one matrix product
+    give every score.  The explicit strategy solves on the smaller side:
+    G^T when there are fewer targets than objects, else D^T; the damped
+    Hessian is symmetric, so both give the same scores up to rounding.  CG
+    and LiSSA always solve D^T, whose columns are the objects' own solves.
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
     context = HessianContext(model, theta, solver or HessianSolver())
     ids = np.array(objects, dtype=np.int64)
-    v = np.empty((ids.size, model.dim))
-    for row, i in enumerate(ids.tolist()):
-        v[row] = context.vif(i)
-    g = np.empty((len(targets), model.dim))
-    for t, target in enumerate(targets):
-        g[t] = target.gradient(context.theta)
-    return Attribution(ids, v @ g.T, context.grad_norm, context.path)
+    d = model.delta_gradients(context.theta, ids)
+    g = np.array([t.gradient(context.theta) for t in targets]).reshape(len(targets), model.dim)
+    # the minus sign goes on the solved side, the smaller operand of the product
+    if context.solver.strategy == "explicit" and len(g) < len(d):
+        side, n_rhs, scores = "targets", len(g), d @ -context.solve(g.T)
+    else:
+        side, n_rhs, scores = "objects", len(d), -context.solve(d.T).T @ g.T
+    return Attribution(
+        ids, scores, context.grad_norm, context.path, side, n_rhs, context.details()
+    )

@@ -556,9 +556,9 @@ def read_checkpoint(path: str):
 
 def cmd_train(args) -> int:
     cfg = load_config(args)
-    out = _out_dir(cfg)
     model, _ = build_model(cfg)
     tc = _train_config(cfg, model)
+    out = _out_dir(cfg)
     ones = PresenceVector.all_ones(model.n_objects)
     res = train(model, ones, tc)
     path = os.path.join(out, CHECKPOINT_NAME)
@@ -610,11 +610,11 @@ def _write_json(path: str, obj) -> None:
 
 def cmd_attribute(args) -> int:
     cfg = load_config(args)
-    out = _out_dir(cfg)
     model, targets = build_model(cfg)
     theta, _ = _load_checkpoint_for(cfg, model)
     objects = _objects(cfg, model)
     solver = _solver(cfg)
+    out = _out_dir(cfg)
     start = time.perf_counter()
     result = attribute_target(model, theta, targets, objects, solver=solver)
     runtime = time.perf_counter() - start
@@ -634,6 +634,9 @@ def cmd_attribute(args) -> int:
         "n_targets": len(targets),
         "grad_norm": result.grad_norm,
         "solver": result.solver,
+        "solve_side": result.solve_side,
+        "n_rhs": result.n_rhs,
+        **result.details,
     }
     _write_json(os.path.join(out, "attribute_meta.json"), meta)
     log.info("attributed %d objects x %d targets in %.3fs", len(objects), len(targets), runtime)
@@ -643,11 +646,11 @@ def cmd_attribute(args) -> int:
 
 def cmd_loo(args) -> int:
     cfg = load_config(args)
-    out = _out_dir(cfg)
     model, targets = build_model(cfg)
     theta, header = _load_checkpoint_for(cfg, model)
     objects = _objects(cfg, model)
     tc = _train_config(cfg, model)
+    out = _out_dir(cfg)
     # the config hash ties the checkpoint to this exact full-data training run
     stats = [header.get(k) for k in ("grad_norm", "converged", "iterations", "loss")]
     full = TrainResult(theta, *stats)

@@ -15,8 +15,9 @@ weight a = w * cumsum_events(1/s0).  The value and the gradient then cost
 O(n d): the gradient is one GEMV, -X^T (delta - a), over the Cox
 martingale residuals.  The Hessian, O(n d^2), is the weighted Gram matrix
 X^T diag(a) X minus the outer products of the event ratios r1 = s1/s0,
-which only the Hessian-side callers build.  per_term_hvp (O(n d)) and
-delta_gradient (O(E d) for E events) reuse one cached sweep per point.
+which only the Hessian-side callers build.  per_term_hvp (O(n d) per
+column) and delta_gradients (O(E d) per record for E events, in blocks of
+bounded size) reuse one cached sweep per point.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ import numpy as np
 from .errors import DataError, EmptyRiskSetError, NoEventsError
 from .losscore import LossModel, PresenceVector, TargetFunction
 from .numkit import factor_spd, solve_spd
+
+# Entries in one block of delta_gradients' 1/(s0_j - w_i) matrix: 2**15
+# doubles, 256 KiB, whatever the number of records (a single record with more
+# earlier events than this makes a one-row block of its own).
+DELTA_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ class CoxModel(LossModel):
     cached per presence vector: the full-presence one stays, plus the most
     recent other one, so training sorts once and a leave-one-out sweep once
     per retrain.  Value, gradient and Hessian sweep afresh at each theta;
-    per_term_hvp and delta_gradient, which are called many times at one
+    per_term_hvp and delta_gradients, which are called many times at one
     point, share one cached sweep per (theta, b).
     """
 
@@ -260,14 +266,14 @@ class CoxModel(LossModel):
         return self._cache_val
 
     def per_term_hvp(self, j, theta, b, v):
-        """(s2/s0 - r1 r1^T) v at the j-th present event, O(n d)."""
+        """(s2/s0 - r1 r1^T) V at the j-th present event, O(n d k) for k columns."""
         lay, s, r1, _ = self._cached_sweep(theta, b)
         k = lay.ev[j]
         xs = lay.xs[k:]
-        # suffix sum of w * (x^T v) * x starting at position k
-        s2v = ((s.w[k:] * (xs @ v))[:, None] * xs).sum(axis=0)
+        # suffix sum of w * x x^T V starting at position k
+        s2v = xs.T @ (s.w[k:] * (xs @ v).T).T
         r1 = r1[j]
-        return s2v / s.s0[j] - r1 * float(r1 @ v)
+        return s2v / s.s0[j] - np.multiply.outer(r1, r1 @ v)
 
     def term_gradient_sum(self, theta, b, idx):
         lay = self._layout_of(b)
@@ -276,7 +282,10 @@ class CoxModel(LossModel):
         return -(lay.xs[lay.ev[idx]] - _r1(lay, s)[idx]).sum(axis=0)
 
     def delta_gradient(self, theta, i):
-        """grad L(theta, 1) - grad L(theta, 1_-i), by direct cancellation.
+        return self.delta_gradients(theta, [i])[0]
+
+    def delta_gradients(self, theta, ids):
+        """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids, by direct cancellation.
 
         Dropping record i removes its own event term (if any) and removes
         w_i = exp(eta_i) from the at-risk sums of every earlier event, which
@@ -287,16 +296,36 @@ class CoxModel(LossModel):
                     + w_i sum_{events j: y_j < y_i} (x_i - s1/s0|_{y_j}) / (s0 - w_i)|_{y_j}.
 
         The right-hand form of the change subtracts no nearly equal terms.
+        The records are taken in blocks sorted by e_i, the count of events
+        before record i; a block's matrix of 1/(s0_j - w_i) is masked to
+        j < e_i and holds at most DELTA_BLOCK_ENTRIES entries, or one row of
+        e_i entries when e_i alone exceeds that.
         """
         lay, s, r1, rank = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
-        pos = rank[i]
-        x_i, w_i = lay.xs[pos], s.w[pos]
-        out = np.zeros(self.dim)
-        e = int(np.searchsorted(lay.ev, pos))  # events strictly before record i
-        if e < lay.ev.size and lay.ev[e] == pos:
-            out -= x_i - r1[e]
-        c = 1.0 / (s.s0[:e] - w_i)
-        return out + w_i * (x_i * c.sum() - c @ r1[:e])
+        pos = rank[np.asarray(ids, dtype=np.int64)]
+        e = np.searchsorted(lay.ev, pos)  # events strictly before each record
+        out = np.empty((pos.size, self.dim))
+        # the summands x_i - r1_j as one product: c @ [1, r1] = [sum c, c @ r1]
+        ones_r1 = np.hstack([np.ones((r1.shape[0], 1)), r1])
+        order = np.argsort(e, kind="stable")
+        # cut the sorted records into blocks of rows x (last row's e) <= the cap
+        cuts = [0] if pos.size else []
+        for t, width in enumerate(e[order].tolist()):
+            if (t + 1 - cuts[-1]) * width > DELTA_BLOCK_ENTRIES and t > cuts[-1]:
+                cuts.append(t)
+        for start, stop in zip(cuts, cuts[1:] + [pos.size]):
+            blk = order[start:stop]
+            p, eb = pos[blk], e[blk]
+            x, w = lay.xs[p], s.w[p]
+            width = int(eb[-1])
+            c = s.s0[:width] - w[:, None]
+            c[np.arange(width) >= eb[:, None]] = np.inf  # events at or after i: 1/inf = 0
+            sums = np.reciprocal(c, out=c) @ ones_r1[:width]
+            d = w[:, None] * (x * sums[:, :1] - sums[:, 1:])
+            own = lay.ev[np.minimum(eb, lay.ev.size - 1)] == p  # record i is an event
+            d[own] += r1[eb[own]] - x[own]
+            out[blk] = d
+        return out
 
 
 def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:

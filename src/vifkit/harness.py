@@ -192,7 +192,8 @@ class LogisticModel(LossModel, DecomposableLoss):
         z = self.labels[i] * (self.x[i] @ theta)
         s = 1.0 / (1.0 + np.exp(-z))
         w = s * (1.0 - s)
-        return w * self.x[i] * (self.x[i] @ v) + (self.reg / self.n_objects) * v
+        xv = self.x[i] @ v  # a scalar, or one entry per column of a block
+        return np.multiply.outer(w * self.x[i], xv) + (self.reg / self.n_objects) * v
 
     def term_gradient_sum(self, theta, b, idx_terms):
         idx = b.present_indices()[np.asarray(idx_terms, dtype=np.int64)]

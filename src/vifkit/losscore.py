@@ -139,7 +139,8 @@ class LossModel(abc.ABC):
     def per_term_hvp(
         self, j: int, theta: np.ndarray, b: PresenceVector, v: np.ndarray
     ) -> np.ndarray:
-        """Hessian-vector product of unit term j (unscaled, undamped)."""
+        """Hessian product of unit term j (unscaled, undamped) with a vector
+        or a (dim, k) block of columns."""
         raise NotImplementedError(f"{type(self).__name__} has no per-term Hessian")
 
     @property
@@ -160,6 +161,15 @@ class LossModel(abc.ABC):
         """
         ones = PresenceVector.all_ones(self.n_objects)
         return self.gradient(theta, ones) - self.gradient(theta, ones.without(i))
+
+    def delta_gradients(self, theta: np.ndarray, ids) -> np.ndarray:
+        """The drop-one matrix D, (len(ids), dim): row r is delta_gradient(theta, ids[r]).
+
+        The default stacks delta_gradient; models that share work across
+        objects override it with a batched evaluation of the same formula.
+        """
+        rows = [self.delta_gradient(theta, int(i)) for i in ids]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
 
     def initial_params(self, seed: int) -> np.ndarray:
         return np.zeros(self.dim)

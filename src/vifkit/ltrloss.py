@@ -235,17 +235,23 @@ class ListMLEModel(LossModel):
         return self._loss_gradient(theta, b, chosen).ravel() + ridge * np.asarray(theta)
 
     def delta_gradient(self, theta, i):
-        """grad L(theta, 1) - grad L(theta, 1_-i) from two passes.
+        return self.delta_gradients(theta, [i])[0]
 
-        The per-query coefficients are differenced before they are summed
-        over queries, so the result keeps the precision of the small
+    def delta_gradients(self, theta, ids):
+        """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids.
+
+        One pass at full presence serves every object, plus one pass without
+        each.  The per-query coefficients are differenced before they are
+        summed over queries, so the result keeps the precision of the small
         per-query changes; the ridge is presence-independent and drops out.
         """
         ones = PresenceVector.all_ones(self.data.n_items)
-        diff = self._query_coefficients(theta, ones) - self._query_coefficients(
-            theta, ones.without(i)
-        )
-        return (diff.T @ self.data.features).ravel()
+        full = self._query_coefficients(theta, ones)
+        out = np.empty((len(ids), self.dim))
+        for row, i in enumerate(ids):
+            diff = full - self._query_coefficients(theta, ones.without(int(i)))
+            out[row] = (diff.T @ self.data.features).ravel()
+        return out
 
 
 class QueryLossTarget(TargetFunction):

@@ -1,4 +1,4 @@
-"""Dense numerical kernels: SPD solves, conjugate gradient, LiSSA, Pearson r.
+"""Dense numerical kernels: block SPD solves, conjugate gradient, LiSSA, Pearson r.
 
 Vectors and matrices are plain float64 numpy arrays throughout; the helpers
 here validate shape, dtype and finiteness at the boundaries so the callers
@@ -27,6 +27,9 @@ DenseMatrix = np.ndarray
 COND_LIMIT = 1e14
 RESIDUAL_RTOL = 1e-8
 SYMMETRY_RTOL = 1e-10
+# Right-hand-side columns per LiSSA recursion; each chunk replays the index
+# stream, so a block of any width needs only LISSA_CHUNK columns of iterate.
+LISSA_CHUNK = 256
 
 
 def as_vector(x) -> DenseVector:
@@ -43,6 +46,15 @@ def as_matrix(a) -> DenseMatrix:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     require_finite(m, what="matrix")
     return m
+
+
+def as_rhs(x) -> np.ndarray:
+    """Right-hand sides: a finite vector or a (dim, k) block of columns."""
+    b = np.ascontiguousarray(x, dtype=np.float64)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a 2-d block, got shape {b.shape}")
+    require_finite(b, what="rhs")
+    return b
 
 
 def require_finite(*arrays, what: str = "array") -> None:
@@ -83,8 +95,8 @@ class SpdFactor:
     matrix: DenseMatrix
     path: str
 
-    def solve(self, rhs: DenseVector) -> DenseVector:
-        """Solve m x = rhs; a singular pivot raises SingularMatrixError."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve m X = rhs, a vector or a block; a singular pivot raises SingularMatrixError."""
         try:
             return np.linalg.solve(self.matrix, rhs)
         except np.linalg.LinAlgError as exc:
@@ -118,35 +130,39 @@ def factor_spd(a: DenseMatrix, damping: float = 0.0) -> SpdFactor:
     return SpdFactor(m, "cholesky")
 
 
-def solve_spd(factor: SpdFactor, rhs: DenseVector) -> DenseVector:
-    """Solve m x = rhs against a factor from factor_spd.
+def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve m X = rhs against a factor from factor_spd, rhs a vector or a (dim, k) block.
 
     The factor carries the damped matrix m = A + damping*I and its solver
     path; a symmetric matrix A is solved as solve_spd(factor_spd(A, damping),
-    rhs).  Raises SingularMatrixError when the residual cannot be brought
-    under 1e-8 * |rhs| with one step of refinement.
+    rhs).  One gesv solves every column.  Each column's residual must come
+    under 1e-8 * |its rhs|; the columns that miss it take one step of
+    refinement, and a column still above it raises SingularMatrixError.  A
+    zero column returns exact zeros.
     """
     m = factor.matrix
-    rhs = as_vector(rhs)
+    rhs = as_rhs(rhs)
     if m.shape[0] != rhs.shape[0]:
         raise ValueError(f"shape mismatch: A {m.shape}, rhs {rhs.shape}")
 
-    x = factor.solve(rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    resid = rhs - m @ x
-    if np.linalg.norm(resid) > RESIDUAL_RTOL * rhs_norm:
+    b = rhs.reshape(rhs.shape[0], -1)
+    x = factor.solve(b)
+    limit = RESIDUAL_RTOL * np.linalg.norm(b, axis=0)
+    x[:, limit == 0.0] = 0.0
+    resid = np.linalg.norm(b - m @ x, axis=0)
+    bad = np.flatnonzero(resid > limit)
+    if bad.size:
         # one step of iterative refinement before giving up
-        x = x + factor.solve(resid)
-        resid = rhs - m @ x
-        if np.linalg.norm(resid) > RESIDUAL_RTOL * rhs_norm:
+        x[:, bad] += factor.solve(b[:, bad] - m @ x[:, bad])
+        resid, limit = np.linalg.norm(b[:, bad] - m @ x[:, bad], axis=0), limit[bad]
+        over = resid > limit
+        if over.any():
             raise SingularMatrixError(
-                f"residual {np.linalg.norm(resid):.3e} exceeds "
-                f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}"
+                f"residual {resid[over][0]:.3e} exceeds "
+                f"{RESIDUAL_RTOL:.0e} * |rhs| = {limit[over][0]:.3e}"
             )
     require_finite(x, what="solve_spd result")
-    return x
+    return x.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)
@@ -208,46 +224,55 @@ def cg_solve(
 
 
 def lissa_solve(
-    sample_hvp: Callable[[int, DenseVector], DenseVector],
+    sample_hvp: Callable[[int, np.ndarray], np.ndarray],
     num_steps: int,
     scale: float,
     damping: float,
-    rhs: DenseVector,
+    rhs: np.ndarray,
     rng_seed: int,
     n_terms: int = 1,
-) -> DenseVector:
-    """Stochastic truncated Neumann solve of (A + damping*I) x = rhs.
+) -> np.ndarray:
+    """Stochastic truncated Neumann solve of (A + damping*I) X = rhs.
 
-    sample_hvp(j, v) must return an unbiased per-term estimate of A @ v for
-    a term index j in [0, n_terms); with n_terms == 1 it is called with
-    j = 0 every step, which gives the deterministic full-batch recursion.
-    Runs r_{t+1} = rhs + r_t - (sample_hvp(j_t, r_t) + damping * r_t) / scale
-    for num_steps steps and returns r_T / scale.  The index stream is drawn
-    from a generator seeded with rng_seed, so results are reproducible.
-    Raises DivergedError when |r_t| exceeds 1e8 * |rhs|.
+    rhs is a vector or a (dim, k) block.  sample_hvp(j, V) must return an
+    unbiased per-term estimate of A @ V for a (dim, c) block V and a term
+    index j in [0, n_terms); with n_terms == 1 it is called with j = 0 every
+    step, which gives the deterministic full-batch recursion.  Runs
+    R_{t+1} = rhs + R_t - (sample_hvp(j_t, R_t) + damping * R_t) / scale
+    for num_steps steps and returns R_T / scale.  The index stream is drawn
+    from a generator seeded with rng_seed, so results are reproducible.  The
+    nonzero columns run in chunks of at most LISSA_CHUNK, each replaying the
+    same stream, so every column gets the answer of its own single-column run
+    and memory stays bounded in k; a zero column returns exact zeros.
+    Raises DivergedError when a column's iterate exceeds 1e8 * |its rhs|.
     """
-    rhs = as_vector(rhs)
+    rhs = as_rhs(rhs)
     if scale <= 0:
         raise ValueError("scale must be positive")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-
-    rng = np.random.default_rng(rng_seed)
-    r = rhs.copy()
-    for _ in range(num_steps):
-        j = int(rng.integers(n_terms)) if n_terms > 1 else 0
-        hv = np.asarray(sample_hvp(j, r), dtype=np.float64)
-        r = rhs + r - (hv + damping * r) / scale
-        norm = np.linalg.norm(r)
-        if not np.isfinite(norm) or norm > 1e8 * rhs_norm:
-            raise DivergedError(
-                f"LiSSA iterate norm {norm:.3e} exceeds 1e8 * |rhs|; "
-                "increase scale or damping"
-            )
-    return r / scale
+    b = rhs.reshape(rhs.shape[0], -1)
+    out = np.zeros_like(b)
+    rhs_norm = np.linalg.norm(b, axis=0)
+    live = np.flatnonzero(rhs_norm)
+    for start in range(0, live.size, LISSA_CHUNK):
+        cols = live[start : start + LISSA_CHUNK]
+        chunk, limit = b[:, cols], 1e8 * rhs_norm[cols]
+        rng = np.random.default_rng(rng_seed)
+        r = chunk.copy()
+        for _ in range(num_steps):
+            j = int(rng.integers(n_terms)) if n_terms > 1 else 0
+            hv = np.asarray(sample_hvp(j, r), dtype=np.float64)
+            r = chunk + r - (hv + damping * r) / scale
+            norm = np.linalg.norm(r, axis=0)
+            over = ~(norm <= limit)  # a NaN norm is over too
+            if over.any():
+                raise DivergedError(
+                    f"LiSSA iterate norm {norm[over][0]:.3e} exceeds 1e8 * |rhs|; "
+                    "increase scale or damping"
+                )
+        out[:, cols] = r / scale
+    return out.reshape(rhs.shape)
 
 
 def pearson(a: DenseVector, b: DenseVector) -> float:

@@ -22,6 +22,7 @@ from vifkit.embedloss import EmbedModel, Graph, WalkParams
 from vifkit.errors import UnrealizableMixtureError
 from vifkit.harness import logistic_fixture, synth_survival
 from vifkit.losscore import LossModel, PresenceVector, TrainConfig, train
+from vifkit.numkit import cg_solve, factor_spd, lissa_solve, solve_spd
 
 
 @pytest.fixture(scope="module")
@@ -146,9 +147,13 @@ class TestAttributeTarget:
         objects = [7, 2, 30]
         result = attribute_target(model, theta, targets, objects=objects)
         np.testing.assert_array_equal(result.objects, objects)
-        v = np.stack([vif_params(model, theta, i) for i in objects])
+        # -D [(1/n) H]^{-1} G^T from its public pieces, bit for bit: one
+        # delta_gradients call, one block solve on the object side, one product
+        d = model.delta_gradients(theta, objects)
         g = np.stack([t.gradient(theta) for t in targets])
-        np.testing.assert_array_equal(result.scores, v @ g.T)
+        x = HessianContext(model, theta, HessianSolver()).solve(d.T)
+        np.testing.assert_array_equal(result.scores, -x.T @ g.T)
+        assert (result.solve_side, result.n_rhs) == ("objects", 3)
         ones = PresenceVector.all_ones(model.n_objects)
         assert result.grad_norm == np.linalg.norm(model.gradient(theta, ones))
         assert result.solver == "cholesky"
@@ -168,7 +173,7 @@ class TestAttributeTarget:
         result = attribute_target(model, theta, LinearTarget(np.ones(4)), range(30))
         assert result.scores.shape == (30, 1)
         assert result.solver == "cholesky"
-        assert (len(cho), len(cond), len(solves)) == (1, 0, 30)
+        assert (len(cho), len(cond), len(solves)) == (1, 0, 1)
 
     def test_indefinite_damped_hessian_takes_lu_once(self, quad_model, monkeypatch):
         class SaddleModel(QuadraticModel):
@@ -185,7 +190,7 @@ class TestAttributeTarget:
         result = attribute_target(model, theta, LinearTarget(np.ones(3)), range(12),
                                   solver=HessianSolver(damping=0.1))
         assert result.solver == "lu"
-        assert (len(cho), len(cond), len(solves)) == (1, 1, 12)
+        assert (len(cho), len(cond), len(solves)) == (1, 1, 1)
 
     def test_one_hessian_assembly_for_many_objects(self, logistic_opt):
         model, theta = logistic_opt
@@ -199,6 +204,119 @@ class TestAttributeTarget:
         with caplog.at_level(logging.WARNING, logger="vifkit.attributor"):
             HessianContext(model, np.full(4, 5.0), HessianSolver())
         assert any("gradient norm" in m for m in caplog.messages)
+
+
+def per_object_scores(model, theta, targets, objects, solve):
+    """The loop that batched attribution replaced: per object, one
+    delta_gradient, one single-vector solve and one row of scores."""
+    g = np.stack([t.gradient(theta) for t in targets])
+    return np.stack([-solve(model.delta_gradient(theta, i)) @ g.T for i in objects])
+
+
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestBatchedAttribution:
+    """attribute_target against the per-object loop; the batch reorders sums,
+    so agreement is to rounding, bounded at 1e-12 of the largest score."""
+
+    @pytest.mark.parametrize("n_targets, side", [(40, "objects"), (3, "targets")])
+    def test_explicit_either_side_matches_per_object(self, cox_opt, n_targets, side):
+        model, theta = cox_opt
+        rng = np.random.default_rng(20)
+        targets = [LinearTarget(rng.standard_normal(3)) for _ in range(n_targets)]
+        objects = rng.permutation(35)
+        result = attribute_target(model, theta, targets, objects)
+        assert (result.solve_side, result.n_rhs) == (side, min(n_targets, 35))
+        assert result.details == {}
+        ones = PresenceVector.all_ones(35)
+        factor = factor_spd(model.hessian(theta, ones) / 35)
+        want = per_object_scores(model, theta, targets, objects,
+                                 lambda r: solve_spd(factor, r))
+        assert rel_err(result.scores, want) < 1e-12
+
+    def test_cg_matches_per_object(self, logistic_opt):
+        model, theta = logistic_opt
+        rng = np.random.default_rng(21)
+        targets = [LinearTarget(rng.standard_normal(4)) for _ in range(2)]
+        result = attribute_target(model, theta, targets, range(30),
+                                  HessianSolver(strategy="cg"))
+        assert (result.solve_side, result.n_rhs) == ("objects", 30)
+        h = model.hessian(theta, PresenceVector.all_ones(30)) / 30
+        runs = []
+
+        def solve(r):
+            runs.append(cg_solve(lambda v: h @ v, r))
+            return runs[-1].x
+
+        want = per_object_scores(model, theta, targets, range(30), solve)
+        assert rel_err(result.scores, want) < 1e-12
+        rel = [run.residual_norm / np.linalg.norm(d) for run, d in
+               zip(runs, model.delta_gradients(theta, range(30)))]
+        assert result.details == {"cg": {
+            "max_iterations": max(run.iterations for run in runs),
+            "worst_relative_residual": max(rel),
+            "n_converged": 30,
+        }}
+
+    def test_cg_cap_warns_once_and_is_recorded(self, logistic_opt, caplog):
+        model, theta = logistic_opt
+        with caplog.at_level(logging.WARNING, logger="vifkit.attributor"):
+            result = attribute_target(model, theta, LinearTarget(np.ones(4)), range(30),
+                                      HessianSolver(strategy="cg", cg_max_iter=1))
+        stopped = [m for m in caplog.messages if m.startswith("CG stopped short")]
+        assert len(stopped) == 1 and "on 30 of 30 columns" in stopped[0]
+        cg = result.details["cg"]
+        assert (cg["max_iterations"], cg["n_converged"]) == (1, 0)
+        assert cg["worst_relative_residual"] > 1e-8
+
+    def test_lissa_matches_per_object(self, cox_opt):
+        model, theta = cox_opt
+        rng = np.random.default_rng(22)
+        targets = [LinearTarget(rng.standard_normal(3)) for _ in range(2)]
+        solver = HessianSolver(strategy="lissa", damping=0.01, lissa_seed=5)
+        result = attribute_target(model, theta, targets, range(35), solver)
+        assert (result.solve_side, result.n_rhs) == ("objects", 35)
+        assert result.details == {"lissa": {
+            "steps": 100, "scale": 10.0 * 1.01, "seed": 5, "mode": "per_term",
+        }}
+        ones = PresenceVector.all_ones(35)
+        n_terms = model.num_terms(ones)
+
+        def sample(j, v):
+            return n_terms / 35 * model.per_term_hvp(j, theta, ones, v)
+
+        def solve(r):
+            return lissa_solve(sample, 100, 10.1, 0.01, r, 5, n_terms)
+
+        want = per_object_scores(model, theta, targets, range(35), solve)
+        assert rel_err(result.scores, want) < 1e-12
+
+    def test_lissa_full_batch_details(self):
+        g = Graph(n=4, edges=np.array([[0, 1], [1, 2], [2, 3], [0, 3]]))
+        model = EmbedModel(g, k=2, walk_params=WalkParams(4, 3, 2, seed=0))
+        theta = model.initial_params(0)
+        solver = HessianSolver(strategy="lissa", damping=0.1, lissa_scale=100.0)
+        result = attribute_target(model, theta, LinearTarget(np.ones(model.dim)), [0, 2],
+                                  solver)
+        assert result.details["lissa"] == {
+            "steps": 100, "scale": 100.0, "seed": 0, "mode": "full_batch",
+        }
+
+    def test_vif_is_the_one_column_case(self, cox_opt):
+        model, theta = cox_opt
+        ctx = HessianContext(model, theta, HessianSolver())
+        for i in (0, 17, 34):
+            d = model.delta_gradients(theta, [i])
+            np.testing.assert_array_equal(ctx.vif(i), -ctx.solve(d.T)[:, 0])
+
+    def test_no_objects_gives_empty_scores(self, logistic_opt, cox_opt):
+        for model, theta in (logistic_opt, cox_opt):
+            target = LinearTarget(np.ones(model.dim))
+            for strategy in ("explicit", "cg", "lissa"):
+                result = attribute_target(model, theta, target, [], HessianSolver(strategy))
+                assert result.scores.shape == (0, 1)
 
 
 class TestSolverStrategies:

@@ -219,6 +219,75 @@ class TestCoxModel:
         assert model.num_terms(ones.without(ev)) == model.num_terms(ones) - 1
 
 
+def reference_delta_gradient(model, theta, i):
+    """One record's drop-one gradient by the per-record loop that the blocked
+    delta_gradients replaced: the same formula, one record at a time."""
+    lay, s, r1, rank = model._cached_sweep(theta, PresenceVector.all_ones(model.data.n))
+    pos = rank[i]
+    x_i, w_i = lay.xs[pos], s.w[pos]
+    out = np.zeros(model.dim)
+    e = int(np.searchsorted(lay.ev, pos))  # events strictly before record i
+    if e < lay.ev.size and lay.ev[e] == pos:
+        out -= x_i - r1[e]
+    c = 1.0 / (s.s0[:e] - w_i)
+    return out + w_i * (x_i * c.sum() - c @ r1[:e])
+
+
+@pytest.fixture(scope="module")
+def survival_tail():
+    """n=2000 with a few high-eta records late in time and two records
+    before every event: one censored, one an event."""
+    data = synth_survival(2000, 4, theta_star=[0.8, -0.4, 0.3, 0.1], censor_rate=0.3, seed=9)
+    x, delta = data.x.copy(), data.delta.copy()
+    order = np.argsort(data.y)
+    x[order[-8:-3]] = [3.0, -1.5, 1.0, 0.5]  # eta far above the rest, at the latest times
+    delta[order[0]], delta[order[1]] = 0, 1
+    return SurvivalDataset(x, data.y, delta)
+
+
+class TestDeltaGradients:
+    def test_blocked_matches_stacked_and_loop(self, survival_tail, monkeypatch):
+        model = CoxModel(survival_tail)
+        theta = np.array([0.8, -0.4, 0.3, 0.1])
+        ids = np.random.default_rng(4).permutation(2000)
+        stacked = np.stack([model.delta_gradient(theta, i) for i in ids])
+        loop = np.stack([reference_delta_gradient(model, theta, i) for i in ids])
+        # the default cap, blocks of a few rows with different event counts,
+        # and one-row blocks for every record with more than 50 earlier events
+        for cap in (coxloss.DELTA_BLOCK_ENTRIES, 5000, 50):
+            monkeypatch.setattr(coxloss, "DELTA_BLOCK_ENTRIES", cap)
+            d = model.delta_gradients(theta, ids)
+            assert d.shape == (2000, 4)
+            for want in (stacked, loop):
+                assert np.abs(d - want).max() <= 1e-12 * np.abs(want).max()
+        tail = np.argsort(survival_tail.y)[-8:-3]
+        rows = np.flatnonzero(np.isin(ids, tail))
+        assert np.abs(d[rows] - loop[rows]).max() <= 1e-12 * np.abs(loop[rows]).max()
+        first, second = np.argsort(survival_tail.y)[:2]
+        np.testing.assert_array_equal(d[ids == first][0], np.zeros(4))
+        np.testing.assert_array_equal(d[ids == second][0], loop[ids == second][0])
+
+    def test_matches_gradient_difference(self, survival40):
+        model = CoxModel(survival40)
+        theta = np.array([0.3, -0.1, 0.2])
+        ones = PresenceVector.all_ones(40)
+        g_full = model.gradient(theta, ones)
+        direct = np.stack([g_full - model.gradient(theta, ones.without(i)) for i in range(40)])
+        np.testing.assert_allclose(model.delta_gradients(theta, range(40)), direct, atol=1e-12)
+
+    def test_block_per_term_hvp_matches_columns(self, survival40):
+        model = CoxModel(survival40)
+        rng = np.random.default_rng(7)
+        theta = rng.normal(0.0, 0.3, 3)
+        v = rng.standard_normal((3, 5))
+        for b in (PresenceVector.all_ones(40), PresenceVector.drop(40, 11)):
+            for j in range(model.num_terms(b)):
+                block = model.per_term_hvp(j, theta, b, v)
+                cols = np.stack([model.per_term_hvp(j, theta, b, c) for c in v.T], axis=1)
+                assert block.shape == (3, 5)
+                np.testing.assert_allclose(block, cols, rtol=1e-12, atol=1e-14)
+
+
 class TestGradientOracle:
     def test_matches_suffix_sum_reference(self, survival40):
         rng = np.random.default_rng(3)

@@ -222,6 +222,14 @@ class TestPairCountsOracle:
 
 
 class TestEmbedModel:
+    def test_delta_gradients_stack_delta_gradient(self, small_model):
+        theta = np.random.default_rng(3).normal(0.0, 0.2, small_model.dim)
+        d = small_model.delta_gradients(theta, [4, 1, 2])
+        assert d.shape == (3, small_model.dim)
+        for row, i in enumerate((4, 1, 2)):
+            np.testing.assert_array_equal(d[row], small_model.delta_gradient(theta, i))
+        assert small_model.delta_gradients(theta, []).shape == (0, small_model.dim)
+
     def test_value_matches_manual_cross_entropy(self, small_model):
         b = PresenceVector.all_ones(5)
         rng = np.random.default_rng(0)

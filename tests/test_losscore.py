@@ -179,3 +179,24 @@ class TestDerivativeCheckers:
 
         broken = Broken(quad_model.centers)
         assert check_hessian(broken, np.array([0.3, -0.2, 0.9]), full12) > 1e-3
+
+
+class TestLogisticBlocks:
+    def test_delta_gradients_stack_delta_gradient(self):
+        model = logistic_fixture(20, 3, seed=4)
+        theta = np.array([0.3, -0.2, 0.1])
+        d = model.delta_gradients(theta, [7, 3, 19])
+        for row, i in enumerate((7, 3, 19)):
+            np.testing.assert_array_equal(d[row], model.delta_gradient(theta, i))
+
+    def test_block_per_term_hvp_matches_columns(self):
+        model = logistic_fixture(20, 3, seed=4)
+        rng = np.random.default_rng(5)
+        theta = rng.standard_normal(3)
+        v = rng.standard_normal((3, 4))
+        b = PresenceVector.drop(20, 6)
+        for j in range(model.num_terms(b)):
+            block = model.per_term_hvp(j, theta, b, v)
+            cols = np.stack([model.per_term_hvp(j, theta, b, c) for c in v.T], axis=1)
+            assert block.shape == (3, 4)
+            np.testing.assert_allclose(block, cols, rtol=1e-14, atol=1e-15)

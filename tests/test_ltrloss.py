@@ -173,6 +173,23 @@ class TestListMLEDerivatives:
                 np.testing.assert_allclose(model.delta_gradient(theta, i), direct,
                                            atol=1e-11)
 
+    def test_delta_gradients_match_stacked_difference(self, ranking_cases):
+        """One full-presence pass serves the batch; each row is still the
+        two-pass difference, in the order the ids are given."""
+        rng = np.random.default_rng(8)
+        ones = PresenceVector.all_ones(8)
+        for data, _ in ranking_cases:
+            model = ListMLEModel(data, l2=0.05)
+            theta = rng.normal(0.0, 0.3, model.dim)
+            ids = [5, 0, 7, 2]
+            d = model.delta_gradients(theta, ids)
+            stacked = np.stack([model.delta_gradient(theta, i) for i in ids])
+            assert np.abs(d - stacked).max() <= 1e-12 * np.abs(stacked).max()
+            full = model._query_coefficients(theta, ones)
+            for row, i in enumerate(ids):
+                diff = full - model._query_coefficients(theta, ones.without(i))
+                np.testing.assert_array_equal(d[row], (diff.T @ data.features).ravel())
+
     def test_delta_gradient_ignores_ridge(self, ranking_data):
         rng = np.random.default_rng(5)
         theta = rng.normal(0.0, 0.3, 32)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import count_calls
+from vifkit import numkit
 from vifkit.errors import (
     DegenerateInputError,
     DivergedError,
@@ -117,6 +118,42 @@ class TestFactorSpd:
     def test_singular_factor_raises(self):
         with pytest.raises(SingularMatrixError):
             factor_spd(np.diag([1.0, 0.0]))
+
+
+class TestBlockSolve:
+    """solve_spd on a (dim, k) block: one gesv, column-wise checks."""
+
+    def test_columns_match_single_solves_on_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        spd = random_spd(rng, 12)
+        for a, path in ((spd, "cholesky"), (spd - 6.0 * np.diag(np.arange(12) % 2.0), "lu")):
+            factor = factor_spd(a, 0.1)
+            assert factor.path == path
+            rhs = rng.standard_normal((12, 7))
+            rhs[:, 3] = 0.0
+            single = np.stack([solve_spd(factor, col) for col in rhs.T], axis=1)
+            with monkeypatch.context() as m:
+                solves = count_calls(m, np.linalg, "solve")
+                block = solve_spd(factor, rhs)
+            assert len(solves) == 1
+            assert block.shape == (12, 7)
+            assert np.abs(block - single).max() <= 1e-13 * np.abs(single).max()
+            assert np.all(block[:, 3] == 0.0) and not np.signbit(block[:, 3]).any()
+            m = factor.matrix
+            resid = np.linalg.norm(m @ block - rhs, axis=0)
+            assert np.all(resid <= 1e-8 * np.linalg.norm(rhs, axis=0))
+
+    def test_block_checks(self):
+        factor = factor_spd(np.eye(3))
+        with pytest.raises(ValueError):
+            solve_spd(factor, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            solve_spd(factor, np.ones((3, 2, 2)))
+        bad = np.ones((3, 4))
+        bad[1, 2] = np.inf
+        with pytest.raises(NonFiniteError):
+            solve_spd(factor, bad)
+        np.testing.assert_array_equal(solve_spd(factor, np.zeros((3, 0))), np.zeros((3, 0)))
 
 
 class TestCgSolve:
@@ -247,6 +284,63 @@ class TestLissaSolve:
                 lambda j, v: v, num_steps=5, scale=0.0, damping=0.0,
                 rhs=np.ones(2), rng_seed=0,
             )
+
+
+class TestLissaBlock:
+    """lissa_solve on a (dim, k) block: one recursion, per-column answers."""
+
+    def test_columns_match_single_runs_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        terms = [random_spd(rng, 5) for _ in range(6)]
+        rhs = rng.standard_normal((5, 7))
+        args = dict(num_steps=80, scale=12.0, damping=0.1, rng_seed=3, n_terms=6)
+        # chunks of 3 columns: each replays the seed, so chunking changes nothing
+        monkeypatch.setattr(numkit, "LISSA_CHUNK", 3)
+        block = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs, **args)
+        for c in range(7):
+            single = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs[:, c], **args)
+            assert single.shape == (5,)
+            assert np.abs(block[:, c] - single).max() <= 1e-13 * np.abs(single).max()
+
+    def test_chunks_bound_the_block_width(self, monkeypatch):
+        monkeypatch.setattr(numkit, "LISSA_CHUNK", 4)
+        widths = []
+
+        def hvp(j, v):
+            widths.append(v.shape[1])
+            return v
+
+        lissa_solve(hvp, num_steps=3, scale=2.0, damping=0.0,
+                    rhs=np.ones((2, 10)), rng_seed=0)
+        assert widths == [4] * 3 + [4] * 3 + [2] * 3
+
+    def test_zero_column_is_exact_zero_and_never_sampled(self):
+        rng = np.random.default_rng(14)
+        a = random_spd(rng, 4)
+        rhs = rng.standard_normal((4, 3))
+        rhs[:, 1] = 0.0
+        widths = []
+
+        def hvp(j, v):
+            widths.append(v.shape[1])
+            return a @ v
+
+        x = lissa_solve(hvp, num_steps=20, scale=10.0, damping=0.0, rhs=rhs, rng_seed=0)
+        assert set(widths) == {2}
+        assert np.all(x[:, 1] == 0.0) and not np.signbit(x[:, 1]).any()
+        np.testing.assert_array_equal(
+            lissa_solve(hvp, num_steps=20, scale=10.0, damping=0.0,
+                        rhs=np.zeros((4, 2)), rng_seed=0),
+            np.zeros((4, 2)),
+        )
+
+    def test_one_diverging_column_raises(self):
+        a = np.diag([40.0, 1.0])
+        args = dict(num_steps=50, scale=1.0, damping=0.0, rng_seed=0)
+        calm = np.array([[0.0], [1.0]])  # the eigenvalue-1 direction converges
+        lissa_solve(lambda j, v: a @ v, rhs=calm, **args)
+        with pytest.raises(DivergedError):
+            lissa_solve(lambda j, v: a @ v, rhs=np.hstack([calm, [[1.0], [0.0]]]), **args)
 
 
 class TestPearson:
