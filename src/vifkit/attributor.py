@@ -154,20 +154,21 @@ class HessianContext:
             return self._cg(rhs)
         if self._lissa_term_mode:
             model, theta, ones = self.model, self.theta, self.ones
-            n_terms = model.num_terms(ones)
+            # a per-term product may make an (objects x columns) temporary
+            n_terms, rows = model.num_terms(ones), self.n
             factor = n_terms / self.n
 
             def sample(j, v):
                 return factor * model.per_term_hvp(j, theta, ones, v)
 
         else:
-            h, n_terms = self.h_norm, 1
+            h, n_terms, rows = self.h_norm, 1, None
 
             def sample(j, v):
                 return h @ v
 
         return lissa_solve(
-            sample, s.lissa_steps, self.lissa_scale, s.damping, rhs, s.lissa_seed, n_terms
+            sample, s.lissa_steps, self.lissa_scale, s.damping, rhs, s.lissa_seed, n_terms, rows
         )
 
     def _cg(self, rhs: np.ndarray) -> np.ndarray:
@@ -308,17 +309,13 @@ class Attribution:
 
     scores[r, t] = grad f_t(theta) . vif(objects[r]).  grad_norm is the loss
     gradient norm at theta and solver the path the inverse-Hessian solves
-    took: cholesky, lu, cg or lissa.  solve_side says which gradients were
-    solved against the Hessian, "objects" (D^T) or "targets" (G^T), and n_rhs
-    how many columns that was; details holds HessianContext.details().
+    took: cholesky, lu, cg or lissa.  details holds HessianContext.details().
     """
 
     objects: np.ndarray
     scores: np.ndarray
     grad_norm: float
     solver: str
-    solve_side: str
-    n_rhs: int
     details: dict
 
 
@@ -333,11 +330,8 @@ def attribute_target(
 
     Row r of D is the drop-one gradient of objects[r], from one
     delta_gradients call, and row t of G is grad f_t(theta).  The Hessian is
-    assembled and checked once, then one block solve and one matrix product
-    give every score.  The explicit strategy solves on the smaller side:
-    G^T when there are fewer targets than objects, else D^T; the damped
-    Hessian is symmetric, so both give the same scores up to rounding.  CG
-    and LiSSA always solve D^T, whose columns are the objects' own solves.
+    assembled and checked once, then one block solve of D^T, whose columns
+    are the objects' own solves, and one matrix product give every score.
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
@@ -345,11 +339,5 @@ def attribute_target(
     ids = np.array(objects, dtype=np.int64)
     d = model.delta_gradients(context.theta, ids)
     g = np.array([t.gradient(context.theta) for t in targets]).reshape(len(targets), model.dim)
-    # the minus sign goes on the solved side, the smaller operand of the product
-    if context.solver.strategy == "explicit" and len(g) < len(d):
-        side, n_rhs, scores = "targets", len(g), d @ -context.solve(g.T)
-    else:
-        side, n_rhs, scores = "objects", len(d), -context.solve(d.T).T @ g.T
-    return Attribution(
-        ids, scores, context.grad_norm, context.path, side, n_rhs, context.details()
-    )
+    scores = -context.solve(d.T).T @ g.T
+    return Attribution(ids, scores, context.grad_norm, context.path, context.details())

@@ -634,8 +634,6 @@ def cmd_attribute(args) -> int:
         "n_targets": len(targets),
         "grad_norm": result.grad_norm,
         "solver": result.solver,
-        "solve_side": result.solve_side,
-        "n_rhs": result.n_rhs,
         **result.details,
     }
     _write_json(os.path.join(out, "attribute_meta.json"), meta)

@@ -27,9 +27,9 @@ DenseMatrix = np.ndarray
 COND_LIMIT = 1e14
 RESIDUAL_RTOL = 1e-8
 SYMMETRY_RTOL = 1e-10
-# Right-hand-side columns per LiSSA recursion; each chunk replays the index
-# stream, so a block of any width needs only LISSA_CHUNK columns of iterate.
-LISSA_CHUNK = 256
+# Entries of the largest temporary in one LiSSA chunk (1 MiB of float64); each
+# chunk replays the index stream, so a block of any width runs in this bound.
+LISSA_ENTRIES = 2**17
 
 
 def as_vector(x) -> DenseVector:
@@ -231,6 +231,7 @@ def lissa_solve(
     rhs: np.ndarray,
     rng_seed: int,
     n_terms: int = 1,
+    rows: int | None = None,
 ) -> np.ndarray:
     """Stochastic truncated Neumann solve of (A + damping*I) X = rhs.
 
@@ -240,11 +241,15 @@ def lissa_solve(
     step, which gives the deterministic full-batch recursion.  Runs
     R_{t+1} = rhs + R_t - (sample_hvp(j_t, R_t) + damping * R_t) / scale
     for num_steps steps and returns R_T / scale.  The index stream is drawn
-    from a generator seeded with rng_seed, so results are reproducible.  The
-    nonzero columns run in chunks of at most LISSA_CHUNK, each replaying the
-    same stream, so every column gets the answer of its own single-column run
-    and memory stays bounded in k; a zero column returns exact zeros.
-    Raises DivergedError when a column's iterate exceeds 1e8 * |its rhs|.
+    from a generator seeded with rng_seed, so results are reproducible.
+    rows is the row count of the tallest temporary sample_hvp makes per
+    column (dim when None).  The nonzero columns run in chunks of
+    max(1, LISSA_ENTRIES // max(rows, dim)) columns, each replaying the same
+    stream, so every column gets the answer of its own single-column run and
+    each chunk's temporaries stay within LISSA_ENTRIES entries whatever k is
+    (a single column taller than that is one chunk); a zero column returns
+    exact zeros.  Raises DivergedError when a column's iterate exceeds
+    1e8 * |its rhs|.
     """
     rhs = as_rhs(rhs)
     if scale <= 0:
@@ -255,8 +260,9 @@ def lissa_solve(
     out = np.zeros_like(b)
     rhs_norm = np.linalg.norm(b, axis=0)
     live = np.flatnonzero(rhs_norm)
-    for start in range(0, live.size, LISSA_CHUNK):
-        cols = live[start : start + LISSA_CHUNK]
+    width = max(1, LISSA_ENTRIES // max(rows or 0, b.shape[0]))
+    for start in range(0, live.size, width):
+        cols = live[start : start + width]
         chunk, limit = b[:, cols], 1e8 * rhs_norm[cols]
         rng = np.random.default_rng(rng_seed)
         r = chunk.copy()

@@ -295,24 +295,33 @@ class TestLissaBlock:
         rhs = rng.standard_normal((5, 7))
         args = dict(num_steps=80, scale=12.0, damping=0.1, rng_seed=3, n_terms=6)
         # chunks of 3 columns: each replays the seed, so chunking changes nothing
-        monkeypatch.setattr(numkit, "LISSA_CHUNK", 3)
+        monkeypatch.setattr(numkit, "LISSA_ENTRIES", 15)
         block = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs, **args)
         for c in range(7):
             single = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs[:, c], **args)
             assert single.shape == (5,)
             assert np.abs(block[:, c] - single).max() <= 1e-13 * np.abs(single).max()
 
-    def test_chunks_bound_the_block_width(self, monkeypatch):
-        monkeypatch.setattr(numkit, "LISSA_CHUNK", 4)
-        widths = []
+    def test_chunks_bound_the_block_entries(self, monkeypatch):
+        monkeypatch.setattr(numkit, "LISSA_ENTRIES", 8)
 
-        def hvp(j, v):
-            widths.append(v.shape[1])
-            return v
+        def widths(**kw):
+            seen = []
 
-        lissa_solve(hvp, num_steps=3, scale=2.0, damping=0.0,
-                    rhs=np.ones((2, 10)), rng_seed=0)
-        assert widths == [4] * 3 + [4] * 3 + [2] * 3
+            def hvp(j, v):
+                seen.append(v.shape[1])
+                return v
+
+            lissa_solve(hvp, num_steps=3, scale=2.0, damping=0.0,
+                        rhs=np.ones((2, 10)), rng_seed=0, **kw)
+            return seen
+
+        # dim 2: 4 columns of 2 rows per chunk
+        assert widths() == [4] * 3 + [4] * 3 + [2] * 3
+        # temporaries of 3 rows per column: 2 columns per chunk
+        assert widths(rows=3) == [2] * 15
+        # a column taller than the bound is a chunk of its own
+        assert widths(rows=100) == [1] * 30
 
     def test_zero_column_is_exact_zero_and_never_sampled(self):
         rng = np.random.default_rng(14)
