@@ -15,7 +15,6 @@ from .attributor import (
     attribute_target,
     classical_if,
     finite_difference_if,
-    vif_params,
 )
 from .coxloss import CoxModel, SurvivalDataset, reid_if, relative_risk_target
 from .embedloss import EmbedModel, Graph, WalkParams, generate_walks, pair_loss_target
@@ -87,5 +86,4 @@ __all__ = [
     "synth_ranking",
     "synth_survival",
     "train",
-    "vif_params",
 ]

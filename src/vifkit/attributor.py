@@ -220,18 +220,17 @@ class HessianContext:
 
     def vif(self, i: int) -> np.ndarray:
         """Versatile influence of object i: the one-column case of the block solve."""
-        return -self.solve(self.model.delta_gradients(self.theta, [i]).T)[:, 0]
+        ids = _object_ids(self.model, [i])
+        return -self.solve(self.model.delta_gradients(self.theta, ids).T)[:, 0]
 
 
-def vif_params(
-    model: LossModel, theta: np.ndarray, i: int, solver: HessianSolver | None = None
-) -> np.ndarray:
-    """Versatile influence of object i on the parameters at theta.
-
-    Builds a HessianContext for this one object; to attribute many objects
-    at one theta, use attribute_target, which solves them as one block.
-    """
-    return HessianContext(model, theta, solver or HessianSolver()).vif(i)
+def _object_ids(model: LossModel, objects) -> np.ndarray:
+    """objects as int64 ids, each in [0, n_objects): a negative id would alias another."""
+    ids = np.array(objects, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= model.n_objects)]
+    if bad.size:
+        raise ValueError(f"object id {int(bad[0])} is outside [0, {model.n_objects})")
+    return ids
 
 
 def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
@@ -244,7 +243,7 @@ def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
         raise TypeError("classical_if requires a decomposable loss")
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     h = model.hessian(theta, PresenceVector.all_ones(model.n_objects))
-    return -solve_spd(factor_spd(h), model.point_gradient(theta, i))
+    return -solve_spd(factor_spd(h), model.point_gradients(theta)[i])
 
 
 def finite_difference_if(
@@ -297,7 +296,7 @@ def finite_difference_if(
         raise UnrealizableMixtureError(
             "non-decomposable losses only realize DropOne at eps = 1"
         )
-    diff = -model.delta_gradient(theta, q.index)  # grad L(1_-i) - grad L(1)
+    diff = -model.delta_gradients(theta, [q.index])[0]  # grad L(1_-i) - grad L(1)
     h_norm = model.hessian(theta, ones) / n
     # damping is specified against the (1/n)-scaled Hessian everywhere
     return -solve_spd(factor_spd(h_norm, damping), diff) / n
@@ -335,8 +334,8 @@ def attribute_target(
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
+    ids = _object_ids(model, objects)
     context = HessianContext(model, theta, solver or HessianSolver())
-    ids = np.array(objects, dtype=np.int64)
     d = model.delta_gradients(context.theta, ids)
     g = np.array([t.gradient(context.theta) for t in targets]).reshape(len(targets), model.dim)
     scores = -context.solve(d.T).T @ g.T

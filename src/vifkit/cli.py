@@ -756,6 +756,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {args.trials!r}")
     cfg = load_config(args, need_out=False)
     model, _ = build_model(cfg)
     rng = np.random.default_rng(cfg["seed"])

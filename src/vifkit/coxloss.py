@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyRiskSetError, NoEventsError
+from .errors import DataError, NoEventsError
 from .losscore import LossModel, PresenceVector, TargetFunction
 from .numkit import factor_spd, solve_spd
 
@@ -80,23 +80,6 @@ class SurvivalDataset:
         keep = np.ones(self.n, dtype=bool)
         keep[i] = False
         return SurvivalDataset(self.x[keep], self.y[keep], self.delta[keep])
-
-
-def risk_sets(data: SurvivalDataset, b: PresenceVector) -> list[np.ndarray]:
-    """At-risk sets for each present event, as sorted index arrays.
-
-    Quadratic reference implementation used by tests; the model itself never
-    materializes these.
-    """
-    out = []
-    present = b.present_indices()
-    for i in present:
-        if data.delta[i] == 1:
-            members = present[data.y[present] >= data.y[i]]
-            if members.size == 0:
-                raise EmptyRiskSetError(f"event {i} has an empty at-risk set")
-            out.append(members)
-    return out
 
 
 class _Layout(NamedTuple):
@@ -178,22 +161,6 @@ def _hessian(lay: _Layout, s: _Sweep, r1: np.ndarray) -> np.ndarray:
     """
     h = (lay.xs * s.a[:, None]).T @ lay.xs - r1.T @ r1
     return 0.5 * (h + h.T)
-
-
-def cox_value(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> float:
-    lay = _layout(data, b)
-    return _value(lay, _sweep(lay, theta))
-
-
-def cox_gradient(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    lay = _layout(data, b)
-    return _gradient(lay, _sweep(lay, theta))
-
-
-def cox_hessian(theta: np.ndarray, data: SurvivalDataset, b: PresenceVector) -> np.ndarray:
-    lay = _layout(data, b)
-    s = _sweep(lay, theta)
-    return _hessian(lay, s, _r1(lay, s))
 
 
 class CoxModel(LossModel):
@@ -280,9 +247,6 @@ class CoxModel(LossModel):
         s = _sweep(lay, theta)
         idx = np.asarray(idx, dtype=np.int64)
         return -(lay.xs[lay.ev[idx]] - _r1(lay, s)[idx]).sum(axis=0)
-
-    def delta_gradient(self, theta, i):
-        return self.delta_gradients(theta, [i])[0]
 
     def delta_gradients(self, theta, ids):
         """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids, by direct cancellation.

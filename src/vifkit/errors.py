@@ -41,10 +41,6 @@ class NoEventsError(DataError):
     """Survival data contains no uncensored event among present records."""
 
 
-class EmptyRiskSetError(DataError):
-    """An event's at-risk set is empty (cannot happen with valid, tie-free data)."""
-
-
 class EmptyGraphError(DataError):
     """Fewer than two present nodes; random walks are undefined."""
 

@@ -160,6 +160,15 @@ class LogisticModel(LossModel, DecomposableLoss):
     def _margins(self, theta, idx):
         return self.labels[idx] * (self.x[idx] @ theta)
 
+    def _slopes(self, theta, idx):
+        """d l_i / d(theta.x_i) = -y_i / (1 + exp(z_i)) for the objects in idx."""
+        return -self.labels[idx] / (1.0 + np.exp(self._margins(theta, idx)))
+
+    def _curvatures(self, theta, idx):
+        """d^2 l_i / d(theta.x_i)^2 = s_i (1 - s_i), s_i = sigmoid(z_i), for idx."""
+        s = 1.0 / (1.0 + np.exp(-self._margins(theta, idx)))
+        return s * (1.0 - s)
+
     def value(self, theta, b):
         idx = b.present_indices()
         z = self._margins(theta, idx)
@@ -169,17 +178,11 @@ class LogisticModel(LossModel, DecomposableLoss):
         return float(val)
 
     def gradient(self, theta, b):
-        idx = b.present_indices()
-        z = self._margins(theta, idx)
-        coef = -self.labels[idx] / (1.0 + np.exp(z))
-        g = coef @ self.x[idx]
-        return g + self.reg * (idx.size / self.n_objects) * theta
+        return self.term_gradient_sum(theta, b, np.arange(b.count))
 
     def hessian(self, theta, b):
         idx = b.present_indices()
-        z = self._margins(theta, idx)
-        s = 1.0 / (1.0 + np.exp(-z))
-        w = s * (1.0 - s)
+        w = self._curvatures(theta, idx)
         h = (self.x[idx] * w[:, None]).T @ self.x[idx]
         return h + self.reg * (idx.size / self.n_objects) * np.eye(self.dim)
 
@@ -187,31 +190,18 @@ class LogisticModel(LossModel, DecomposableLoss):
         return b.count
 
     def per_term_hvp(self, j, theta, b, v):
-        idx = b.present_indices()
-        i = idx[j]
-        z = self.labels[i] * (self.x[i] @ theta)
-        s = 1.0 / (1.0 + np.exp(-z))
-        w = s * (1.0 - s)
+        i = b.present_indices()[j]
+        w = self._curvatures(theta, i)
         xv = self.x[i] @ v  # a scalar, or one entry per column of a block
         return np.multiply.outer(w * self.x[i], xv) + (self.reg / self.n_objects) * v
 
     def term_gradient_sum(self, theta, b, idx_terms):
         idx = b.present_indices()[np.asarray(idx_terms, dtype=np.int64)]
-        z = self._margins(theta, idx)
-        coef = -self.labels[idx] / (1.0 + np.exp(z))
-        g = coef @ self.x[idx]
+        g = self._slopes(theta, idx) @ self.x[idx]
         return g + self.reg * (idx.size / self.n_objects) * theta
 
-    def point_gradient(self, theta, i):
-        z = self.labels[i] * (self.x[i] @ theta)
-        return (
-            -self.labels[i] / (1.0 + np.exp(z)) * self.x[i]
-            + (self.reg / self.n_objects) * theta
-        )
-
     def point_gradients(self, theta):
-        z = self.labels * (self.x @ theta)
-        coef = -self.labels / (1.0 + np.exp(z))
+        coef = self._slopes(theta, slice(None))
         return coef[:, None] * self.x + (self.reg / self.n_objects) * theta[None, :]
 
 

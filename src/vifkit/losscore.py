@@ -153,22 +153,16 @@ class LossModel(abc.ABC):
         """Gradient summed over the unit terms in idx, for minibatch training."""
         raise NotImplementedError(f"{type(self).__name__} has no per-term gradients")
 
-    def delta_gradient(self, theta: np.ndarray, i: int) -> np.ndarray:
-        """grad L(theta, 1) - grad L(theta, 1 without i).
+    def delta_gradients(self, theta: np.ndarray, ids) -> np.ndarray:
+        """The drop-one matrix D, (len(ids), dim): row r is
+        grad L(theta, 1) - grad L(theta, 1 without ids[r]).
 
-        The default takes the literal difference; models with exploitable
-        term cancellation override this with a direct formula.
+        The default subtracts each drop-one gradient from one full-presence
+        gradient; models with exploitable term cancellation override it.
         """
         ones = PresenceVector.all_ones(self.n_objects)
-        return self.gradient(theta, ones) - self.gradient(theta, ones.without(i))
-
-    def delta_gradients(self, theta: np.ndarray, ids) -> np.ndarray:
-        """The drop-one matrix D, (len(ids), dim): row r is delta_gradient(theta, ids[r]).
-
-        The default stacks delta_gradient; models that share work across
-        objects override it with a batched evaluation of the same formula.
-        """
-        rows = [self.delta_gradient(theta, int(i)) for i in ids]
+        full = self.gradient(theta, ones)
+        rows = [full - self.gradient(theta, ones.without(int(i))) for i in ids]
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
 
     def initial_params(self, seed: int) -> np.ndarray:
@@ -183,10 +177,8 @@ class DecomposableLoss(abc.ABC):
     """Capability mixin: the loss is a sum of independent per-object terms."""
 
     @abc.abstractmethod
-    def point_gradient(self, theta: np.ndarray, i: int) -> np.ndarray: ...
-
     def point_gradients(self, theta: np.ndarray) -> np.ndarray:
-        return np.stack([self.point_gradient(theta, i) for i in range(self.n_objects)])
+        """Per-object gradients grad l_i(theta), one row per object, (n, dim)."""
 
 
 @dataclass(frozen=True)

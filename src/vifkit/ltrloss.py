@@ -234,9 +234,6 @@ class ListMLEModel(LossModel):
         ridge = self.l2 * chosen.sum() / self.data.m
         return self._loss_gradient(theta, b, chosen).ravel() + ridge * np.asarray(theta)
 
-    def delta_gradient(self, theta, i):
-        return self.delta_gradients(theta, [i])[0]
-
     def delta_gradients(self, theta, ids):
         """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids.
 

@@ -44,8 +44,8 @@ class QuadraticModel(LossModel, DecomposableLoss):
     def hessian(self, theta, b):
         return b.count * np.eye(self.dim)
 
-    def point_gradient(self, theta, i):
-        return theta - self.centers[i]
+    def point_gradients(self, theta):
+        return theta[None, :] - self.centers
 
     def minimizer(self, b):
         return self.centers[b.present_indices()].mean(axis=0)

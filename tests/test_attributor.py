@@ -15,7 +15,6 @@ from vifkit.attributor import (
     attribute_target,
     classical_if,
     finite_difference_if,
-    vif_params,
 )
 from vifkit.coxloss import CoxModel
 from vifkit.embedloss import EmbedModel, Graph, WalkParams
@@ -49,37 +48,38 @@ class TestQuadraticIdentities:
         rng = np.random.default_rng(0)
         for _ in range(3):
             theta = rng.standard_normal(3)
+            ctx = HessianContext(quad_model, theta, HessianSolver())
             for i in (0, 5, 11):
                 np.testing.assert_allclose(
-                    vif_params(quad_model, theta, i),
+                    ctx.vif(i),
                     12.0 * classical_if(quad_model, theta, i),
                     atol=1e-12,
                 )
 
     def test_vif_matches_exact_deletion_shift(self, quad_model, full12):
         theta_hat = quad_model.minimizer(full12)
+        ctx = HessianContext(quad_model, theta_hat, HessianSolver())
         for i in range(12):
             shift = quad_model.loo_shift(i)
-            np.testing.assert_allclose(
-                vif_params(quad_model, theta_hat, i), -11.0 * shift, atol=1e-12
-            )
+            np.testing.assert_allclose(ctx.vif(i), -11.0 * shift, atol=1e-12)
 
 
 class TestLogisticIdentities:
     def test_vif_equals_n_classical_at_optimum(self, logistic_opt):
         model, theta = logistic_opt
+        ctx = HessianContext(model, theta, HessianSolver())
         for i in range(30):
-            v = vif_params(model, theta, i)
+            v = ctx.vif(i)
             c = 30.0 * classical_if(model, theta, i)
             denom = max(np.abs(c).max(), 1e-12)
             assert np.abs(v - c).max() / denom < 1e-8
 
     def test_pointmass_step_equals_vif_at_optimum(self, logistic_opt):
         model, theta = logistic_opt
+        ctx = HessianContext(model, theta, HessianSolver())
         for i in (0, 7, 29):
             fd = finite_difference_if(model, theta, PointMass(i), eps=-1.0 / 29.0)
-            np.testing.assert_allclose(fd, vif_params(model, theta, i), rtol=1e-6,
-                                       atol=1e-10)
+            np.testing.assert_allclose(fd, ctx.vif(i), rtol=1e-6, atol=1e-10)
 
     def test_dropone_scaling_identity_off_optimum(self, logistic_opt):
         """-(n-1) * DropOne step = PointMass step, an algebraic identity that
@@ -111,10 +111,10 @@ class TestNonDecomposable:
 
     def test_dropone_matches_vif(self, cox_opt):
         model, theta = cox_opt
+        ctx = HessianContext(model, theta, HessianSolver())
         for i in (0, 10, 34):
             fd = finite_difference_if(model, theta, DropOne(i), eps=1.0)
-            np.testing.assert_allclose(-35.0 * fd, vif_params(model, theta, i),
-                                       rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(-35.0 * fd, ctx.vif(i), rtol=1e-10, atol=1e-13)
 
     def test_classical_if_refused(self, cox_opt):
         model, theta = cox_opt
@@ -129,9 +129,10 @@ class TestAttributeTarget:
         targets = [LinearTarget(rng.standard_normal(4)) for _ in range(3)]
         result = attribute_target(model, theta, targets, objects=[4, 9])
         assert result.scores.size == 6
+        ctx = HessianContext(model, theta, HessianSolver())
         for o, row in zip(result.objects.tolist(), result.scores.tolist()):
             for t, vif in enumerate(row):
-                expected = float(targets[t].gradient(theta) @ vif_params(model, theta, o))
+                expected = float(targets[t].gradient(theta) @ ctx.vif(o))
                 assert vif == pytest.approx(expected, rel=1e-12)
 
     def test_single_target_accepted(self, logistic_opt):
@@ -147,9 +148,10 @@ class TestAttributeTarget:
         objects = [7, 2, 30]
         result = attribute_target(model, theta, targets, objects=objects)
         np.testing.assert_array_equal(result.objects, objects)
-        # -D [(1/n) H]^{-1} G^T against stacked per-object vif_params rows
+        # -D [(1/n) H]^{-1} G^T against stacked per-object vif rows
         g = np.stack([t.gradient(theta) for t in targets])
-        want = np.stack([vif_params(model, theta, o) for o in objects]) @ g.T
+        ctx = HessianContext(model, theta, HessianSolver())
+        want = np.stack([ctx.vif(o) for o in objects]) @ g.T
         np.testing.assert_allclose(result.scores, want, rtol=1e-12, atol=0.0)
         ones = PresenceVector.all_ones(model.n_objects)
         assert result.grad_norm == np.linalg.norm(model.gradient(theta, ones))
@@ -204,10 +206,10 @@ class TestAttributeTarget:
 
 
 def per_object_scores(model, theta, targets, objects, solve):
-    """The loop that batched attribution replaced: per object, one
-    delta_gradient, one single-vector solve and one row of scores."""
+    """The loop that batched attribution replaced: per object, one drop-one
+    gradient, one single-vector solve and one row of scores."""
     g = np.stack([t.gradient(theta) for t in targets])
-    return np.stack([-solve(model.delta_gradient(theta, i)) @ g.T for i in objects])
+    return np.stack([-solve(model.delta_gradients(theta, [i])[0]) @ g.T for i in objects])
 
 
 def rel_err(got, want):
@@ -331,12 +333,23 @@ class TestBatchedAttribution:
                 result = attribute_target(model, theta, target, [], HessianSolver(strategy))
                 assert result.scores.shape == (0, 1)
 
+    def test_out_of_range_ids_rejected(self, logistic_opt, cox_opt):
+        """A negative id would alias the object counted from the end."""
+        for model, theta in (logistic_opt, cox_opt):
+            n, target = model.n_objects, LinearTarget(np.ones(model.dim))
+            ctx = HessianContext(model, theta, HessianSolver())
+            for bad in (-1, n):
+                with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                    attribute_target(model, theta, target, [bad, n - 1])
+                with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                    ctx.vif(bad)
+
 
 class TestSolverStrategies:
     def test_cg_matches_explicit(self, cox_opt):
         model, theta = cox_opt
-        ex = vif_params(model, theta, 3, solver=HessianSolver())
-        cg = vif_params(model, theta, 3, solver=HessianSolver(strategy="cg"))
+        ex = HessianContext(model, theta, HessianSolver()).vif(3)
+        cg = HessianContext(model, theta, HessianSolver(strategy="cg")).vif(3)
         np.testing.assert_allclose(cg, ex, rtol=1e-7, atol=1e-12)
 
     def test_lissa_full_batch_deterministic_limit(self, cox_opt):
@@ -346,18 +359,18 @@ class TestSolverStrategies:
         model, theta = cox_opt
         whole = WholeCox(model.data)
         assert not whole.supports_per_term_hvp
-        ex = vif_params(model, theta, 3, solver=HessianSolver())
-        li = vif_params(
-            whole, theta, 3,
-            solver=HessianSolver(strategy="lissa", lissa_steps=3000, lissa_scale=1.0),
-        )
+        ex = HessianContext(model, theta, HessianSolver()).vif(3)
+        li = HessianContext(
+            whole, theta,
+            HessianSolver(strategy="lissa", lissa_steps=3000, lissa_scale=1.0),
+        ).vif(3)
         np.testing.assert_allclose(li, ex, rtol=1e-6, atol=1e-10)
 
     def test_lissa_per_term_sampling_close(self, cox_opt):
         model, theta = cox_opt
         assert model.supports_per_term_hvp
-        ex = vif_params(model, theta, 5, solver=HessianSolver())
-        li = vif_params(model, theta, 5, solver=HessianSolver(strategy="lissa"))
+        ex = HessianContext(model, theta, HessianSolver()).vif(5)
+        li = HessianContext(model, theta, HessianSolver(strategy="lissa")).vif(5)
         cos = (li @ ex) / (np.linalg.norm(li) * np.linalg.norm(ex))
         assert cos > 0.95
 

@@ -774,3 +774,12 @@ class TestCheck:
         assert len(report["trials"]) == 3
         saved = json.loads((out / "check_report.json").read_text())
         assert saved["max_hess_error"] == report["max_hess_error"]
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_a_config_error(self, capsys, cox_run, trials):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        code, stdout, err = run(capsys, "check", "--config", str(cfg_path), "--trials", trials)
+        assert code == 1 and stdout == ""
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_payload(err)["error"] == "ConfigError"

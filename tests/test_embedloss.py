@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from vifkit.embedloss import (
     EmbedModel,
     Graph,
@@ -222,12 +223,17 @@ class TestPairCountsOracle:
 
 
 class TestEmbedModel:
-    def test_delta_gradients_stack_delta_gradient(self, small_model):
+    def test_delta_gradients_are_gradient_differences(self, small_model, monkeypatch):
         theta = np.random.default_rng(3).normal(0.0, 0.2, small_model.dim)
+        ones = PresenceVector.all_ones(5)
+        g_full = small_model.gradient(theta, ones)
+        want = [g_full - small_model.gradient(theta, ones.without(i)) for i in (4, 1, 2)]
+        calls = count_calls(monkeypatch, small_model, "gradient")
         d = small_model.delta_gradients(theta, [4, 1, 2])
+        assert len(calls) == 3 + 1  # one full-presence gradient serves every row
         assert d.shape == (3, small_model.dim)
-        for row, i in enumerate((4, 1, 2)):
-            np.testing.assert_array_equal(d[row], small_model.delta_gradient(theta, i))
+        for row in range(3):
+            np.testing.assert_array_equal(d[row], want[row])
         assert small_model.delta_gradients(theta, []).shape == (0, small_model.dim)
 
     def test_value_matches_manual_cross_entropy(self, small_model):

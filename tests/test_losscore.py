@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import QuadraticModel
+from conftest import QuadraticModel, count_calls
 from vifkit.errors import NonFiniteError
 from vifkit.harness import logistic_fixture
 from vifkit.losscore import (
@@ -182,12 +182,21 @@ class TestDerivativeCheckers:
 
 
 class TestLogisticBlocks:
-    def test_delta_gradients_stack_delta_gradient(self):
+    def test_delta_gradients_are_gradient_differences(self):
         model = logistic_fixture(20, 3, seed=4)
         theta = np.array([0.3, -0.2, 0.1])
+        ones = PresenceVector.all_ones(20)
         d = model.delta_gradients(theta, [7, 3, 19])
         for row, i in enumerate((7, 3, 19)):
-            np.testing.assert_array_equal(d[row], model.delta_gradient(theta, i))
+            np.testing.assert_array_equal(
+                d[row], model.gradient(theta, ones) - model.gradient(theta, ones.without(i))
+            )
+
+    def test_delta_gradients_take_one_full_presence_gradient(self, monkeypatch):
+        model = logistic_fixture(20, 3, seed=4)
+        calls = count_calls(monkeypatch, model, "gradient")
+        model.delta_gradients(np.array([0.3, -0.2, 0.1]), [7, 3, 19])
+        assert len(calls) == 3 + 1
 
     def test_block_per_term_hvp_matches_columns(self):
         model = logistic_fixture(20, 3, seed=4)

@@ -170,7 +170,7 @@ class TestListMLEDerivatives:
             g_full = model.gradient(theta, ones)
             for i in range(8):
                 direct = g_full - model.gradient(theta, ones.without(i))
-                np.testing.assert_allclose(model.delta_gradient(theta, i), direct,
+                np.testing.assert_allclose(model.delta_gradients(theta, [i])[0], direct,
                                            atol=1e-11)
 
     def test_delta_gradients_match_stacked_difference(self, ranking_cases):
@@ -183,7 +183,7 @@ class TestListMLEDerivatives:
             theta = rng.normal(0.0, 0.3, model.dim)
             ids = [5, 0, 7, 2]
             d = model.delta_gradients(theta, ids)
-            stacked = np.stack([model.delta_gradient(theta, i) for i in ids])
+            stacked = np.stack([model.delta_gradients(theta, [i])[0] for i in ids])
             assert np.abs(d - stacked).max() <= 1e-12 * np.abs(stacked).max()
             full = model._query_coefficients(theta, ones)
             for row, i in enumerate(ids):
@@ -195,8 +195,8 @@ class TestListMLEDerivatives:
         theta = rng.normal(0.0, 0.3, 32)
         bare = ListMLEModel(ranking_data, l2=0.0)
         ridged = ListMLEModel(ranking_data, l2=0.7)
-        np.testing.assert_allclose(bare.delta_gradient(theta, 3),
-                                   ridged.delta_gradient(theta, 3), atol=1e-12)
+        np.testing.assert_allclose(bare.delta_gradients(theta, [3]),
+                                   ridged.delta_gradients(theta, [3]), atol=1e-12)
 
     def test_term_gradient_sum_over_all_queries(self, ranking_cases):
         rng = np.random.default_rng(6)

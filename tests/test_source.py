@@ -1,4 +1,5 @@
-"""Every package module compiles with warnings treated as errors.
+"""Every package module compiles with warnings treated as errors, and every
+exported name exists.
 
 Invalid escape sequences in string literals warn at compile time
 (DeprecationWarning, SyntaxWarning from Python 3.12), and byte-compiled
@@ -10,6 +11,8 @@ import warnings
 
 import pytest
 
+import vifkit
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vifkit"
 
 
@@ -18,3 +21,8 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in vifkit.__all__ if not hasattr(vifkit, name)]
+    assert missing == []
