@@ -243,7 +243,7 @@ def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
         raise TypeError("classical_if requires a decomposable loss")
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     h = model.hessian(theta, PresenceVector.all_ones(model.n_objects))
-    return -solve_spd(factor_spd(h), model.point_gradients(theta)[i])
+    return -solve_spd(factor_spd(h), model.point_gradients(theta)[_object_ids(model, [i])[0]])
 
 
 def finite_difference_if(
@@ -271,6 +271,8 @@ def finite_difference_if(
     n = model.n_objects
     ones = PresenceVector.all_ones(n)
     damping = solver.damping if solver is not None else 0.0
+    if isinstance(q, (PointMass, DropOne)):
+        i = _object_ids(model, [q.index])[0]
 
     if isinstance(model, DecomposableLoss):
         grads = model.point_gradients(theta)
@@ -279,12 +281,12 @@ def finite_difference_if(
             w_q = w_p
         elif isinstance(q, PointMass):
             w_q = np.zeros(n)
-            w_q[q.index] = 1.0
+            w_q[i] = 1.0
         elif isinstance(q, DropOne):
             if eps != 1:
                 raise UnrealizableMixtureError("DropOne mixtures require eps = 1")
             w_q = np.full(n, 1.0 / (n - 1))
-            w_q[q.index] = 0.0
+            w_q[i] = 0.0
         else:
             raise TypeError(f"unsupported perturbation {q!r}")
         w_mix = (1.0 - eps) * w_p + eps * w_q
@@ -296,7 +298,7 @@ def finite_difference_if(
         raise UnrealizableMixtureError(
             "non-decomposable losses only realize DropOne at eps = 1"
         )
-    diff = -model.delta_gradients(theta, [q.index])[0]  # grad L(1_-i) - grad L(1)
+    diff = -model.delta_gradients(theta, [i])[0]  # grad L(1_-i) - grad L(1)
     h_norm = model.hessian(theta, ones) / n
     # damping is specified against the (1/n)-scaled Hessian everywhere
     return -solve_spd(factor_spd(h_norm, damping), diff) / n

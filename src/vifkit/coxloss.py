@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NoEventsError
-from .losscore import LossModel, PresenceVector, TargetFunction
+from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
 from .numkit import factor_spd, solve_spd
 
 # Entries in one block of delta_gradients' 1/(s0_j - w_i) matrix: 2**15
@@ -192,17 +192,7 @@ class CoxModel(LossModel):
         return self.data.d
 
     def _layout_of(self, b: PresenceVector) -> _Layout:
-        key = b.bits.tobytes()
-        lay = self._layouts.get(key)
-        if lay is None:
-            lay = _layout(self.data, b)
-            if not b.is_full:
-                # keep only the full-presence entry, whose key is all ones
-                self._layouts = {
-                    k: v for k, v in self._layouts.items() if v.idx.size == b.n
-                }
-            self._layouts[key] = lay
-        return lay
+        return presence_cached(self._layouts, b, lambda b: _layout(self.data, b))
 
     def value(self, theta, b):
         lay = self._layout_of(b)

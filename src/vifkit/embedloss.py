@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, EmptyGraphError
-from .losscore import LossModel, PresenceVector, TargetFunction
+from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
 
 log = logging.getLogger("vifkit.embedloss")
 
@@ -150,6 +150,43 @@ def walks_to_pairs(corpus: WalkCorpus, n: int) -> np.ndarray:
     return (forward + forward.T).astype(np.float64)
 
 
+def _split(theta, n: int, k: int):
+    """theta = [emb.ravel(), out.ravel()] as the two (n, k) blocks."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return theta[: n * k].reshape(n, k), theta[n * k :].reshape(n, k)
+
+
+def _softmax(e_rows: np.ndarray, w_rows: np.ndarray):
+    """Scores s = e_rows @ w_rows^T with their row softmax p and row logsumexp."""
+    s = e_rows @ w_rows.T
+    shift = s.max(axis=1, keepdims=True)
+    ex = np.exp(s - shift)
+    total = ex.sum(axis=1, keepdims=True)
+    return s, ex / total, np.log(total[:, 0]) + shift[:, 0]
+
+
+def _anchor_block(counts: np.ndarray, present: np.ndarray):
+    """Anchors (rows of C with at least one pair), their pair totals m and
+    the (anchors x present) block of C."""
+    m_row = counts.sum(axis=1)
+    anchors = np.flatnonzero(m_row > 0)
+    return anchors, m_row[anchors], counts[np.ix_(anchors, present)]
+
+
+def _scatter(gs: np.ndarray, emb: np.ndarray, out: np.ndarray, rows, cols) -> np.ndarray:
+    """[g_emb, g_out] from dL/dS on the (rows x cols) block of S = emb @ out^T."""
+    g_emb = np.zeros_like(emb)
+    g_out = np.zeros_like(out)
+    g_emb[rows] = gs @ out[cols]
+    g_out[cols] = gs.T @ emb[rows]
+    return np.concatenate([g_emb.ravel(), g_out.ravel()])
+
+
+def _outer_rows(x: np.ndarray) -> np.ndarray:
+    """Row r is the flattened outer product x[r] x[r]^T, (rows, k * k)."""
+    return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+
+
 def contrastive_value_from_pairs(
     emb: np.ndarray, out: np.ndarray, counts: np.ndarray, present: np.ndarray
 ) -> float:
@@ -158,15 +195,11 @@ def contrastive_value_from_pairs(
     loss = sum_{u,v} C[u,v] * (-s_uv + logsumexp_{l present} s_ul), with
     s = emb @ out^T.  Pure function of (parameters, pairs); no regeneration.
     """
-    m_row = counts.sum(axis=1)
-    anchors = np.flatnonzero(m_row > 0)
+    anchors, m, c = _anchor_block(counts, present)
     if anchors.size == 0:
         return 0.0
-    scores = emb[anchors] @ out[present].T
-    shift = scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
-    cross = (counts[np.ix_(anchors, present)] * scores).sum()
-    return float((m_row[anchors] * lse).sum() - cross)
+    s, _, lse = _softmax(emb[anchors], out[present])
+    return float((m * lse).sum() - (c * s).sum())
 
 
 class EmbedModel(LossModel):
@@ -174,7 +207,9 @@ class EmbedModel(LossModel):
 
     theta = [emb.ravel(), out.ravel()] where emb and out are (n, k); the
     score of positive v for anchor u is emb[u] . out[v].  Data objects are
-    the graph nodes.
+    the graph nodes.  Value, gradient and Hessian read one softmax of the
+    anchors' scores over the present nodes; with m_u the pair total of
+    anchor u, dL/dS = m p - C on that (anchors x present) block.
     """
 
     is_convex = False
@@ -185,7 +220,7 @@ class EmbedModel(LossModel):
         self.graph = graph
         self.k = k
         self.walk_params = walk_params
-        self._pair_cache: dict[tuple, np.ndarray] = {}
+        self._pair_cache: dict[bytes, np.ndarray] = {}
 
     @property
     def n_objects(self) -> int:
@@ -200,103 +235,68 @@ class EmbedModel(LossModel):
         half = self.graph.n * self.k
         return {"emb": (0, half), "out": (half, half)}
 
-    def _split(self, theta):
-        n, k = self.graph.n, self.k
-        emb = theta[: n * k].reshape(n, k)
-        out = theta[n * k :].reshape(n, k)
-        return emb, out
-
     def pair_counts(self, b: PresenceVector) -> np.ndarray:
-        """Pair counts of b's walk corpus, built on a cache miss.
+        """Pair counts of b's walk corpus, built on a presence_cached miss: a
+        drop-one sweep builds n + 1 corpora and holds at most two n x n matrices."""
+        return presence_cached(self._pair_cache, b, self._build_pair_counts)
 
-        The cache pins the full-presence counts and keeps one other presence
-        vector, so a drop-one sweep builds n + 1 corpora and holds at most
-        two n x n matrices.
-        """
-        key = b.key()
-        counts = self._pair_cache.get(key)
-        if counts is None:
-            corpus = generate_walks(self.graph, b, self.walk_params)
-            counts = walks_to_pairs(corpus, self.graph.n)
-            if counts.sum() == 0:
-                log.warning("walk corpus produced no co-occurrence pairs")
-            if not b.is_full:
-                # keep only the full-presence entry, whose key lists all n ids
-                self._pair_cache = {
-                    k: v for k, v in self._pair_cache.items() if len(k) == b.n
-                }
-            self._pair_cache[key] = counts
+    def _build_pair_counts(self, b: PresenceVector) -> np.ndarray:
+        counts = walks_to_pairs(generate_walks(self.graph, b, self.walk_params), self.graph.n)
+        if counts.sum() == 0:
+            log.warning("walk corpus produced no co-occurrence pairs")
         return counts
 
-    def value(self, theta, b):
-        counts = self.pair_counts(b)
-        emb, out = self._split(np.asarray(theta, dtype=np.float64))
-        return contrastive_value_from_pairs(emb, out, counts, b.present_indices())
-
-    def _score_softmax(self, theta, b):
-        counts = self.pair_counts(b)
-        emb, out = self._split(np.asarray(theta, dtype=np.float64))
+    def _pass(self, theta, b):
+        """emb, out, present, anchors, m, C block and the anchors' softmax p."""
+        emb, out = _split(theta, self.graph.n, self.k)
         present = b.present_indices()
-        m_row = counts.sum(axis=1)
-        anchors = np.flatnonzero(m_row > 0)
-        scores = emb[anchors] @ out[present].T
-        shift = scores.max(axis=1, keepdims=True)
-        ex = np.exp(scores - shift)
-        probs = ex / ex.sum(axis=1, keepdims=True)
-        return counts, emb, out, present, anchors, m_row, probs
+        anchors, m, c = _anchor_block(self.pair_counts(b), present)
+        _, p, _ = _softmax(emb[anchors], out[present])
+        return emb, out, present, anchors, m, c, p
+
+    def value(self, theta, b):
+        emb, out = _split(theta, self.graph.n, self.k)
+        return contrastive_value_from_pairs(emb, out, self.pair_counts(b), b.present_indices())
 
     def gradient(self, theta, b):
-        counts, emb, out, present, anchors, m_row, probs = self._score_softmax(theta, b)
-        n, k = self.graph.n, self.k
-        g_emb = np.zeros((n, k))
-        g_out = np.zeros((n, k))
-        if anchors.size:
-            # dL/dS = m_u p_uv - C_uv on the (anchors x present) block
-            gs = m_row[anchors, None] * probs - counts[np.ix_(anchors, present)]
-            g_emb[anchors] = gs @ out[present]
-            g_out[present] = gs.T @ emb[anchors]
-        return np.concatenate([g_emb.ravel(), g_out.ravel()])
+        emb, out, present, anchors, m, c, p = self._pass(theta, b)
+        return _scatter(m[:, None] * p - c, emb, out, anchors, present)
 
     def hessian(self, theta, b):
-        counts, emb, out, present, anchors, m_row, probs = self._score_softmax(theta, b)
+        """Three block families, each for every anchor u at once (q_u = p_u W).
+
+        emb-emb (u, u): m (W^T diag(p) W - q q^T);
+        emb-out (u, l): (m p_l - C_ul) I + m p_l (w_l - q) e_u^T, and its transpose;
+        out-out (l, l'): sum_u m (diag p - p p^T)_ll' e_u e_u^T.
+        """
+        emb, out, present, anchors, m, c, p = self._pass(theta, b)
         n, k = self.graph.n, self.k
-        d = self.dim
-        half = n * k
-        h = np.zeros((d, d))
+        h = np.zeros((self.dim, self.dim))
         if anchors.size == 0:
             return h
-        w_p = out[present]
-        counts_ap = counts[np.ix_(anchors, present)]
-        cross = np.zeros((half, half))  # emb rows x out cols
-        ww4 = np.zeros((present.size, k, present.size, k))
-        eye = np.eye(k)
-        out_cols = ((present * k)[:, None] + np.arange(k)[None, :]).ravel()
-        for a_idx, u in enumerate(anchors):
-            p = probs[a_idx]
-            m_u = m_row[u]
-            e_u = emb[u]
-            q = p @ w_p
-            pw = w_p * p[:, None]
-            # d2L/de_u de_u = m (sum_l p_l w_l w_l^T - q q^T)
-            r0 = u * k
-            h[r0 : r0 + k, r0 : r0 + k] += m_u * (w_p.T @ pw - np.outer(q, q))
-            # d2L/de_u dw_l = g_ul I + m p_l (w_l - q) e_u^T
-            g_row = m_u * p - counts_ap[a_idx]
-            blk = np.einsum("l,ab->alb", g_row, eye)
-            blk += np.einsum("la,b->alb", (m_u * p)[:, None] * (w_p - q), e_u)
-            cross[r0 : r0 + k, out_cols] += blk.reshape(k, present.size * k)
-            # d2L/dw_l dw_l' accumulates m (diag p - p p^T) x e_u e_u^T
-            a_mat = m_u * (np.diag(p) - np.outer(p, p))
-            ww4 += a_mat[:, None, :, None] * np.outer(e_u, e_u)[None, :, None, :]
-        h[:half, half:] = cross
-        h[half:, :half] = cross.T
-        h[np.ix_(half + out_cols, half + out_cols)] += ww4.reshape(
-            present.size * k, present.size * k
-        )
+        hb = h.reshape(2, n, k, 2, n, k)  # (block, node, coordinate) twice
+        e, w = emb[anchors], out[present]
+        mp = m[:, None] * p
+        q = p @ w
+        n_anchor, n_present = p.shape
+        # emb-emb, (anchors, k, k)
+        ee = (p @ _outer_rows(w)).reshape(n_anchor, k, k) - q[:, :, None] * q[:, None, :]
+        hb[0, anchors, :, 0, anchors, :] = m[:, None, None] * ee
+        # emb-out, (anchors, present, k, k)
+        eo = (mp[:, :, None] * (w[None, :, :] - q[:, None, :]))[..., None] * e[:, None, None, :]
+        eo += (mp - c)[:, :, None, None] * np.eye(k)
+        rows, cols = anchors[:, None], present[None, :]
+        hb[0, rows, :, 1, cols, :] = eo
+        hb[1, cols, :, 0, rows, :] = eo.transpose(0, 1, 3, 2)
+        # out-out, (present, present, k, k): the p p^T part is one contraction of
+        # m p_l e_u e_u^T with p_l' over the anchors; the diag p part lands on l = l'
+        eu = _outer_rows(e)
+        weighted = (mp[:, :, None] * eu[:, None, :]).reshape(n_anchor, -1)
+        oo = -(weighted.T @ p).reshape(n_present, k, k, n_present).transpose(0, 3, 1, 2)
+        diag = np.arange(n_present)
+        oo[diag, diag] += (mp.T @ eu).reshape(n_present, k, k)
+        hb[1, present[:, None], :, 1, present[None, :], :] = oo
         return h
-
-    def num_terms(self, b: PresenceVector) -> int:
-        return int(self.pair_counts(b).sum())
 
     def initial_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -318,28 +318,16 @@ class PairLossTarget(TargetFunction):
             raise ValueError("pair endpoints out of range")
         self.u, self.v, self.n, self.k = int(u), int(v), int(n), int(k)
 
-    def _split(self, theta):
-        half = self.n * self.k
-        return theta[:half].reshape(self.n, self.k), theta[half:].reshape(self.n, self.k)
-
     def value(self, theta):
-        emb, out = self._split(np.asarray(theta, dtype=np.float64))
-        scores = out @ emb[self.u]
-        shift = scores.max()
-        lse = float(np.log(np.exp(scores - shift).sum()) + shift)
-        return lse - float(scores[self.v])
+        emb, out = _split(theta, self.n, self.k)
+        s, _, lse = _softmax(emb[[self.u]], out)
+        return float(lse[0] - s[0, self.v])
 
     def gradient(self, theta):
-        emb, out = self._split(np.asarray(theta, dtype=np.float64))
-        scores = out @ emb[self.u]
-        ex = np.exp(scores - scores.max())
-        p = ex / ex.sum()
-        g_emb = np.zeros_like(emb)
-        g_out = np.zeros_like(out)
-        g_emb[self.u] = p @ out - out[self.v]
-        g_out[:] = np.outer(p, emb[self.u])
-        g_out[self.v] -= emb[self.u]
-        return np.concatenate([g_emb.ravel(), g_out.ravel()])
+        emb, out = _split(theta, self.n, self.k)
+        _, p, _ = _softmax(emb[[self.u]], out)
+        p[0, self.v] -= 1.0  # dL/dS = p - e_v on the anchor row u
+        return _scatter(p, emb, out, [self.u], slice(None))
 
 
 def pair_loss_target(model: EmbedModel, u: int, v: int) -> PairLossTarget:

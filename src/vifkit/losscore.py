@@ -48,11 +48,11 @@ class PresenceVector:
 
     @classmethod
     def drop(cls, n: int, i: int) -> "PresenceVector":
-        bits = np.ones(n, dtype=bool)
-        bits[i] = False
-        return cls(bits)
+        return cls.all_ones(n).without(i)
 
     def without(self, i: int) -> "PresenceVector":
+        if not 0 <= i < self.n:
+            raise ValueError(f"object id {i} is outside [0, {self.n})")
         if not self.bits[i]:
             raise ValueError(f"object {i} is already absent")
         bits = self.bits.copy()
@@ -86,6 +86,19 @@ class PresenceVector:
 
     def __repr__(self):
         return f"PresenceVector(n={self.n}, present={self.count})"
+
+
+def presence_cached(cache: dict, b: PresenceVector, build):
+    """cache[b.bits.tobytes()], from build(b) on a miss.  The cache keeps the
+    full-presence entry plus the most recent other one."""
+    key = b.bits.tobytes()
+    if key not in cache:
+        if not b.is_full:
+            full = PresenceVector.all_ones(b.n).bits.tobytes()
+            for stale in [k for k in cache if k != full]:
+                del cache[stale]
+        cache[key] = build(b)
+    return cache[key]
 
 
 class TargetFunction(abc.ABC):
@@ -285,8 +298,10 @@ def _newton_step(h, g):
 
 
 def _train_first_order(model, b, cfg, theta):
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     use_batches = cfg.batch_size is not None
+    if use_batches and not model.supports_term_gradients:
+        raise ValueError(f"batch_size set but {type(model).__name__} has no per-term gradients")
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     if use_batches:
         n_terms = model.num_terms(b)
         if n_terms <= 1:

@@ -102,6 +102,16 @@ class TestLogisticIdentities:
         with pytest.raises(ValueError):
             finite_difference_if(model, theta, PointMass(0), eps=0.0)
 
+    def test_out_of_range_ids_rejected(self, logistic_opt):
+        """A negative id would alias the object counted from the end."""
+        model, theta = logistic_opt
+        for bad in (-1, model.n_objects):
+            with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                classical_if(model, theta, bad)
+            for q, eps in ((PointMass(bad), 0.5), (DropOne(bad), 1.0)):
+                with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                    finite_difference_if(model, theta, q, eps)
+
 
 class TestNonDecomposable:
     def test_pointmass_unrealizable(self, cox_opt):
@@ -115,6 +125,12 @@ class TestNonDecomposable:
         for i in (0, 10, 34):
             fd = finite_difference_if(model, theta, DropOne(i), eps=1.0)
             np.testing.assert_allclose(-35.0 * fd, ctx.vif(i), rtol=1e-10, atol=1e-13)
+
+    def test_out_of_range_ids_rejected(self, cox_opt):
+        model, theta = cox_opt
+        for bad in (-1, model.n_objects):
+            with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                finite_difference_if(model, theta, DropOne(bad), eps=1.0)
 
     def test_classical_if_refused(self, cox_opt):
         model, theta = cox_opt

@@ -18,7 +18,7 @@ import vifkit.embedloss as embedloss
 from vifkit import cli
 from vifkit.errors import DataError, EmptyGraphError
 from vifkit.harness import synth_graph
-from vifkit.losscore import PresenceVector, check_gradient, check_hessian
+from vifkit.losscore import PresenceVector, TrainConfig, check_gradient, check_hessian, train
 
 
 def path_graph(n):
@@ -59,6 +59,53 @@ def naive_pair_counts(graph, b, params):
                 np.add.at(counts, (walk[:-off], walk[off:]), 1.0)
                 np.add.at(counts, (walk[off:], walk[:-off]), 1.0)
     return counts
+
+
+def reference_hessian(model, theta, b):
+    """The embedding Hessian assembled one anchor at a time, a term per block family."""
+    counts = model.pair_counts(b)
+    n, k = model.graph.n, model.k
+    emb = theta[: n * k].reshape(n, k)
+    out = theta[n * k :].reshape(n, k)
+    present = b.present_indices()
+    m_row = counts.sum(axis=1)
+    anchors = np.flatnonzero(m_row > 0)
+    half = n * k
+    h = np.zeros((2 * half, 2 * half))
+    if anchors.size == 0:
+        return h
+    w_p = out[present]
+    scores = emb[anchors] @ w_p.T
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = ex / ex.sum(axis=1, keepdims=True)
+    counts_ap = counts[np.ix_(anchors, present)]
+    cross = np.zeros((half, half))  # emb rows x out cols
+    ww4 = np.zeros((present.size, k, present.size, k))
+    eye = np.eye(k)
+    out_cols = ((present * k)[:, None] + np.arange(k)[None, :]).ravel()
+    for a_idx, u in enumerate(anchors):
+        p = probs[a_idx]
+        m_u = m_row[u]
+        e_u = emb[u]
+        q = p @ w_p
+        pw = w_p * p[:, None]
+        # d2L/de_u de_u = m (sum_l p_l w_l w_l^T - q q^T)
+        r0 = u * k
+        h[r0 : r0 + k, r0 : r0 + k] += m_u * (w_p.T @ pw - np.outer(q, q))
+        # d2L/de_u dw_l = g_ul I + m p_l (w_l - q) e_u^T
+        g_row = m_u * p - counts_ap[a_idx]
+        blk = np.einsum("l,ab->alb", g_row, eye)
+        blk += np.einsum("la,b->alb", (m_u * p)[:, None] * (w_p - q), e_u)
+        cross[r0 : r0 + k, out_cols] += blk.reshape(k, present.size * k)
+        # d2L/dw_l dw_l' accumulates m (diag p - p p^T) x e_u e_u^T
+        a_mat = m_u * (np.diag(p) - np.outer(p, p))
+        ww4 += a_mat[:, None, :, None] * np.outer(e_u, e_u)[None, :, None, :]
+    h[:half, half:] = cross
+    h[half:, :half] = cross.T
+    h[np.ix_(half + out_cols, half + out_cols)] += ww4.reshape(
+        present.size * k, present.size * k
+    )
+    return h
 
 
 def walk_lengths(corpus):
@@ -252,6 +299,20 @@ class TestEmbedModel:
                     manual += counts[u, v] * (lse - scores[u, v])
         assert small_model.value(theta, b) == pytest.approx(manual, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["full", "drop-one", "karate-without-0"])
+    def test_hessian_matches_per_anchor_reference(self, small_model, case):
+        model, b = {
+            "full": (small_model, PresenceVector.all_ones(5)),
+            "drop-one": (small_model, PresenceVector.drop(5, 2)),
+            # node 11's only neighbor is node 0: it is present but anchors nothing
+            "karate-without-0": (EmbedModel(KARATE, 3, WalkParams(4, 6, 3, seed=1)),
+                                 PresenceVector.drop(34, 0)),
+        }[case]
+        theta = np.random.default_rng(8).normal(0.0, 0.3, model.dim)
+        h = model.hessian(theta, b)
+        want = reference_hessian(model, theta, b)
+        assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_gradient_and_hessian_check(self, small_model):
         rng = np.random.default_rng(1)
         theta = rng.normal(0.0, 0.2, small_model.dim)
@@ -279,15 +340,13 @@ class TestEmbedModel:
         out = theta[10:].reshape(5, 2)
         theta_cut = np.concatenate([emb[:4].ravel(), out[:4].ravel()])
         ones4 = PresenceVector.all_ones(4)
-        assert small_model.value(theta, b) == pytest.approx(
-            cut.value(theta_cut, ones4), rel=1e-12
-        )
+        assert small_model.value(theta, b) == cut.value(theta_cut, ones4)
         g_masked = small_model.gradient(theta, b)
         g_cut = cut.gradient(theta_cut, ones4)
-        np.testing.assert_allclose(g_masked[:10].reshape(5, 2)[:4].ravel(),
-                                   g_cut[:8], atol=1e-12)
-        np.testing.assert_allclose(g_masked[10:].reshape(5, 2)[:4].ravel(),
-                                   g_cut[8:], atol=1e-12)
+        assert (g_masked[:10].reshape(5, 2)[:4].ravel() == g_cut[:8]).all()
+        assert (g_masked[10:].reshape(5, 2)[:4].ravel() == g_cut[8:]).all()
+        h_kept = small_model.hessian(theta, b).reshape(2, 5, 2, 2, 5, 2)[:, :4, :, :, :4, :]
+        np.testing.assert_array_equal(h_kept.reshape(16, 16), cut.hessian(theta_cut, ones4))
 
     def test_pair_algebra_permutation_invariance(self, small_model):
         """Relabeling nodes consistently in parameters and counts leaves the
@@ -333,9 +392,11 @@ class TestEmbedModel:
         np.testing.assert_array_equal(small_model.pair_counts(evicted), first[evicted.key()])
         assert len(builds) == 5 + 2 and len(small_model._pair_cache) == 2
 
-    def test_num_terms_is_total_pair_count(self, small_model):
-        b = PresenceVector.all_ones(5)
-        assert small_model.num_terms(b) == int(small_model.pair_counts(b).sum())
+    def test_minibatch_training_refused_before_any_walk(self, small_model):
+        cfg = TrainConfig(optimizer="adam", batch_size=4)
+        with pytest.raises(ValueError, match="no per-term gradients"):
+            train(small_model, PresenceVector.all_ones(5), cfg)
+        assert small_model._pair_cache == {}
 
     def test_no_per_term_hvp(self, small_model):
         assert not small_model.supports_per_term_hvp

@@ -110,6 +110,13 @@ class TestLooRetrain:
                 assert deltas[t] == pytest.approx(float(target.a @ shift), abs=1e-12)
             assert converged
 
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_out_of_range_object_rejected(self, quad_model, bad):
+        """A negative id would retrain without the object counted from the end."""
+        cfg = TrainConfig(optimizer="newton")
+        with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+            loo_retrain(quad_model, cfg, objects=[bad], targets=[])
+
     def test_jobs_do_not_change_results(self):
         model = logistic_fixture(12, 3, seed=1)
         targets = [LinearTarget(np.array([1.0, -1.0, 0.5]))]

@@ -35,6 +35,14 @@ class TestPresenceVector:
         assert not c.is_full
         np.testing.assert_array_equal(c.present_indices(), [0, 2, 3])
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_id_rejected(self, bad):
+        """A negative id would clear the bit counted from the end."""
+        with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+            PresenceVector.all_ones(5).without(bad)
+        with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+            PresenceVector.drop(5, bad)
+
     def test_immutable(self):
         b = PresenceVector.all_ones(3)
         with pytest.raises(AttributeError):
