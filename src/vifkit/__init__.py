@@ -38,6 +38,7 @@ from .losscore import (
     check_gradient,
     check_hessian,
     train,
+    train_drop_one,
 )
 from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
 from .numkit import SpdFactor, cg_solve, factor_spd, lissa_solve, pearson, solve_spd
@@ -86,4 +87,5 @@ __all__ = [
     "synth_ranking",
     "synth_survival",
     "train",
+    "train_drop_one",
 ]

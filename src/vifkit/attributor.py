@@ -25,7 +25,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnrealizableMixtureError
-from .losscore import DecomposableLoss, LossModel, PresenceVector, TargetFunction
+from .losscore import (
+    DecomposableLoss,
+    LossModel,
+    PresenceVector,
+    TargetFunction,
+    object_ids,
+)
 from .numkit import as_rhs, cg_solve, factor_spd, is_int, is_real, lissa_solve, solve_spd
 
 log = logging.getLogger("vifkit.attributor")
@@ -220,17 +226,8 @@ class HessianContext:
 
     def vif(self, i: int) -> np.ndarray:
         """Versatile influence of object i: the one-column case of the block solve."""
-        ids = _object_ids(self.model, [i])
+        ids = object_ids(self.model, [i])
         return -self.solve(self.model.delta_gradients(self.theta, ids).T)[:, 0]
-
-
-def _object_ids(model: LossModel, objects) -> np.ndarray:
-    """objects as int64 ids, each in [0, n_objects): a negative id would alias another."""
-    ids = np.array(objects, dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= model.n_objects)]
-    if bad.size:
-        raise ValueError(f"object id {int(bad[0])} is outside [0, {model.n_objects})")
-    return ids
 
 
 def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
@@ -243,7 +240,7 @@ def classical_if(model, theta: np.ndarray, i: int) -> np.ndarray:
         raise TypeError("classical_if requires a decomposable loss")
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     h = model.hessian(theta, PresenceVector.all_ones(model.n_objects))
-    return -solve_spd(factor_spd(h), model.point_gradients(theta)[_object_ids(model, [i])[0]])
+    return -solve_spd(factor_spd(h), model.point_gradients(theta)[object_ids(model, [i])[0]])
 
 
 def finite_difference_if(
@@ -272,7 +269,7 @@ def finite_difference_if(
     ones = PresenceVector.all_ones(n)
     damping = solver.damping if solver is not None else 0.0
     if isinstance(q, (PointMass, DropOne)):
-        i = _object_ids(model, [q.index])[0]
+        i = object_ids(model, [q.index])[0]
 
     if isinstance(model, DecomposableLoss):
         grads = model.point_gradients(theta)
@@ -336,7 +333,7 @@ def attribute_target(
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
-    ids = _object_ids(model, objects)
+    ids = object_ids(model, objects)
     context = HessianContext(model, theta, solver or HessianSolver())
     d = model.delta_gradients(context.theta, ids)
     g = np.array([t.gradient(context.theta) for t in targets]).reshape(len(targets), model.dim)

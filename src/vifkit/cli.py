@@ -672,10 +672,14 @@ def cmd_loo(args) -> int:
         "n_retrains": k,
         "n_converged": n_converged,
         "all_converged": n_converged == k,
-        # per retrain, in the object order of loo.csv
+        # per retrain, in the object order of loo.csv; in lockstep, wall_s is
+        # the group's wall time split evenly over its rows
         "grad_norm": result.grad_norm.tolist(),
         "converged": result.converged.tolist(),
+        "iterations": result.iterations.tolist(),
         "wall_s": result.wall_s.tolist(),
+        # retrains per lockstep group; empty when each retrained on its own
+        "group_rows": result.group_rows.tolist(),
     }
     _write_json(os.path.join(out, "loo_meta.json"), meta)
     log.info("retrained %d times in %.3fs", k, runtime)

@@ -17,7 +17,9 @@ martingale residuals.  The Hessian, O(n d^2), is the weighted Gram matrix
 X^T diag(a) X minus the outer products of the event ratios r1 = s1/s0,
 which only the Hessian-side callers build.  per_term_hvp (O(n d) per
 column) and delta_gradients (O(E d) per record for E events, in blocks of
-bounded size) reuse one cached sweep per point.
+bounded size) reuse one cached sweep per point.  drop_one_gradients sweeps
+the full layout once for a block of (theta, dropped record) rows, with each
+dropped record weighted out, for lockstep leave-one-out training.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ class CoxModel(LossModel):
     Data objects are the survival records; unit terms (for per-term Hessian
     sampling) are the per-event contributions.  The time-ordered layout is
     cached per presence vector: the full-presence one stays, plus the most
-    recent other one, so training sorts once and a leave-one-out sweep once
-    per retrain.  Value, gradient and Hessian sweep afresh at each theta;
+    recent other one, so training sorts once, and lockstep leave-one-out
+    (drop_one_gradients) reuses the full layout.  Value, gradient and
+    Hessian sweep afresh at each theta;
     per_term_hvp and delta_gradients, which are called many times at one
     point, share one cached sweep per (theta, b).
     """
@@ -237,6 +240,43 @@ class CoxModel(LossModel):
         s = _sweep(lay, theta)
         idx = np.asarray(idx, dtype=np.int64)
         return -(lay.xs[lay.ev[idx]] - _r1(lay, s)[idx]).sum(axis=0)
+
+    def drop_one_gradients(self, thetas, ids):
+        """grad L(thetas[r], 1 without ids[r]) for each row r, in one sweep
+        over the full-presence layout.
+
+        The sweep runs on an (n, rows) block in time order, so every sum
+        along time adds one contiguous row of all retrainings at once.  Each
+        retraining gives its dropped record eta = -inf, so its w is 0 and
+        every prefix sum over w is bit-identical to the sum with the record
+        deleted; the max-shift is taken over the present records, and a
+        dropped event contributes no 1/s0 term and no delta.  The
+        temporaries are a few (n, rows) arrays: the caller bounds rows.
+        """
+        lay = self._layout_of(PresenceVector.all_ones(self.data.n))
+        ids = np.asarray(ids, dtype=np.int64)
+        rank = np.empty(self.data.n, dtype=np.int64)
+        rank[lay.idx] = np.arange(lay.idx.size)
+        cols, pos = np.arange(ids.size), rank[ids]
+        dropped_event = lay.dlt[pos] == 1.0
+        if lay.ev.size == 1 and dropped_event.any():
+            raise NoEventsError("no uncensored events among present records")
+        eta = lay.xs @ np.asarray(thetas, dtype=np.float64).T
+        eta[pos, cols] = -np.inf
+        eta -= eta.max(axis=0)
+        w = np.exp(eta, out=eta)
+        s0 = np.cumsum(w[::-1], axis=0)[::-1][lay.ev]
+        # 1/inf = 0 drops the dropped event's term, whose s0 may be 0
+        s0[np.searchsorted(lay.ev, pos[dropped_event]), cols[dropped_event]] = np.inf
+        # row e of cum sums 1/s0 over the first e events
+        cum = np.zeros((lay.ev.size + 1, ids.size))
+        np.cumsum(np.reciprocal(s0, out=s0), axis=0, out=cum[1:])
+        a = cum[np.cumsum(lay.dlt).astype(np.int64)]
+        a *= w
+        # the martingale residuals a - delta, with no delta for a dropped event
+        a -= lay.dlt[:, None]
+        a[pos, cols] = 0.0
+        return a.T @ lay.xs
 
     def delta_gradients(self, theta, ids):
         """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids, by direct cancellation.

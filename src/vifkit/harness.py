@@ -1,7 +1,8 @@
 """Experiment harness: synthetic data, brute-force leave-one-out, comparison.
 
 The leave-one-out oracle retrains from scratch per dropped object under the
-same configuration and returns the objects x targets matrix of deltas
+same configuration (in lockstep groups where the model batches its drop-one
+gradients) and returns the objects x targets matrix of deltas
 f(theta_-i) - f(theta_full); compare() correlates the negated deltas against
 the chain-rule influence score matrix, Table-style, and tracks attribution
 wall time on both sides.
@@ -28,10 +29,16 @@ from .losscore import (
     TrainConfig,
     TrainResult,
     derive_seed,
+    object_ids,
     train,
+    train_drop_one,
 )
 from .ltrloss import RankingDataset
 from .numkit import pearson
+
+# Entries in one lockstep group's (n_objects, rows) drop-one gradient block:
+# 2**17 doubles, 1 MiB, the bound numkit.LISSA_ENTRIES puts on a LiSSA chunk.
+LOCKSTEP_ENTRIES = 1 << 17
 
 # Zachary's karate club: 34 nodes, 78 edges.
 KARATE_EDGES = (
@@ -239,24 +246,34 @@ class LooResult:
     """Leave-one-out retrainings of objects (ascending ids), one row each.
 
     deltas[r, t] = f_t(theta_-objects[r]) - f_t(theta_full); grad_norm,
-    converged and wall_s hold each retraining's final gradient norm, whether
-    it met the training grad_tol, and its wall time in seconds.
+    converged, iterations and wall_s hold each retraining's final gradient
+    norm, whether it met the training grad_tol, its optimizer steps and its
+    wall time in seconds (in lockstep, its group's wall time split evenly
+    over the group's rows).  group_rows holds the row count of each lockstep
+    group in order, and is empty when every object retrained on its own.
     """
 
     objects: np.ndarray
     deltas: np.ndarray
     grad_norm: np.ndarray
     converged: np.ndarray
+    iterations: np.ndarray
     wall_s: np.ndarray
+    group_rows: np.ndarray
 
 
 class _Retrain(NamedTuple):
-    """One retraining, the row of LooResult that _loo_one returns."""
+    """One retraining, one row of LooResult."""
 
     deltas: np.ndarray
     grad_norm: float
     converged: bool
+    iterations: int
     wall_s: float
+
+
+def _deltas(targets, base_values, theta) -> np.ndarray:
+    return np.array([t.value(theta) - base for t, base in zip(targets, base_values)])
 
 
 def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
@@ -266,8 +283,37 @@ def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
     if init is None:
         init = model.initial_params(cfg_i.seed)
     res = train(model, b, cfg_i, init=init)
-    deltas = np.array([t.value(res.theta) - base for t, base in zip(targets, base_values)])
-    return _Retrain(deltas, res.grad_norm, res.converged, time.perf_counter() - start)
+    return _Retrain(
+        _deltas(targets, base_values, res.theta),
+        res.grad_norm,
+        res.converged,
+        res.iterations,
+        time.perf_counter() - start,
+    )
+
+
+def _loo_lockstep(model, cfg, init, base_values, targets, group) -> list[_Retrain]:
+    start = time.perf_counter()
+    if init is None:
+        inits = [model.initial_params(derive_seed(cfg.seed, i)) for i in group]
+    else:
+        inits = [init] * len(group)
+    thetas, grad_norms = train_drop_one(model, cfg, np.array(inits), group)
+    deltas = [_deltas(targets, base_values, theta) for theta in thetas]
+    wall_s = (time.perf_counter() - start) / len(group)
+    return [
+        _Retrain(d, float(gn), bool(gn <= cfg.grad_tol), cfg.epochs, wall_s)
+        for d, gn in zip(deltas, grad_norms)
+    ]
+
+
+def _spread(jobs: int, fn, args: tuple, items: list) -> list:
+    """[fn(*args, item) for item in items], over jobs processes when jobs > 1."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(*args, item) for item in items]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(fn, *args, item) for item in items]
+        return [f.result() for f in futures]
 
 
 def loo_retrain(
@@ -288,6 +334,14 @@ def loo_retrain(
     which folds init sensitivity into the ground truth; that is the honest
     protocol for multimodal losses where "retrain from scratch" cannot mean
     "reuse the old starting point".
+
+    When the model batches its drop-one gradients (supports_drop_one_gradients)
+    and cfg is full-batch gd or adam, the retrainings run in lockstep groups
+    through train_drop_one: one gradient call per epoch for a whole group, and
+    each row ends where its own run would, up to rounding.  Groups hold at
+    most LOCKSTEP_ENTRIES // n_objects rows; jobs spreads whole groups (or,
+    on the per-retrain path, single retrainings) over processes, so the
+    results never depend on jobs.
     """
     ones = PresenceVector.all_ones(model.n_objects)
     init = model.initial_params(cfg.seed)
@@ -296,23 +350,29 @@ def loo_retrain(
     if fresh_inits:
         init = None
     base_values = [t.value(full_result.theta) for t in targets]
-    objects = sorted(int(i) for i in objects)
+    objects = object_ids(model, sorted(int(i) for i in objects)).tolist()
 
-    if jobs <= 1:
-        rows = [_loo_one(model, cfg, init, base_values, targets, i) for i in objects]
+    args = (model, cfg, init, base_values, targets)
+    lockstep = (
+        model.supports_drop_one_gradients
+        and cfg.optimizer in ("gd", "adam")
+        and cfg.batch_size is None
+    )
+    if lockstep:
+        size = max(1, LOCKSTEP_ENTRIES // model.n_objects)
+        groups = [objects[s : s + size] for s in range(0, len(objects), size)]
+        rows = [row for group in _spread(jobs, _loo_lockstep, args, groups) for row in group]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_loo_one, model, cfg, init, base_values, targets, i)
-                for i in objects
-            ]
-            rows = [f.result() for f in futures]
+        groups = []
+        rows = _spread(jobs, _loo_one, args, objects)
     return LooResult(
         objects=np.array(objects, dtype=np.int64),
         deltas=np.array([r.deltas for r in rows]).reshape(len(objects), len(targets)),
         grad_norm=np.array([r.grad_norm for r in rows]),
         converged=np.array([r.converged for r in rows], dtype=bool),
+        iterations=np.array([r.iterations for r in rows], dtype=np.int64),
         wall_s=np.array([r.wall_s for r in rows]),
+        group_rows=np.array([len(g) for g in groups], dtype=np.int64),
     )
 
 

@@ -166,17 +166,32 @@ class LossModel(abc.ABC):
         """Gradient summed over the unit terms in idx, for minibatch training."""
         raise NotImplementedError(f"{type(self).__name__} has no per-term gradients")
 
+    @property
+    def supports_drop_one_gradients(self) -> bool:
+        return type(self).drop_one_gradients is not LossModel.drop_one_gradients
+
+    def drop_one_gradients(self, thetas: np.ndarray, ids) -> np.ndarray:
+        """(len(ids), dim): row r is grad L(thetas[r], 1 without ids[r]).
+
+        The default takes one gradient per row; a model that evaluates the
+        rows in one batch overrides it, and leave-one-out retraining then
+        trains the rows in lockstep (see train_drop_one).
+        """
+        ones = PresenceVector.all_ones(self.n_objects)
+        rows = [self.gradient(t, ones.without(int(i))) for t, i in zip(thetas, ids)]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
+
     def delta_gradients(self, theta: np.ndarray, ids) -> np.ndarray:
         """The drop-one matrix D, (len(ids), dim): row r is
         grad L(theta, 1) - grad L(theta, 1 without ids[r]).
 
-        The default subtracts each drop-one gradient from one full-presence
-        gradient; models with exploitable term cancellation override it.
+        The default subtracts the drop-one gradients at theta from one
+        full-presence gradient; models with exploitable term cancellation
+        override it.
         """
-        ones = PresenceVector.all_ones(self.n_objects)
-        full = self.gradient(theta, ones)
-        rows = [full - self.gradient(theta, ones.without(int(i))) for i in ids]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), self.dim)
+        ids = list(ids)
+        full = self.gradient(theta, PresenceVector.all_ones(self.n_objects))
+        return full - self.drop_one_gradients(np.broadcast_to(theta, (len(ids), self.dim)), ids)
 
     def initial_params(self, seed: int) -> np.ndarray:
         return np.zeros(self.dim)
@@ -192,6 +207,15 @@ class DecomposableLoss(abc.ABC):
     @abc.abstractmethod
     def point_gradients(self, theta: np.ndarray) -> np.ndarray:
         """Per-object gradients grad l_i(theta), one row per object, (n, dim)."""
+
+
+def object_ids(model: LossModel, objects) -> np.ndarray:
+    """objects as int64 ids, each in [0, n_objects): a negative id would alias another."""
+    ids = np.array(objects, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= model.n_objects)]
+    if bad.size:
+        raise ValueError(f"object id {int(bad[0])} is outside [0, {model.n_objects})")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -245,7 +269,56 @@ def train(
 
     if cfg.optimizer == "newton":
         return _train_newton(model, b, cfg, theta)
-    return _train_first_order(model, b, cfg, theta)
+
+    n_terms = None
+    if cfg.batch_size is not None:
+        if not model.supports_term_gradients:
+            raise ValueError(f"batch_size set but {type(model).__name__} has no per-term gradients")
+        n_terms = model.num_terms(b)
+        if n_terms < 1:
+            raise ValueError("batch_size set but b holds no unit terms")
+
+    def gradient(theta, batch):
+        if batch is None:
+            return model.gradient(theta, b)
+        return model.term_gradient_sum(theta, b, batch) * (n_terms / batch.size)
+
+    theta = _train_first_order(cfg, theta, gradient, n_terms)
+    loss = model.value(theta, b)
+    if not np.isfinite(loss):
+        raise NonFiniteError("objective is non-finite after training")
+    gn = float(np.linalg.norm(model.gradient(theta, b)))
+    return TrainResult(
+        theta=theta,
+        grad_norm=gn,
+        converged=bool(gn <= cfg.grad_tol),
+        iterations=cfg.epochs,
+        loss=float(loss),
+    )
+
+
+def train_drop_one(
+    model: LossModel, cfg: TrainConfig, thetas: np.ndarray, ids
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out retrainings in lockstep, by full-batch gd or Adam.
+
+    Row r of the (len(ids), dim) block thetas starts the retraining that
+    minimizes L(theta, 1 without ids[r]).  Every step takes all rows'
+    gradients from one drop_one_gradients call, and the update is
+    elementwise, so each row ends where train would leave it alone, up to
+    the rounding of the batched gradient.  Returns the trained block and
+    each row's final gradient norm.
+    """
+    if cfg.optimizer == "newton" or cfg.batch_size is not None:
+        raise ValueError("lockstep training takes full-batch gd or adam")
+    ids = object_ids(model, ids)
+    thetas = np.array(thetas, dtype=np.float64)
+    if thetas.shape != (ids.size, model.dim):
+        raise ValueError(f"thetas has shape {thetas.shape}, expected ({ids.size}, {model.dim})")
+    thetas = _train_first_order(cfg, thetas, lambda th, _: model.drop_one_gradients(th, ids))
+    g = model.drop_one_gradients(thetas, ids)
+    require_finite(g, what="gradient after training")
+    return thetas, np.linalg.norm(g, axis=1)
 
 
 def _train_newton(model, b, cfg, theta):
@@ -297,35 +370,32 @@ def _newton_step(h, g):
     raise SingularMatrixError("could not produce a descent direction")
 
 
-def _train_first_order(model, b, cfg, theta):
-    use_batches = cfg.batch_size is not None
-    if use_batches and not model.supports_term_gradients:
-        raise ValueError(f"batch_size set but {type(model).__name__} has no per-term gradients")
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
-    if use_batches:
-        n_terms = model.num_terms(b)
-        if n_terms <= 1:
-            raise ValueError("batch_size set but the model exposes no unit terms")
+def _train_first_order(cfg, theta, gradient, n_terms=None):
+    """cfg.epochs of gd or Adam from theta, one (dim,) row or a (rows, dim) block.
 
-    m = np.zeros(model.dim)
-    v = np.zeros(model.dim)
+    The update is elementwise, so each row of a block follows the trajectory
+    it would follow alone.  gradient(theta, batch) is one step's gradient,
+    with batch None for a full-batch step; given n_terms, each epoch instead
+    visits a seeded permutation of the unit terms in batches of
+    cfg.batch_size.  Returns the final theta.
+    """
+    rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
 
     for _ in range(cfg.epochs):
-        if use_batches:
+        if n_terms is None:
+            batches = [None]
+        else:
             order = rng.permutation(n_terms)
             batches = [
                 order[s : s + cfg.batch_size]
                 for s in range(0, n_terms, cfg.batch_size)
             ]
-        else:
-            batches = [None]
         for batch in batches:
-            if batch is None:
-                g = model.gradient(theta, b)
-            else:
-                g = model.term_gradient_sum(theta, b, batch) * (n_terms / batch.size)
+            g = gradient(theta, batch)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(
                     "non-finite gradient during training (learning rate too high?)"
@@ -339,19 +409,7 @@ def _train_first_order(model, b, cfg, theta):
                 mhat = m / (1 - beta1**step_count)
                 vhat = v / (1 - beta2**step_count)
                 theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
-
-    loss = model.value(theta, b)
-    if not np.isfinite(loss):
-        raise NonFiniteError("objective is non-finite after training")
-    g = model.gradient(theta, b)
-    gn = float(np.linalg.norm(g))
-    return TrainResult(
-        theta=theta,
-        grad_norm=gn,
-        converged=bool(gn <= cfg.grad_tol),
-        iterations=cfg.epochs,
-        loss=float(loss),
-    )
+    return theta
 
 
 def check_gradient(

@@ -251,10 +251,13 @@ class TestGuards:
         loo_ids = [int(line.split(",")[0])
                    for line in (out / "loo.csv").read_text().splitlines()[1::6]]
         assert loo_ids == list(range(60))
-        for key in ("grad_norm", "converged", "wall_s"):
+        for key in ("grad_norm", "converged", "iterations", "wall_s"):
             assert len(meta[key]) == meta["n_retrains"] == 60
         assert all(g >= 0.0 for g in meta["grad_norm"])
         assert all(t > 0.0 for t in meta["wall_s"])
+        # Newton retrains one object at a time and stops at grad_tol
+        assert all(isinstance(k, int) and 0 <= k <= 50 for k in meta["iterations"])
+        assert meta["group_rows"] == []
         assert meta["converged"] == [g <= 1e-8 for g in meta["grad_norm"]]
         assert meta["n_converged"] == sum(meta["converged"])
         assert meta["all_converged"] == (meta["n_converged"] == 60)
@@ -266,6 +269,18 @@ class TestGuards:
         code, _, _ = run(capsys, "compare", "--config", str(cfg_path), "--force")
         assert code == 0
         assert (out / "summary.json").exists()
+
+    def test_lockstep_loo_meta(self, capsys, cox_run):
+        cfg, cfg_path, out = cox_run
+        cfg["train"] = {"optimizer": "adam", "learning_rate": 0.01, "epochs": 20}
+        cfg_path.write_text(json.dumps(cfg))
+        for cmd in ("synth", "train", "loo"):
+            code, _, err = run(capsys, cmd, "--config", str(cfg_path))
+            assert code == 0, err
+        meta = json.loads((out / "loo_meta.json").read_text())
+        assert meta["group_rows"] == [60]
+        assert meta["iterations"] == [20] * 60
+        assert len(set(meta["wall_s"])) == 1 and meta["wall_s"][0] > 0.0
 
     def test_loo_reuses_checkpoint_without_retraining(self, capsys, cox_run, monkeypatch):
         cfg, cfg_path, out = cox_run

@@ -323,6 +323,79 @@ class TestGradientOracle:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.fixture(scope="module")
+def survival_edges():
+    """n=40 with a record censored before every event and an event last in
+    time order, whose drop leaves s0 = 0 at that event."""
+    data = synth_survival(40, 3, theta_star=[1.0, -0.5, 0.25], censor_rate=0.3, seed=13)
+    order = np.argsort(data.y)
+    delta = data.delta.copy()
+    delta[order[0]], delta[order[-1]] = 0, 1
+    return SurvivalDataset(data.x, data.y, delta)
+
+
+class TestDropOneGradients:
+    def per_row(self, model, thetas, ids):
+        ones = PresenceVector.all_ones(model.n_objects)
+        return np.array([model.gradient(t, ones.without(int(i))) for t, i in zip(thetas, ids)])
+
+    def test_matches_per_row_gradients(self, survival_edges):
+        data = survival_edges
+        model = CoxModel(data)
+        order = np.argsort(data.y)
+        first_event = int(order[np.flatnonzero(data.delta[order] == 1)[0]])
+        censored = int(np.flatnonzero(data.delta == 0)[-1])
+        rng = np.random.default_rng(3)
+        thetas = rng.normal(0.0, 0.6, (6, 3))
+        ids = [
+            first_event,  # a dropped event
+            int(order[0]),  # censored before the first event
+            int(order[-1]),  # last in time order, an event
+            censored,
+            int(np.argmax(data.x @ thetas[4])),  # holds the max eta of its row
+            int(order[-1]),
+        ]
+        assert data.delta[order[0]] == 0 and data.delta[order[-1]] == 1
+        got = model.drop_one_gradients(thetas, ids)
+        want = self.per_row(model, thetas, ids)
+        assert got.shape == (6, 3)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_every_record_at_one_theta(self, survival_edges):
+        model = CoxModel(survival_edges)
+        theta = np.array([0.4, -0.3, 0.2])
+        ids = np.arange(40)
+        thetas = np.tile(theta, (40, 1))
+        got = model.drop_one_gradients(thetas, ids)
+        want = self.per_row(model, thetas, ids)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the batched gradients give the same drop-one matrix D
+        full = model.gradient(theta, PresenceVector.all_ones(40))
+        np.testing.assert_allclose(
+            full - got, model.delta_gradients(theta, ids), rtol=0, atol=1e-12
+        )
+
+    def test_no_rows(self, survival40):
+        got = CoxModel(survival40).drop_one_gradients(np.empty((0, 3)), [])
+        assert got.shape == (0, 3)
+
+    def test_dropping_the_only_event_raises(self):
+        data = SurvivalDataset(
+            x=np.array([[1.0], [0.5], [-0.5], [2.0]]),
+            y=np.array([0.5, 1.0, 2.0, 3.0]),
+            delta=np.array([0, 1, 0, 0]),
+        )
+        model = CoxModel(data)
+        np.testing.assert_allclose(
+            model.drop_one_gradients(np.zeros((2, 1)), [0, 3]),
+            self.per_row(model, np.zeros((2, 1)), [0, 3]),
+            rtol=1e-13,
+        )
+        with pytest.raises(NoEventsError):
+            model.drop_one_gradients(np.zeros((2, 1)), [0, 1])
+
+
 class TestLayoutCache:
     def test_one_layout_per_presence_vector(self, survival40, monkeypatch):
         builds = count_calls(monkeypatch, coxloss, "_layout")
@@ -332,20 +405,22 @@ class TestLayoutCache:
         full = train(model, ones, cfg)
         assert len(builds) == 1
 
+        # lockstep leave-one-out sweeps the full layout with the dropped
+        # records weighted out, so it sorts no layout of its own
         objects = [0, 5, 13, 39]
         loo_retrain(model, cfg, objects, targets=[], full_result=full)
-        assert len(builds) == 1 + len(objects)
+        assert len(builds) == 1
         assert len(model._layouts) <= 2
 
         theta = full.theta
         first = model.gradient(theta, ones.without(0))
-        assert len(builds) == 2 + len(objects)
+        assert len(builds) == 2
         for i in (1, 2, 0):  # evicts vector 0, then rebuilds it
             model.gradient(theta, ones.without(i))
             assert len(model._layouts) <= 2
-        assert len(builds) == 5 + len(objects)
+        assert len(builds) == 5
         np.testing.assert_array_equal(model.gradient(theta, ones.without(0)), first)
-        assert len(builds) == 5 + len(objects)
+        assert len(builds) == 5
 
 
 class TestReidInfluence:

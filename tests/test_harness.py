@@ -6,9 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from conftest import LinearTarget, QuadraticModel
+from vifkit import harness
 from vifkit.attributor import attribute_target
-from vifkit.errors import DegenerateInputError
+from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
+from vifkit.errors import DegenerateInputError, NoEventsError
 from vifkit.harness import (
     brute_force_repeat,
     compare,
@@ -18,7 +22,7 @@ from vifkit.harness import (
     synth_ranking,
     synth_survival,
 )
-from vifkit.losscore import PresenceVector, TrainConfig, train
+from vifkit.losscore import PresenceVector, TrainConfig, derive_seed, train
 
 
 class TestSynthSurvival:
@@ -153,6 +157,87 @@ class TestLooRetrain:
         w = warm.deltas[:, 0]
         np.testing.assert_array_equal(f1, f2)
         assert not np.allclose(f1, w)
+
+
+class TestLockstepLoo:
+    @pytest.fixture(scope="class")
+    def cox(self):
+        pool = synth_survival(48, 3, [1.0, -0.5, 0.25], censor_rate=0.3, seed=21)
+        data = SurvivalDataset(pool.x[:40], pool.y[:40], pool.delta[:40])
+        targets = [RelativeRiskTarget(x) for x in pool.x[40:]]
+        return CoxModel(data), targets
+
+    def per_retrain(self, model, cfg, objects, targets):
+        """The per-retrain protocol, one train call per dropped object."""
+        init = model.initial_params(cfg.seed)
+        full = train(model, PresenceVector.all_ones(model.n_objects), cfg, init=init)
+        rows = []
+        for i in objects:
+            cfg_i = replace(cfg, seed=derive_seed(cfg.seed, i))
+            res = train(model, PresenceVector.drop(model.n_objects, i), cfg_i, init=init)
+            deltas = [t.value(res.theta) - t.value(full.theta) for t in targets]
+            rows.append((deltas, res.grad_norm, res.converged))
+        return full, rows
+
+    # each grad_tol lies inside its optimizer's spread of final gradient norms
+    @pytest.mark.parametrize("optimizer,grad_tol", [("gd", 0.0015), ("adam", 3.0)])
+    def test_matches_per_retrain_reference(self, cox, optimizer, grad_tol):
+        model, targets = cox
+        cfg = TrainConfig(optimizer=optimizer, learning_rate=0.01, epochs=60,
+                          grad_tol=grad_tol, seed=4)
+        full, rows = self.per_retrain(model, cfg, range(40), targets)
+        got = loo_retrain(model, cfg, range(40), targets, full_result=full)
+        want = np.array([r[0] for r in rows])
+        assert np.abs(got.deltas - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(got.grad_norm, [r[1] for r in rows], rtol=0, atol=1e-12)
+        assert got.converged.tolist() == [r[2] for r in rows]
+        assert 0 < got.converged.sum() < 40  # grad_tol splits the rows
+        assert got.group_rows.tolist() == [40]
+        assert got.iterations.tolist() == [60] * 40
+        assert np.all(got.wall_s == got.wall_s[0]) and got.wall_s[0] > 0.0
+
+    def test_groups_and_jobs_leave_results_unchanged(self, cox, monkeypatch):
+        model, targets = cox
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=20, seed=4)
+        one = loo_retrain(model, cfg, range(40), targets)
+        monkeypatch.setattr(harness, "LOCKSTEP_ENTRIES", 15 * model.n_objects)
+        seq = loo_retrain(model, cfg, range(40), targets, jobs=1)
+        par = loo_retrain(model, cfg, range(40), targets, jobs=2)
+        assert seq.group_rows.tolist() == par.group_rows.tolist() == [15, 15, 10]
+        for field in ("objects", "deltas", "grad_norm", "converged", "iterations"):
+            np.testing.assert_array_equal(getattr(seq, field), getattr(par, field))
+        # a row's trajectory does not depend on the rows beside it
+        np.testing.assert_allclose(seq.deltas, one.deltas, rtol=0,
+                                   atol=1e-12 * np.abs(one.deltas).max())
+
+    @pytest.mark.parametrize("optimizer", ["newton", "adam"])
+    def test_dropping_the_only_event_raises(self, optimizer):
+        model = CoxModel(SurvivalDataset(
+            x=np.array([[1.0], [0.5], [-0.5], [2.0]]),
+            y=np.array([0.5, 1.0, 2.0, 3.0]),
+            delta=np.array([0, 1, 0, 0]),
+        ))
+        cfg = TrainConfig(optimizer=optimizer, epochs=5)
+        assert loo_retrain(model, cfg, [0, 2, 3], []).objects.tolist() == [0, 2, 3]
+        with pytest.raises(NoEventsError):
+            loo_retrain(model, cfg, [0, 1, 2, 3], [])
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(optimizer="newton", epochs=10),
+        TrainConfig(optimizer="adam", epochs=5, batch_size=8),
+    ])
+    def test_newton_and_minibatches_retrain_one_by_one(self, cox, cfg):
+        model, targets = cox
+        got = loo_retrain(model, cfg, range(4), targets)
+        assert got.group_rows.tolist() == []
+        assert len(got.iterations) == 4
+
+    def test_models_without_batched_gradients_retrain_one_by_one(self):
+        model = logistic_fixture(10, 3, seed=2)
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.05, epochs=5)
+        got = loo_retrain(model, cfg, range(10), [LinearTarget(np.ones(3))])
+        assert got.group_rows.tolist() == []
+        assert got.iterations.tolist() == [5] * 10
 
 
 class TestBruteForceRepeat:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import QuadraticModel, count_calls
+from vifkit.coxloss import CoxModel, SurvivalDataset
 from vifkit.errors import NonFiniteError
 from vifkit.harness import logistic_fixture
 from vifkit.losscore import (
@@ -13,6 +14,7 @@ from vifkit.losscore import (
     check_hessian,
     derive_seed,
     train,
+    train_drop_one,
 )
 
 
@@ -156,6 +158,27 @@ class TestFirstOrder:
         with pytest.raises(ValueError):
             train(quad_model, full12, cfg)
 
+    def one_event_cox(self):
+        return CoxModel(SurvivalDataset(
+            x=np.array([[1.0], [0.5], [-0.5], [2.0]]),
+            y=np.array([0.5, 1.0, 2.0, 3.0]),
+            delta=np.array([0, 1, 0, 0]),
+        ))
+
+    def test_minibatch_of_the_one_unit_term(self):
+        model = self.one_event_cox()
+        b = PresenceVector.all_ones(4)
+        base = dict(optimizer="adam", learning_rate=0.05, epochs=20)
+        batched = train(model, b, TrainConfig(batch_size=1, **base))
+        full = train(model, b, TrainConfig(**base))
+        np.testing.assert_allclose(batched.theta, full.theta, rtol=1e-12)
+
+    def test_minibatch_refuses_zero_unit_terms(self):
+        model = self.one_event_cox()
+        b = PresenceVector.all_ones(4).without(1)
+        with pytest.raises(ValueError, match="no unit terms"):
+            train(model, b, TrainConfig(optimizer="adam", batch_size=1))
+
     def test_reported_grad_norm_matches_final_point(self):
         model = logistic_fixture(40, 3, seed=2)
         b = PresenceVector.all_ones(40)
@@ -163,6 +186,47 @@ class TestFirstOrder:
         gn = float(np.linalg.norm(model.gradient(res.theta, b)))
         assert res.grad_norm == pytest.approx(gn, rel=1e-12)
         assert res.converged == (gn <= 1e-8)
+
+
+class TestTrainDropOne:
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_rows_follow_their_own_runs(self, quad_model, optimizer):
+        """Through the default per-row drop_one_gradients, each row is bit
+        for bit the theta that train reaches without that object."""
+        cfg = TrainConfig(optimizer=optimizer, learning_rate=0.05, epochs=30)
+        ids = [0, 4, 11]
+        rng = np.random.default_rng(8)
+        inits = rng.standard_normal((3, 3))
+        thetas, grad_norms = train_drop_one(quad_model, cfg, inits, ids)
+        for theta, gn, init, i in zip(thetas, grad_norms, inits, ids):
+            alone = train(quad_model, PresenceVector.drop(12, i), cfg, init=init)
+            np.testing.assert_array_equal(theta, alone.theta)
+            assert gn == pytest.approx(alone.grad_norm, rel=1e-14)
+
+    def test_one_diverging_row_raises(self, quad_model):
+        class Steep(QuadraticModel):
+            def gradient(self, theta, b):
+                return (10.0 if b.bits[3] else 1.0) * super().gradient(theta, b)
+
+        cfg = TrainConfig(optimizer="gd", learning_rate=0.1, epochs=500)
+        model = Steep(quad_model.centers)
+        train_drop_one(model, cfg, np.zeros((1, 3)), [3])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            train_drop_one(model, cfg, np.zeros((2, 3)), [3, 5])
+
+    @pytest.mark.parametrize("kwargs", [{"optimizer": "newton"}, {"optimizer": "adam", "batch_size": 4}])
+    def test_refuses_newton_and_minibatches(self, quad_model, kwargs):
+        with pytest.raises(ValueError, match="full-batch"):
+            train_drop_one(quad_model, TrainConfig(**kwargs), np.zeros((1, 3)), [0])
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_out_of_range_id_rejected(self, quad_model, bad):
+        with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+            train_drop_one(quad_model, TrainConfig(optimizer="gd"), np.zeros((1, 3)), [bad])
+
+    def test_init_shape_rejected(self, quad_model):
+        with pytest.raises(ValueError, match="shape"):
+            train_drop_one(quad_model, TrainConfig(optimizer="gd"), np.zeros((2, 3)), [0])
 
 
 class TestDerivativeCheckers:
