@@ -3,8 +3,8 @@
 Subcommands: synth, train, attribute, loo, compare, check.  A run lives in
 one output directory; each command reads the artifacts of the previous stage
 from there and refuses stale mixtures via a config hash.  Exit codes: 1 for
-config errors, 2 for data errors, 3 for numerical failures, with a
-machine-readable JSON object on stderr.
+config errors, 2 for data errors, 3 for numerical failures and running out
+of memory, with a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -21,26 +21,21 @@ import sys
 import time
 from dataclasses import asdict
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attributor import HessianSolver, attribute_target
-from .coxloss import CoxModel, SurvivalDataset, relative_risk_target
-from .embedloss import EmbedModel, Graph, WalkParams, pair_loss_target
 from .errors import ConfigError, DataError, NumericalError, VifError
-from .harness import (
-    LogisticModel,
-    LogLossTarget,
-    compare,
-    logistic_fixture,
-    loo_retrain,
-    synth_graph,
-    synth_ranking,
-    synth_survival,
-)
-from .losscore import PresenceVector, TrainConfig, TrainResult, check_gradient, check_hessian, train
-from .ltrloss import ListMLEModel, RankingDataset, query_loss_target
 from .numkit import is_int, is_real
+
+# Each command imports the modules it runs, so a stage process loads only
+# those; the names below are for annotations.
+if TYPE_CHECKING:
+    from .attributor import HessianSolver
+    from .coxloss import SurvivalDataset
+    from .embedloss import Graph
+    from .losscore import TrainConfig
+    from .ltrloss import RankingDataset
 
 log = logging.getLogger("vifkit.cli")
 
@@ -49,6 +44,8 @@ INFLUENCES_NAME = "influences.csv"
 LOO_NAME = "loo.csv"
 SUMMARY_NAME = "summary.json"
 CSV_CHUNK_ROWS = 8192
+# The columns whose cells may be empty, for a missing score.
+SCORE_COLUMNS = ("vif", "loo")
 
 # Per-scenario defaults; a config file overrides these, flags override both.
 # Training recipes are tuned per loss family.
@@ -157,6 +154,8 @@ def _out_dir(cfg: dict) -> str:
 
 
 def _train_config(cfg: dict, model) -> TrainConfig:
+    from .losscore import TrainConfig
+
     t = cfg["train"]
     known = {"optimizer", "learning_rate", "epochs", "batch_size", "grad_tol"}
     extra = set(t) - known
@@ -219,6 +218,8 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _solver(cfg: dict) -> HessianSolver:
+    from .attributor import HessianSolver
+
     try:
         return HessianSolver(**cfg["solver"])
     except (ValueError, TypeError) as exc:
@@ -281,11 +282,17 @@ def _write_records_csv(path: str, **columns):
             fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
+def _score_cell(text: str) -> float:
+    return float(text) if text else np.nan
+
+
 def _read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
     """Header and (rows x columns) float cells of a table _write_records_csv wrote.
 
     The header must start with the column names in lead and every row must
-    have one number per header column; an empty cell reads as NaN.
+    have one number per header column.  An empty cell in a SCORE_COLUMNS
+    column reads as NaN; numpy's C parser reads every other column, and
+    refuses an empty cell there.
     """
     try:
         with open(path) as fh:
@@ -302,9 +309,9 @@ def _read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
     try:
         cells = np.loadtxt(
             io.StringIO(body), delimiter=",", comments=None, ndmin=2,
-            converters=lambda v: float(v) if v else np.nan,
+            converters={j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS},
         )
-    except ValueError as exc:  # a ragged row or a non-numeric cell
+    except ValueError as exc:  # a ragged row, a non-numeric or an empty data cell
         raise DataError(f"{path}: {exc}") from None
     if cells.shape[1] != len(header):
         raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
@@ -325,6 +332,8 @@ def _x_columns(x: np.ndarray) -> dict:
 
 
 def _read_survival(path: str) -> SurvivalDataset:
+    from .coxloss import SurvivalDataset
+
     _, cells = _read_table(path, ("y", "delta", "x1"))
     return SurvivalDataset(x=cells[:, 2:], y=cells[:, 0], delta=cells[:, 1])
 
@@ -348,6 +357,8 @@ def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
 
 def _read_ranking(qpath: str, lpath: str) -> RankingDataset:
     """Queries (query_id,x1,...,xp) and their ranked items (query_id,rank,item_id)."""
+    from .ltrloss import RankingDataset
+
     _, queries = _read_table(qpath, ("query_id", "x1"))
     m = queries.shape[0]
     if not np.array_equal(queries[:, 0], np.arange(m)):
@@ -373,6 +384,8 @@ def _write_edges(path: str, graph: Graph):
 
 def _read_edges(path: str) -> Graph:
     """Whitespace-separated 'u v' lines; '#' starts a comment."""
+    from .embedloss import Graph
+
     pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -401,12 +414,15 @@ def _read_scores_csv(path: str, column: str):
     if column not in header:
         raise DataError(f"{path}: no {column} column")
     ids = _ids(path, cells[:, :2])
-    if np.unique(ids, axis=0).shape[0] != ids.shape[0]:
+    pairs = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+    if np.any(np.all(pairs[1:] == pairs[:-1], axis=1)):
         raise DataError(f"{path}: duplicate (object_id, test_id) rows")
     return ids[:, 0], ids[:, 1], cells[:, header.index(column)]
 
 
 def _split_survival(full: SurvivalDataset, n: int):
+    from .coxloss import SurvivalDataset
+
     train_part = SurvivalDataset(x=full.x[:n], y=full.y[:n], delta=full.delta[:n])
     test_part = SurvivalDataset(x=full.x[n:], y=full.y[n:], delta=full.delta[n:])
     return train_part, test_part
@@ -425,6 +441,8 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg)
     paths = _data_paths(cfg)
     if scenario == "cox":
+        from .harness import synth_survival
+
         theta_star = np.asarray(s.get("theta_star", _default_theta_star(s["d"])))
         full = synth_survival(
             n=s["n"] + s["n_test"],
@@ -436,6 +454,9 @@ def cmd_synth(args) -> int:
         for path, part in zip(paths, _split_survival(full, s["n"])):
             _write_records_csv(path, y=part.y, delta=part.delta, **_x_columns(part.x))
     elif scenario == "ltr":
+        from .harness import synth_ranking
+        from .ltrloss import RankingDataset
+
         full = synth_ranking(
             m=s["m"] + s["n_test"], n=s["n"], k=s["k"], p=s["p"], seed=seed
         )
@@ -452,11 +473,15 @@ def cmd_synth(args) -> int:
         _write_ranking_csv(paths[0], paths[1], train_part)
         _write_ranking_csv(paths[2], paths[3], test_part)
     elif scenario == "embed":
+        from .harness import synth_graph
+
         g = synth_graph(
             n=s.get("n"), edge_prob=s.get("edge_prob"), seed=seed, preset=s.get("preset")
         )
         _write_edges(paths[0], g)
     else:
+        from .harness import logistic_fixture
+
         full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
         labels = full.labels.astype(np.int64)
         for path, rows in zip(paths, (slice(None, s["n"]), slice(s["n"], None))):
@@ -479,11 +504,15 @@ def build_model(cfg: dict):
     paths = _data_paths(cfg)
     _require_files(paths)
     if scenario == "cox":
+        from .coxloss import CoxModel, relative_risk_target
+
         data = _read_survival(paths[0])
         test = _read_survival(paths[1])
         model = CoxModel(data)
         targets = [relative_risk_target(row) for row in test.x]
     elif scenario == "ltr":
+        from .ltrloss import ListMLEModel, query_loss_target
+
         data = _read_ranking(paths[0], paths[1])
         test = _read_ranking(paths[2], paths[3])
         model = ListMLEModel(data, l2=m.get("l2", 0.0))
@@ -492,6 +521,8 @@ def build_model(cfg: dict):
             for q in range(test.m)
         ]
     elif scenario == "embed":
+        from .embedloss import EmbedModel, WalkParams, pair_loss_target
+
         graph = _read_edges(paths[0])
         walks = WalkParams(
             walks_per_node=m["walks_per_node"],
@@ -502,6 +533,8 @@ def build_model(cfg: dict):
         model = EmbedModel(graph, k=m["k"], walk_params=walks)
         targets = [pair_loss_target(model, int(u), int(v)) for u, v in graph.edges]
     else:
+        from .harness import LogisticModel, LogLossTarget
+
         x, labels = _read_points(paths[0])
         xt, lt = _read_points(paths[1])
         model = LogisticModel(x, labels, reg=m.get("reg", 1e-3))
@@ -517,6 +550,8 @@ def _objects(cfg: dict, model) -> list[int]:
     # bool is an int subtype, but JSON true is not an object id
     if not isinstance(sel, list) or any(type(i) is not int for i in sel):
         raise ConfigError(f'objects must be "all" or a list of integer ids, got {sel!r}')
+    if not sel:
+        raise ConfigError("objects is an empty list; name at least one object id")
     bad = [i for i in sel if not 0 <= i < model.n_objects]
     if bad:
         raise ConfigError(f"object ids out of range: {bad}")
@@ -555,6 +590,8 @@ def read_checkpoint(path: str):
 
 
 def cmd_train(args) -> int:
+    from .losscore import PresenceVector, train
+
     cfg = load_config(args)
     model, _ = build_model(cfg)
     tc = _train_config(cfg, model)
@@ -609,6 +646,8 @@ def _write_json(path: str, obj) -> None:
 
 
 def cmd_attribute(args) -> int:
+    from .attributor import attribute_target
+
     cfg = load_config(args)
     model, targets = build_model(cfg)
     theta, _ = _load_checkpoint_for(cfg, model)
@@ -643,6 +682,9 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_loo(args) -> int:
+    from .harness import loo_retrain
+    from .losscore import TrainResult
+
     cfg = load_config(args)
     model, targets = build_model(cfg)
     theta, header = _load_checkpoint_for(cfg, model)
@@ -702,6 +744,8 @@ def _read_meta(out: str, name: str) -> dict:
 
 
 def cmd_compare(args) -> int:
+    from .harness import compare
+
     # compare needs no config of its own: everything lives in the run dir
     out = args.out
     if out is None and args.config is not None:
@@ -760,6 +804,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .losscore import PresenceVector, check_gradient, check_hessian
+
     if args.trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {args.trials!r}")
     cfg = load_config(args, need_out=False)
@@ -839,7 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup_logging():
     level_name = os.environ.get("VIF_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    levels = {
+        "error": logging.ERROR,
+        "warning": logging.WARNING,
+        "info": logging.INFO,
+        "debug": logging.DEBUG,
+    }
     if level_name not in levels:
         raise ConfigError(f"VIF_LOG must be one of {sorted(levels)}, got {level_name!r}")
     logging.basicConfig(
@@ -865,6 +916,9 @@ def main(argv=None) -> int:
         return _fail(1, exc)
     except ValueError as exc:  # bad parameter values surfaced by the library
         return _fail(1, exc)
+    except MemoryError as exc:  # e.g. an id in the data that sizes the model past memory
+        # numpy raises a private subclass; report the public name
+        return _fail(3, MemoryError(str(exc) or "out of memory"))
 
 
 def _fail(code: int, exc: Exception) -> int:

@@ -64,7 +64,8 @@ class SurvivalDataset:
         if not np.all((d == 0) | (d == 1)):
             raise DataError("delta must be 0 or 1")
         d = np.ascontiguousarray(d, dtype=np.int64)
-        if np.unique(y).shape[0] != n:
+        sorted_y = np.sort(y)
+        if np.any(sorted_y[1:] == sorted_y[:-1]):
             raise DataError("tied observed times are not supported; jitter the data")
         for name, arr in (("x", x), ("y", y), ("delta", d)):
             arr.setflags(write=False)

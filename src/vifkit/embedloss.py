@@ -44,11 +44,10 @@ class Graph:
             hi = np.maximum(e[:, 0], e[:, 1])
             if np.any(lo == hi):
                 raise DataError("self loops are not allowed")
-            canon = lo * self.n + hi
-            if np.unique(canon).shape[0] != e.shape[0]:
-                raise DataError("duplicate edges are not allowed")
             e = np.stack([lo, hi], axis=1)
             e = e[np.lexsort((e[:, 1], e[:, 0]))]
+            if np.any(np.all(e[1:] == e[:-1], axis=1)):
+                raise DataError("duplicate edges are not allowed")
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
 

@@ -10,16 +10,13 @@ wall time on both sides.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .coxloss import SurvivalDataset
-from .embedloss import Graph
 from .errors import DataError, DegenerateInputError
 from .losscore import (
     DecomposableLoss,
@@ -33,8 +30,14 @@ from .losscore import (
     train,
     train_drop_one,
 )
-from .ltrloss import RankingDataset
 from .numkit import pearson
+
+# Each loss module is imported by the generator that needs it, so a stage
+# loads only its own scenario's; these names are for annotations.
+if TYPE_CHECKING:
+    from .coxloss import SurvivalDataset
+    from .embedloss import Graph
+    from .ltrloss import RankingDataset
 
 # Entries in one lockstep group's (n_objects, rows) drop-one gradient block:
 # 2**17 doubles, 1 MiB, the bound numkit.LISSA_ENTRIES puts on a LiSSA chunk.
@@ -61,6 +64,8 @@ def synth_survival(
 ) -> SurvivalDataset:
     """Exponential survival times with hazard exp(theta* . x) and independent
     exponential censoring calibrated to the requested censoring fraction."""
+    from .coxloss import SurvivalDataset
+
     if not 0 <= censor_rate < 1:
         raise ValueError("censor_rate must be in [0, 1)")
     theta_star = np.ascontiguousarray(theta_star, dtype=np.float64)
@@ -86,15 +91,27 @@ def synth_survival(
         delta = (t_event <= t_cens).astype(np.int64)
         y = np.minimum(t_event, t_cens)
     # continuous times are almost surely tie-free; nudge defensively anyway
-    while np.unique(y).shape[0] != n:
-        dup = np.ones(n, dtype=bool)
-        dup[np.unique(y, return_index=True)[1]] = False
-        y[dup] *= 1.0 + 1e-12
+    _nudge_ties(y)
     return SurvivalDataset(x=x, y=y, delta=delta)
+
+
+def _nudge_ties(y: np.ndarray) -> None:
+    """Scale every tied value of y but the first in index order by 1 + 1e-12,
+    in place, until no tie is left or no nudge moves one (0 and inf do not
+    move, and SurvivalDataset refuses the ties or the infinities left)."""
+    while True:
+        order = np.argsort(y, kind="stable")
+        tied = order[1:][y[order[1:]] == y[order[:-1]]]
+        nudged = y[tied] * (1.0 + 1e-12)
+        if not np.any(nudged != y[tied]):
+            return
+        y[tied] = nudged
 
 
 def synth_ranking(m: int, n: int, k: int, p: int, seed: int = 0) -> RankingDataset:
     """Queries with relevance lists given by the top-k scores of a planted W*."""
+    from .ltrloss import RankingDataset
+
     if k > n:
         raise ValueError("list length k cannot exceed the item universe")
     rng = np.random.default_rng(seed)
@@ -115,6 +132,8 @@ def synth_graph(
     preset: str | None = None,
 ) -> Graph:
     """Erdos-Renyi graph, or the karate preset (34 nodes, 78 edges)."""
+    from .embedloss import Graph
+
     if preset is not None:
         if preset != "karate":
             raise ValueError(f"unknown preset {preset!r}")
@@ -311,6 +330,8 @@ def _spread(jobs: int, fn, args: tuple, items: list) -> list:
     """[fn(*args, item) for item in items], over jobs processes when jobs > 1."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(*args, item) for item in items]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(fn, *args, item) for item in items]
         return [f.result() for f in futures]

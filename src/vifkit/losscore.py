@@ -379,7 +379,8 @@ def _train_first_order(cfg, theta, gradient, n_terms=None):
     visits a seeded permutation of the unit terms in batches of
     cfg.batch_size.  Returns the final theta.
     """
-    rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
+    if n_terms is not None:  # full-batch runs draw nothing, so skip numpy.random
+        rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8

@@ -6,9 +6,13 @@ the Hessian is count(b) * I, and dropping object i moves the optimum by
 exactly (theta_hat - c_i) / (count - 1).
 """
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
+import vifkit
 from vifkit.losscore import (
     DecomposableLoss,
     LossModel,
@@ -80,6 +84,15 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def subprocess_env() -> dict:
+    """This environment, with the package under test first on PYTHONPATH and
+    VIF_LOG unset, for a fresh interpreter that runs it."""
+    src = str(pathlib.Path(vifkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "VIF_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture

@@ -2,16 +2,14 @@
 
 import csv
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import vifkit
-from vifkit import cli
+from conftest import subprocess_env
+from vifkit import cli, harness
 from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
 from vifkit.errors import DataError
@@ -200,18 +198,14 @@ class TestInfluenceTable:
         assert lissa["lissa"] == {"steps": 100, "scale": 10.0, "seed": 0, "mode": "per_term"}
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        src = str(pathlib.Path(vifkit.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = "import sys, vifkit.cli; print('scipy.linalg' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                              env=subprocess_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
     def test_explicit_attribute_pipeline_never_loads_scipy(self, cox_run):
         _, cfg_path, out = cox_run
-        src = str(pathlib.Path(vifkit.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = (
             "import sys\n"
             "from vifkit.cli import main\n"
@@ -220,7 +214,7 @@ class TestInfluenceTable:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                              env=subprocess_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
         meta = json.loads((out / "attribute_meta.json").read_text())
@@ -287,10 +281,16 @@ class TestGuards:
         run(capsys, "synth", "--config", str(cfg_path))
         run(capsys, "train", "--config", str(cfg_path))
 
-        def no_full_retrain(*args, **kwargs):
-            raise AssertionError("loo retrained the full-data model")
+        retrain = harness.train
 
-        monkeypatch.setattr("vifkit.cli.train", no_full_retrain)
+        def no_full_retrain(model, b, *args, **kwargs):
+            if b.count == model.n_objects:
+                raise AssertionError("loo retrained the full-data model")
+            return retrain(model, b, *args, **kwargs)
+
+        # loo_retrain trains the full-data model through harness.train when it
+        # is given no full_result; the per-retrain path trains through it too
+        monkeypatch.setattr(harness, "train", no_full_retrain)
         code, _, err = run(capsys, "loo", "--config", str(cfg_path))
         assert code == 0, err
         assert (out / "loo.csv").read_text().count("\n") == 1 + 60 * 6
@@ -527,6 +527,60 @@ class TestExitCodes:
         code, _, err = run(capsys, "synth", "--config", str(cfg_path))
         assert code == 1
         assert "VIF_LOG" in stderr_payload(err)["message"]
+
+    def test_warning_log_level_shows_warnings_only(self, capsys, cox_run):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        cfg["solver"] = {"strategy": "cg", "cg_max_iter": 1}  # CG stops short
+        cfg_path.write_text(json.dumps(cfg))
+        done = subprocess.run(
+            [sys.executable, "-m", "vifkit.cli", "attribute", "--config", str(cfg_path)],
+            env=dict(subprocess_env(), VIF_LOG="warning"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert any(line.startswith("WARNING vifkit.attributor: CG stopped short") for line in lines)
+        assert all(line.startswith("WARNING ") for line in lines)
+
+    @pytest.mark.parametrize("stage", ["attribute", "loo"])
+    def test_empty_objects_list_is_config_error(self, capsys, tmp_path, stage):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.json"
+        cfg = {"scenario": "cox", "seed": 1, "out": str(out), "synth": {"n": 30}, "objects": []}
+        cfg_path.write_text(json.dumps(cfg))
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        code, _, err = run(capsys, stage, "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("objects is an empty list")
+        assert not (out / "influences.csv").exists() and not (out / "loo.csv").exists()
+
+    def test_out_of_memory_is_exit_three(self, capsys, monkeypatch, cox_run):
+        _, cfg_path, _ = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+
+        class _ArrayMemoryError(MemoryError):  # numpy's private subclass
+            pass
+
+        def too_big(cfg):
+            raise _ArrayMemoryError("Unable to allocate 29.8 GiB for an array")
+
+        monkeypatch.setattr(cli, "build_model", too_big)
+        code, stdout, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 3
+        assert stdout == "" and err.count("\n") == 1
+        assert stderr_payload(err) == {
+            "error": "MemoryError",
+            "message": "Unable to allocate 29.8 GiB for an array",
+            "exit_code": 3,
+        }
 
 
 def row_writer_survival_csv(path, x, y, delta):

@@ -1,6 +1,8 @@
 """Experiment harness: synthetic data, LOO retraining, report assembly."""
 
 import json
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import LinearTarget, QuadraticModel
+from conftest import LinearTarget, QuadraticModel, subprocess_env
 from vifkit import harness
 from vifkit.attributor import attribute_target
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
@@ -46,6 +48,39 @@ class TestSynthSurvival:
         data = synth_survival(500, 2, [0.5, -0.5], censor_rate=0.4, seed=2)
         assert np.unique(data.y).shape[0] == 500
         assert np.all(data.y > 0)
+
+    def test_ties_nudged_as_by_unique(self):
+        def reference(y):  # the np.unique loop the sort-based one replaced
+            while np.unique(y).shape[0] != y.size:
+                dup = np.ones(y.size, dtype=bool)
+                dup[np.unique(y, return_index=True)[1]] = False
+                y[dup] *= 1.0 + 1e-12
+
+        rng = np.random.default_rng(3)
+        y = rng.choice([0.5, 1.0, 2.0, 3.0], size=40) * (1.0 + np.repeat([0.0, 1e-12], 20))
+        want = y.copy()
+        reference(want)
+        harness._nudge_ties(y)
+        np.testing.assert_array_equal(y, want)
+        assert np.unique(y).size == 40
+
+    def test_unmovable_ties_end_in_data_error(self):
+        # rates of 0 and inf give times inf and 0, which no nudge separates;
+        # in a child process, so a nudge loop that never ends fails by timeout
+        code = (
+            "import numpy as np\n"
+            "from vifkit.errors import DataError\n"
+            "from vifkit.harness import synth_survival\n"
+            "try:\n"
+            "    with np.errstate(over='ignore', divide='ignore'):\n"
+            "        synth_survival(10, 1, [1e6], censor_rate=0.0, seed=0)\n"
+            "except DataError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "non-finite values in survival data"
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,26 @@
-"""Every package module compiles with warnings treated as errors, and every
-exported name exists.
+"""Every package module compiles with warnings treated as errors, every
+exported name exists, and each stage loads only the modules it runs.
 
 Invalid escape sequences in string literals warn at compile time
 (DeprecationWarning, SyntaxWarning from Python 3.12), and byte-compiled
 caches hide the warning on later imports, so compile from source here.
+
+A `vif` stage is one short process, so every module it imports without
+running adds to its wall time; the start-up tests read sys.modules in fresh
+interpreters.
 """
 
+import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 import vifkit
+from conftest import subprocess_env
+from vifkit.cli import main
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vifkit"
 
@@ -23,6 +32,80 @@ def test_module_compiles_without_warnings(path):
         compile(path.read_text(), str(path), "exec")
 
 
+def last_json(code: str):
+    """The JSON value a fresh interpreter prints last after running code."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
+    return set(last_json(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"))
+
+
 def test_every_exported_name_resolves():
-    missing = [name for name in vifkit.__all__ if not hasattr(vifkit, name)]
-    assert missing == []
+    # in a fresh interpreter, where no lookup has cached a name yet
+    listed, missing, unknown = last_json(
+        "import json, vifkit\n"
+        "listed = dir(vifkit)\n"
+        "missing = [name for name in vifkit.__all__ if not hasattr(vifkit, name)]\n"
+        "print(json.dumps([listed, missing, hasattr(vifkit, 'no_such_name')]))"
+    )
+    assert sorted(set(vifkit.__all__) - set(listed)) == []
+    assert missing == [] and unknown is False
+
+
+def run_stage(stage: str, *argv: str) -> set:
+    """The modules loaded by one stage run through cli.main in a fresh interpreter."""
+    args = [stage, *argv]
+    return modules_after(f"from vifkit.cli import main\nassert main({args!r}) == 0")
+
+
+def test_package_import_loads_no_submodule():
+    loaded = modules_after("import vifkit")
+    assert sorted(m for m in loaded if m.startswith("vifkit.")) == []
+
+
+def test_cli_import_loads_only_its_own_layer():
+    loaded = modules_after("import vifkit.cli")
+    unwanted = {f"vifkit.{m}" for m in
+                ("attributor", "coxloss", "embedloss", "harness", "losscore", "ltrloss")}
+    unwanted |= {"numpy.ma", "concurrent.futures"}
+    assert sorted(loaded & unwanted) == []
+
+
+@pytest.fixture(scope="module")
+def cox_run(tmp_path_factory):
+    """A small Cox run directory that has been through synth, train and
+    attribute in this process."""
+    tmp = tmp_path_factory.mktemp("startup")
+    cfg_path = tmp / "cox.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "cox", "seed": 1, "out": str(tmp / "run"),
+        "synth": {"n": 30, "n_test": 5},
+        "train": {"optimizer": "adam", "learning_rate": 0.01, "epochs": 20},
+    }))
+    for stage in ("synth", "train", "attribute"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    return str(cfg_path)
+
+
+def test_cox_train_loads_no_other_scenario_or_later_stage(cox_run):
+    loaded = run_stage("train", "--config", cox_run)
+    assert "vifkit.coxloss" in loaded
+    unwanted = {"vifkit.embedloss", "vifkit.ltrloss", "vifkit.attributor", "vifkit.harness",
+                "numpy.ma", "numpy.random"}
+    assert sorted(loaded & unwanted) == []
+
+
+@pytest.mark.parametrize("stage, argv", [("loo", ("--jobs", "1")), ("compare", ())])
+def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stage, argv):
+    if stage == "compare":
+        assert main(["loo", "--config", cox_run]) == 0
+    loaded = run_stage(stage, "--config", cox_run, *argv)
+    assert sorted(loaded & {"numpy.ma", "concurrent.futures"}) == []
+    if stage == "compare":  # it reads score tables and runs no model
+        losses = {"vifkit.attributor", "vifkit.coxloss", "vifkit.embedloss", "vifkit.ltrloss"}
+        assert sorted(loaded & losses) == []
