@@ -73,8 +73,16 @@ def synth_survival(
         raise ValueError("theta_star must have length d")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    rate = np.exp(x @ theta_star)
-    t_event = rng.exponential(1.0, n) / rate
+    # a large theta_star overflows or underflows here; the check below refuses
+    # it, and no numpy warning reaches stderr ahead of the error
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        rate = np.exp(x @ theta_star)
+        t_event = rng.exponential(1.0, n) / rate
+    if not np.all((rate > 0) & np.isfinite(rate) & np.isfinite(t_event)):
+        raise DataError(
+            "non-finite values in survival data: theta_star puts a planted rate "
+            "exp(x . theta_star) or an event time out of floating-point range"
+        )
     if censor_rate == 0.0:
         y = t_event
         delta = np.ones(n, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from vifkit import cli, harness
+from vifkit import _rows, cli, harness
 from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
 from vifkit.errors import DataError
@@ -143,7 +144,7 @@ class TestInfluenceTable:
         assert written.splitlines()[8].endswith(b",")
 
     def test_bulk_writer_matches_row_writer(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)  # several chunks
+        monkeypatch.setattr(_rows, "CHUNK_ROWS", 4)  # several chunks
         rng = np.random.default_rng(0)
         ids = np.repeat(np.arange(5), 3)
         tids = np.tile(np.arange(3), 5)
@@ -166,6 +167,50 @@ class TestInfluenceTable:
         reference_records_csv(want, ["object_id", "test_id", "loo"],
                               [(int(o), int(t), float(lv)) for o, t, lv in zip(ids, tids, loo)])
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("with_loo", [False, True])
+    def test_shared_writer_matches_row_writer(self, tmp_path, monkeypatch, with_loo):
+        # three shares of 20 rows: rows 0-19 here, 20-39 and 40-59 in helpers
+        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 20)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        rng = np.random.default_rng(2)
+        ids = np.arange(60) * 2**40
+        tids = np.arange(60) % 4
+        vif, loo = rng.standard_normal(60), rng.standard_normal(60)
+        special = [np.nan, -0.0, np.inf, -np.inf, 1e300, 1e-300, -1e300, -1e-300]
+        for edge in (20, 40):  # four special values on each side of a boundary
+            vif[edge - 4 : edge + 4] = special
+            loo[edge - 4 : edge + 4] = special[::-1]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        got, want = run_dir / "got.csv", tmp_path / "want.csv"
+        shares = cli._write_records_csv(str(got), object_id=ids, test_id=tids, vif=vif,
+                                        loo=loo if with_loo else None)
+        assert shares == 3
+        reference_records_csv(want, INFLUENCE_HEADER, [
+            (int(o), int(t), float(v), float(lv) if with_loo else None)
+            for o, t, v, lv in zip(ids, tids, vif, loo)
+        ])
+        assert got.read_bytes() == want.read_bytes()
+        assert [p.name for p in run_dir.iterdir()] == ["got.csv"]  # no part file left
+
+    def test_meta_records_table_write(self, capsys, cox_run, monkeypatch):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train", "attribute", "loo"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        tables = {name: (out / name).read_bytes() for name in ("influences.csv", "loo.csv")}
+        for name in ("attribute_meta.json", "loo_meta.json"):
+            meta = json.loads((out / name).read_text())
+            assert meta["write_processes"] == 1  # 360 rows: one share
+            assert 0.0 < meta["write_s"] < meta["runtime_s"] + 1.0
+        # the same stages with the 360 rows cut into three shares
+        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 100)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        for cmd in ("attribute", "loo"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        for name in ("attribute_meta.json", "loo_meta.json"):
+            assert json.loads((out / name).read_text())["write_processes"] == 3
+        assert {name: (out / name).read_bytes() for name in tables} == tables
 
     def test_attribute_meta_records_grad_norm_and_solver(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
@@ -581,6 +626,90 @@ class TestExitCodes:
             "message": "Unable to allocate 29.8 GiB for an array",
             "exit_code": 3,
         }
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unusable_out_is_config_error(self, capsys, tmp_path, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "run" if under_file else blocker
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"scenario": "cox", "seed": 1, "out": str(out)}))
+        code, _, err = run(capsys, "synth", "--config", str(cfg_path))
+        assert code == 1 and err.count("\n") == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"out {str(out)!r} is not a usable directory")
+        # compare only reads the run directory: nothing is there to read
+        code, _, err = run(capsys, "compare", "--out", str(out))
+        assert code == 2 and err.count("\n") == 1
+        assert stderr_payload(err)["message"].startswith("missing ")
+
+    def test_unwritable_output_is_exit_three(self, capsys, cox_run):
+        _, cfg_path, out = cox_run
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        (out / "influences.csv").mkdir()
+        code, _, err = run(capsys, "attribute", "--config", str(cfg_path))
+        assert code == 3 and err.count("\n") == 1
+        assert stderr_payload(err)["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("failure", ["helper exits 1", "writer fails"])
+    def test_failed_table_write_reaps_helpers_and_parts(self, capsys, cox_run, tmp_path,
+                                                         monkeypatch, failure):
+        _, cfg_path, out = cox_run
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        helper = tmp_path / "helper.py"
+        if failure == "helper exits 1":
+            helper.write_text("import sys\nsys.exit(1)\n")
+        else:  # the helpers run on while this process fails its own share
+            helper.write_text("import time\ntime.sleep(60)\n")
+
+            def full_disk(*args):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, "format_rows", full_disk)
+        monkeypatch.setattr(cli, "ROWS_HELPER", str(helper))
+        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 100)  # 360 rows: three shares
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        started = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+        code, stdout, err = run(capsys, "attribute", "--config", str(cfg_path))
+        assert code == 3 and stdout == "" and err.count("\n") == 1
+        message = stderr_payload(err)["message"]
+        if failure == "helper exits 1":
+            assert message == f"row helper for {out / 'influences.csv'} exited with 1: no message"
+        else:
+            assert "No space left on device" in message
+        assert len(started) == 2
+        # a failure kills the helpers still running; a helper that exits 1 may
+        # have exited before that
+        codes = {1, -9} if failure == "helper exits 1" else {-9}
+        for proc in started:
+            assert proc.returncode in codes
+            with pytest.raises(ProcessLookupError):  # reaped: the pid is gone
+                os.kill(proc.pid, 0)
+        assert not [p.name for p in out.iterdir() if p.name.startswith("influences.csv.")]
+
+    def test_extreme_theta_star_is_one_json_error(self, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "cox", "seed": 0, "out": str(tmp_path / "run"),
+            "synth": {"n": 10, "d": 1, "n_test": 1, "censor_rate": 0, "theta_star": [1e6]},
+        }))
+        done = subprocess.run(
+            [sys.executable, "-m", "vifkit.cli", "synth", "--config", str(cfg_path)],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        payload = json.loads(done.stderr)  # all of stderr is the one object
+        assert payload["error"] == "DataError"
 
 
 def row_writer_survival_csv(path, x, y, delta):

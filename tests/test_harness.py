@@ -64,9 +64,15 @@ class TestSynthSurvival:
         np.testing.assert_array_equal(y, want)
         assert np.unique(y).size == 40
 
+    def test_unmovable_ties_end(self):
+        # 0 and inf do not move under a nudge; the loop must still stop
+        y = np.array([0.0, 1.0, 0.0, np.inf, 1.0, np.inf])
+        harness._nudge_ties(y)
+        assert y.tolist() == [0.0, 1.0, 0.0, np.inf, 1.0 + 1e-12, np.inf]
+
     def test_unmovable_ties_end_in_data_error(self):
-        # rates of 0 and inf give times inf and 0, which no nudge separates;
-        # in a child process, so a nudge loop that never ends fails by timeout
+        # rates of 0 and inf would give times inf and 0, which no nudge
+        # separates; in a child process, so a hang fails by timeout
         code = (
             "import numpy as np\n"
             "from vifkit.errors import DataError\n"
@@ -80,7 +86,10 @@ class TestSynthSurvival:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "non-finite values in survival data"
+        assert done.stdout.strip() == (
+            "non-finite values in survival data: theta_star puts a planted rate "
+            "exp(x . theta_star) or an event time out of floating-point range"
+        )
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,13 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from array import array
 
 import pytest
 
 import vifkit
 from conftest import subprocess_env
+from vifkit import cli
 from vifkit.cli import main
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vifkit"
@@ -96,8 +98,15 @@ def test_cox_train_loads_no_other_scenario_or_later_stage(cox_run):
     loaded = run_stage("train", "--config", cox_run)
     assert "vifkit.coxloss" in loaded
     unwanted = {"vifkit.embedloss", "vifkit.ltrloss", "vifkit.attributor", "vifkit.harness",
-                "numpy.ma", "numpy.random"}
+                "numpy.ma", "numpy.random", "subprocess"}
     assert sorted(loaded & unwanted) == []
+
+
+def test_cox_attribute_of_one_share_starts_no_process(cox_run):
+    # its 150-row table is one share, written in this process
+    loaded = run_stage("attribute", "--config", cox_run)
+    assert "vifkit.attributor" in loaded
+    assert sorted(loaded & {"subprocess", "numpy.ma", "concurrent.futures"}) == []
 
 
 @pytest.mark.parametrize("stage, argv", [("loo", ("--jobs", "1")), ("compare", ())])
@@ -105,7 +114,24 @@ def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stag
     if stage == "compare":
         assert main(["loo", "--config", cox_run]) == 0
     loaded = run_stage(stage, "--config", cox_run, *argv)
-    assert sorted(loaded & {"numpy.ma", "concurrent.futures"}) == []
+    assert sorted(loaded & {"numpy.ma", "concurrent.futures", "subprocess"}) == []
     if stage == "compare":  # it reads score tables and runs no model
         losses = {"vifkit.attributor", "vifkit.coxloss", "vifkit.embedloss", "vifkit.ltrloss"}
         assert sorted(loaded & losses) == []
+
+
+def test_row_helper_loads_only_the_standard_library(tmp_path):
+    """The helper the table writer starts, run as the writer runs it."""
+    src, dst = tmp_path / "share.rows", tmp_path / "share.txt"
+    src.write_bytes(b"2 q d -\n" + array("q", [3, -4]).tobytes()
+                    + array("d", [0.5, float("nan")]).tobytes())
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-X", "importtime", cli.ROWS_HELPER, str(src), str(dst)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "encodings" in imported  # the import log was read
+    assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "vifkit", "site")) == []
+    assert dst.read_text() == "3,0.5,\n-4,,\n"
