@@ -97,7 +97,8 @@ class HessianContext:
     assembly_count tracks how many times the dense Hessian was built; a full
     attribution pass performs exactly one assembly, or none when LiSSA
     samples per-term products (h_norm is then None).  The explicit strategy
-    also checks the damped Hessian and picks its solver path here, once.
+    also checks the damped Hessian and picks its solver path here, once,
+    and logs a warning when that path is LU (not positive definite).
     solve takes a vector or a (dim, k) block of right-hand sides; CG runs
     are recorded so that details() can report them.
     """
@@ -129,6 +130,8 @@ class HessianContext:
         self._factor = (
             factor_spd(self.h_norm, solver.damping) if solver.strategy == "explicit" else None
         )
+        if self.path == "lu":
+            log.warning("damped Hessian is not positive definite; solved by LU")
 
     def _assemble(self):
         h = self.model.hessian(self.theta, self.ones) / self.n

@@ -945,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging():
-    level_name = os.environ.get("VIF_LOG", "error").lower()
+    level_name = os.environ.get("VIF_LOG", "warning").lower()
     levels = {
         "error": logging.ERROR,
         "warning": logging.WARNING,

@@ -77,9 +77,21 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class WalkCorpus:
+    """Walks as one (W, walk_length) int64 array, -1 past a walk's end.
+
+    The corpus holds a read-only view of the array, as Graph does its edges.
+    """
+
     walks: np.ndarray
     params: WalkParams
     present: tuple
+
+    def __post_init__(self):
+        w = np.asarray(self.walks, dtype=np.int64).view()
+        if w.ndim != 2:
+            raise ValueError("walks must be a (W, walk_length) array")
+        w.setflags(write=False)
+        object.__setattr__(self, "walks", w)
 
 
 def generate_walks(
@@ -88,7 +100,8 @@ def generate_walks(
     """Uniform random walks restricted to present nodes.
 
     Returns the corpus as one (W, walk_length) int64 array, W = present
-    nodes x walks_per_node.  Row r is walk r % walks_per_node from the
+    nodes x walks_per_node, stored time-major (the transpose of a
+    (walk_length, W) buffer).  Row r is walk r % walks_per_node from the
     (r // walks_per_node)-th present node in ascending id order.  A walk
     from a node with no present neighbor stops after its start; the rest of
     its row is -1.
@@ -118,18 +131,25 @@ def generate_walks(
         np.random.SeedSequence([int(params.seed), *(int(i) for i in present)])
     )
     steps = params.walk_length - 1
-    draws = rng.random((present.size * params.walks_per_node, steps))
-    walks = np.full((draws.shape[0], params.walk_length), -1, dtype=np.int64)
-    walks[:, 0] = np.repeat(present, params.walks_per_node)
+    n_walks = present.size * params.walks_per_node
+    draws = rng.random((n_walks, steps)).T  # step t's draws are row t
+    walks = np.empty((params.walk_length, n_walks), dtype=np.int64)
+    walks[0] = np.repeat(present, params.walks_per_node)
     # Only a start node can be a dead end: a walk that moved along an edge
-    # can always step back along it.  Gathering on live rows alone also keeps
-    # indptr[cur] of an isolated last node (== len(indices)) out of the index.
-    live = np.flatnonzero(deg[walks[:, 0]] > 0)
-    cur = walks[live, 0]
+    # can always step back along it.  When no start is one, every step reads
+    # and writes whole rows; otherwise it gathers the live walks, which also
+    # keeps indptr[cur] of an isolated last node (== len(indices)) out of
+    # the index.
+    if deg[present].all():
+        live = slice(None)
+    else:
+        walks[1:] = -1
+        live = np.flatnonzero(deg[walks[0]] > 0)
+    cur = walks[0, live]
     for t in range(steps):
-        cur = indices[indptr[cur] + (draws[live, t] * deg[cur]).astype(np.int64)]
-        walks[live, t + 1] = cur
-    return WalkCorpus(walks=walks, params=params, present=tuple(int(i) for i in present))
+        cur = indices[indptr[cur] + (draws[t, live] * deg[cur]).astype(np.int64)]
+        walks[t + 1, live] = cur
+    return WalkCorpus(walks=walks.T, params=params, present=tuple(int(i) for i in present))
 
 
 def walks_to_pairs(corpus: WalkCorpus, n: int) -> np.ndarray:
@@ -137,15 +157,20 @@ def walks_to_pairs(corpus: WalkCorpus, n: int) -> np.ndarray:
 
     Returns an (n, n) count matrix C with C[u, v] = number of ordered pairs
     (anchor u, positive v) emitted by the corpus.  Entries of -1 in the
-    padded walk array are not nodes and pair with nothing.
+    padded walk array are not nodes and pair with nothing: they are counted
+    as a sink node n, whose row and column are dropped at the end.  Each
+    window offset is one bincount over the (n + 1)^2 grid of the time-major
+    walk steps.
     """
-    walks = corpus.walks
-    forward = np.zeros(n * n, dtype=np.int64)
-    for off in range(1, min(corpus.params.window, walks.shape[1] - 1) + 1):
-        a, c = walks[:, :-off], walks[:, off:]
-        both = (a >= 0) & (c >= 0)
-        forward += np.bincount(a[both] * n + c[both], minlength=n * n)
-    forward = forward.reshape(n, n)
+    nodes = np.ascontiguousarray(corpus.walks.T)  # a view for generated corpora
+    if nodes.size and nodes.min() < 0:
+        nodes = np.where(nodes < 0, n, nodes)
+    size = n + 1
+    scaled = nodes * size
+    forward = np.zeros(size * size, dtype=np.int64)
+    for off in range(1, min(corpus.params.window, nodes.shape[0] - 1) + 1):
+        forward += np.bincount((scaled[:-off] + nodes[off:]).ravel(), minlength=size * size)
+    forward = forward.reshape(size, size)[:n, :n]
     return (forward + forward.T).astype(np.float64)
 
 

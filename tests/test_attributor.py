@@ -190,7 +190,7 @@ class TestAttributeTarget:
         assert result.solver == "cholesky"
         assert (len(cho), len(cond), len(solves)) == (1, 0, 1)
 
-    def test_indefinite_damped_hessian_takes_lu_once(self, quad_model, monkeypatch):
+    def test_indefinite_damped_hessian_takes_lu_once(self, quad_model, monkeypatch, caplog):
         class SaddleModel(QuadraticModel):
             is_convex = False
 
@@ -202,9 +202,11 @@ class TestAttributeTarget:
         cho = count_calls(monkeypatch, np.linalg, "cholesky")
         cond = count_calls(monkeypatch, np.linalg, "cond")
         solves = count_calls(monkeypatch, vifkit.attributor, "solve_spd")
-        result = attribute_target(model, theta, LinearTarget(np.ones(3)), range(12),
-                                  solver=HessianSolver(damping=0.1))
+        with caplog.at_level(logging.WARNING, logger="vifkit.attributor"):
+            result = attribute_target(model, theta, LinearTarget(np.ones(3)), range(12),
+                                      solver=HessianSolver(damping=0.1))
         assert result.solver == "lu"
+        assert caplog.messages == ["damped Hessian is not positive definite; solved by LU"]
         assert (len(cho), len(cond), len(solves)) == (1, 1, 1)
 
     def test_one_hessian_assembly_for_many_objects(self, logistic_opt):

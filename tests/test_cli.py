@@ -591,6 +591,46 @@ class TestExitCodes:
         assert any(line.startswith("WARNING vifkit.attributor: CG stopped short") for line in lines)
         assert all(line.startswith("WARNING ") for line in lines)
 
+    def test_default_log_level_shows_warnings(self, capsys, cox_run):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        cfg["solver"] = {"strategy": "cg", "cg_max_iter": 1}  # CG stops short
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [sys.executable, "-m", "vifkit.cli", "attribute", "--config", str(cfg_path)]
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert any(line.startswith("WARNING vifkit.attributor: CG stopped short")
+                   for line in done.stderr.splitlines())
+        # the warnings come first; a failure still ends stderr with its JSON object
+        (out / "influences.csv").unlink()
+        (out / "influences.csv").mkdir()
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 3
+        lines = done.stderr.splitlines()
+        assert lines[0].startswith("WARNING ")
+        assert json.loads(lines[-1])["error"] == "IsADirectoryError"
+
+    def test_lu_path_warns_and_is_recorded(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "embed", "seed": 42, "out": str(out),
+            "model": {"walks_per_node": 5}, "train": {"epochs": 10},
+        }))
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "vifkit.cli", "attribute", "--config", str(cfg_path)],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lu = "WARNING vifkit.attributor: damped Hessian is not positive definite; solved by LU"
+        assert done.stderr.splitlines().count(lu) == 1
+        assert json.loads((out / "attribute_meta.json").read_text())["solver"] == "lu"
+
     @pytest.mark.parametrize("stage", ["attribute", "loo"])
     def test_empty_objects_list_is_config_error(self, capsys, tmp_path, stage):
         out = tmp_path / "run"

@@ -1,5 +1,7 @@
 """Node embedding loss: graphs, walk corpora, pair counts, softmax algebra."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,7 @@ class TestWalks:
         corpus = generate_walks(g, b, WalkParams(8, 5, 2, seed=0))
         assert corpus.walks.shape == (8 * 5, 5)
         assert not np.any(corpus.walks == 3)
+        assert not corpus.walks.flags.writeable
 
     def test_isolated_node_stops_immediately(self):
         g = Graph(n=3, edges=np.array([[0, 1]]))
@@ -218,6 +221,18 @@ class TestWalksToPairs:
         c = walks_to_pairs(corpus, 3)
         assert c.sum() == 4  # only the two adjacent pairs, both directions
         assert c[0, 2] == 0
+
+    def test_read_only_corpus_with_dead_start_left_unchanged(self):
+        walks = np.array([[0, 1, 2], [1, -1, -1]])
+        corpus = WalkCorpus(walks=walks, params=WalkParams(1, 3, 3, 0), present=(0, 1, 2))
+        assert not corpus.walks.flags.writeable
+        with pytest.raises(ValueError):
+            corpus.walks[1, 1] = 0
+        before = corpus.walks.copy()
+        c = walks_to_pairs(corpus, 3)
+        np.testing.assert_array_equal(corpus.walks, before)
+        np.testing.assert_array_equal(walks, before)
+        assert c.sum() == 6
 
     def test_two_node_alternation_by_hand(self):
         g = Graph(n=2, edges=np.array([[0, 1]]))
@@ -267,6 +282,22 @@ class TestPairCountsOracle:
             np.testing.assert_array_equal(
                 model.pair_counts(b), naive_pair_counts(KARATE, b, params)
             )
+
+
+# sha256 over the float64 bytes of the 35 karate count matrices at the
+# benchmark's walk settings (full presence, then without node 0, 1, ..., 33),
+# where the walk-at-a-time oracle is too slow to run; recorded from the
+# masked per-offset kernels that preceded the time-major ones
+BENCH_SCALE_COUNTS_SHA256 = "bbc5129cadb42f463eb96457038609be3ceb4031987b186825036abe9337af1e"
+
+
+def test_bench_scale_counts_pinned():
+    model = EmbedModel(KARATE, k=2, walk_params=WalkParams(250, 6, 3, seed=42))
+    ones = PresenceVector.all_ones(34)
+    digest = hashlib.sha256()
+    for b in [ones] + [ones.without(i) for i in range(34)]:
+        digest.update(model.pair_counts(b).tobytes())
+    assert digest.hexdigest() == BENCH_SCALE_COUNTS_SHA256
 
 
 class TestEmbedModel:
