@@ -442,18 +442,22 @@ def _read_edges(path: str) -> Graph:
     from .embedloss import Graph
 
     pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'u v'")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not a text file") from None
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'u v'")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
     if not pairs:
         raise DataError(f"{path}: no edges")
     n = max(max(u, v) for u, v in pairs) + 1
@@ -553,8 +557,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _held_out(path: str, fits: bool, why: str):
+    """Refuse a held-out table that does not fit the training data."""
+    if not fits:
+        raise DataError(f"{path}: {why}")
+
+
 def build_model(cfg: dict):
-    """Model plus the target list implied by the scenario's test artifacts."""
+    """Model plus the target list implied by the scenario's test artifacts.
+
+    Each held-out table is checked against the training data, so a table
+    that no target can use is a DataError naming the file.
+    """
     scenario, m = cfg["scenario"], _section(cfg, "model")
     paths = _data_paths(cfg)
     _require_files(paths)
@@ -563,6 +577,7 @@ def build_model(cfg: dict):
 
         data = _read_survival(paths[0])
         test = _read_survival(paths[1])
+        _held_out(paths[1], test.d == data.d, f"{test.d} features, training data has {data.d}")
         model = CoxModel(data)
         targets = [relative_risk_target(row) for row in test.x]
     elif scenario == "ltr":
@@ -570,6 +585,11 @@ def build_model(cfg: dict):
 
         data = _read_ranking(paths[0], paths[1])
         test = _read_ranking(paths[2], paths[3])
+        _held_out(paths[2], test.p == data.p, f"{test.p} features, training data has {data.p}")
+        _held_out(
+            paths[3], test.n_items <= data.n_items,
+            f"item {test.n_items - 1} is outside the training items [0, {data.n_items})",
+        )
         model = ListMLEModel(data, l2=m.get("l2", 0.0))
         targets = [
             query_loss_target(model, test.features[q], test.rel_lists[q])
@@ -592,6 +612,9 @@ def build_model(cfg: dict):
 
         x, labels = _read_points(paths[0])
         xt, lt = _read_points(paths[1])
+        d, dt = x.shape[1], xt.shape[1]
+        _held_out(paths[1], dt == d, f"{dt} features, training data has {d}")
+        _held_out(paths[1], np.all(np.isin(lt, (-1.0, 1.0))), "labels must be -1 or +1")
         model = LogisticModel(x, labels, reg=m.get("reg", 1e-3))
         targets = [LogLossTarget(xt[i], lt[i]) for i in range(xt.shape[0])]
     return model, targets

@@ -9,17 +9,19 @@ the observed times are rejected at load time, so risk sets are unambiguous.
 
 The present records are first put in time order with their features
 gathered (the layout, O(n log n), once per presence vector; CoxModel caches
-it).  At each theta one reverse sweep over the layout, with a max-shift on
-eta for stability, gives each event's at-risk sum s0 and each record's
-weight a = w * cumsum_events(1/s0).  The value and the gradient then cost
-O(n d): the gradient is one GEMV, -X^T (delta - a), over the Cox
-martingale residuals.  The Hessian, O(n d^2), is the weighted Gram matrix
-X^T diag(a) X minus the outer products of the event ratios r1 = s1/s0,
-which only the Hessian-side callers build.  per_term_hvp (O(n d) per
-column) and delta_gradients (O(E d) per record for E events, in blocks of
-bounded size) reuse one cached sweep per point.  drop_one_gradients sweeps
-the full layout once for a block of (theta, dropped record) rows, with each
-dropped record weighted out, for lockstep leave-one-out training.
+it).  The layout also holds rank, each record id's time-order position,
+the one record -> position map.  One reverse sweep over the layout, with a
+max-shift on eta for stability, gives each event's at-risk sum s0 and each
+record's weight a = w * cumsum_events(1/s0).  The sweep takes one theta or
+a block of theta rows, each with one record dropped, so the lockstep
+leave-one-out gradients (drop_one_gradients) are its general case.  The
+value and the gradient then cost O(n d): the gradient is one GEMV,
+-X^T (delta - a), over the Cox martingale residuals.  The Hessian,
+O(n d^2), is the weighted Gram matrix X^T diag(a) X minus the outer
+products of the event ratios r1 = s1/s0, which only the Hessian-side
+callers build.  per_term_hvp (O(n d) per column) and delta_gradients
+(O(E d) per record for E events, in blocks of bounded size) reuse one
+cached sweep per point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NoEventsError
-from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
+from .losscore import LossModel, PresenceVector, TargetFunction, object_ids, presence_cached
 from .numkit import factor_spd, solve_spd
 
 # Entries in one block of delta_gradients' 1/(s0_j - w_i) matrix: 2**15
@@ -92,6 +94,7 @@ class _Layout(NamedTuple):
     xs: np.ndarray  # their features, gathered
     ev: np.ndarray  # positions of the events
     dlt: np.ndarray  # event indicator (0.0 or 1.0) at each position
+    rank: np.ndarray  # each record id's position, -1 where the record is absent
 
 
 def _layout(data: SurvivalDataset, b: PresenceVector) -> _Layout:
@@ -108,34 +111,62 @@ def _layout(data: SurvivalDataset, b: PresenceVector) -> _Layout:
     ev = np.flatnonzero(dlt == 1)
     if ev.size == 0:
         raise NoEventsError("no uncensored events among present records")
-    return _Layout(idx, data.x[idx], ev, dlt.astype(np.float64))
+    rank = np.full(data.n, -1)
+    rank[idx] = np.arange(idx.size)
+    return _Layout(idx, data.x[idx], ev, dlt.astype(np.float64), rank)
 
 
 class _Sweep(NamedTuple):
-    """The risk-set sums of one layout at one theta."""
+    """The risk-set sums of one layout at one theta, or at a block of them.
 
-    eta: np.ndarray
-    shift: float  # max eta; w, s0 and a are scaled by exp(-shift)
+    At a (rows, dim) block every array gains a trailing rows axis.
+    """
+
+    eta: np.ndarray | None
+    shift: float | np.ndarray  # max eta; w, s0 and a are scaled by exp(-shift)
     w: np.ndarray
     s0: np.ndarray  # at-risk sum of w at each event
     a: np.ndarray  # w * cumsum_events(1/s0), each record's residual weight
 
 
-def _sweep(lay: _Layout, theta: np.ndarray) -> _Sweep:
+def _sweep(lay: _Layout, theta: np.ndarray, pos: np.ndarray | None = None) -> _Sweep:
     """At-risk sums s0 = sum w at each event, with w = exp(eta - max eta).
 
     Record k sits in the at-risk set of every event at or before it, so the
     events' 1/s0 reach it as a_k = w_k * sum_{events j <= k} 1/s0_j, the
     Breslow cumulative hazard at y_k times w_k.  The gradient and the
     Hessian both weigh the records by a.
+
+    theta is one (dim,) point or a (rows, dim) block; a block sweeps all
+    rows at once in time order, so every sum along time adds one contiguous
+    row of the (n, rows) arrays.  With pos, column r drops the record at
+    position pos[r]: its eta is -inf, so its w is 0 and every prefix sum is
+    bit-identical to the sum with the record deleted, the max-shift runs
+    over the present records, and a dropped event's s0 reads inf, so it
+    adds no 1/s0 term.  Such a sweep keeps no eta.
     """
-    eta = lay.xs @ theta
-    shift = eta.max()
-    w = np.exp(eta - shift)
-    s0 = np.cumsum(w[::-1])[::-1][lay.ev]
-    inv_s0 = np.zeros(w.shape[0])
-    inv_s0[lay.ev] = 1.0 / s0
-    return _Sweep(eta, shift, w, s0, w * np.cumsum(inv_s0))
+    eta = lay.xs @ np.transpose(theta)
+    if pos is not None:
+        cols = np.arange(pos.size)
+        eta[pos, cols] = -np.inf
+    shift = eta.max(axis=0)
+    if pos is None:
+        w = eta - shift
+    else:  # no caller reads a block's eta, so it becomes w in place
+        w, eta = np.subtract(eta, shift, out=eta), None
+    np.exp(w, out=w)
+    # one buffer holds the suffix sums of w, then the weights a
+    a = np.empty(w.shape)
+    np.cumsum(w[::-1], axis=0, out=a[::-1])
+    s0 = a[lay.ev]
+    if pos is not None:
+        dropped = lay.dlt[pos] == 1.0
+        s0[np.searchsorted(lay.ev, pos[dropped]), cols[dropped]] = np.inf
+    a.fill(0.0)
+    a[lay.ev] = 1.0 / s0
+    np.cumsum(a, axis=0, out=a)
+    a *= w
+    return _Sweep(eta, shift, w, s0, a)
 
 
 def _r1(lay: _Layout, s: _Sweep) -> np.ndarray:
@@ -215,20 +246,18 @@ class CoxModel(LossModel):
         return int(self.data.delta[b.present_indices()].sum())
 
     def _cached_sweep(self, theta, b: PresenceVector):
-        """Layout, sweep and r1 at (theta, b), plus each record's position."""
+        """Layout, sweep and r1 at (theta, b)."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         key = (theta.tobytes(), b.bits.tobytes())
         if key != self._cache_key:
             lay = self._layout_of(b)
             s = _sweep(lay, theta)
-            rank = np.full(self.data.n, -1)
-            rank[lay.idx] = np.arange(lay.idx.size)
-            self._cache_key, self._cache_val = key, (lay, s, _r1(lay, s), rank)
+            self._cache_key, self._cache_val = key, (lay, s, _r1(lay, s))
         return self._cache_val
 
     def per_term_hvp(self, j, theta, b, v):
         """(s2/s0 - r1 r1^T) V at the j-th present event, O(n d k) for k columns."""
-        lay, s, r1, _ = self._cached_sweep(theta, b)
+        lay, s, r1 = self._cached_sweep(theta, b)
         k = lay.ev[j]
         xs = lay.xs[k:]
         # suffix sum of w * x x^T V starting at position k
@@ -246,37 +275,18 @@ class CoxModel(LossModel):
         """grad L(thetas[r], 1 without ids[r]) for each row r, in one sweep
         over the full-presence layout.
 
-        The sweep runs on an (n, rows) block in time order, so every sum
-        along time adds one contiguous row of all retrainings at once.  Each
-        retraining gives its dropped record eta = -inf, so its w is 0 and
-        every prefix sum over w is bit-identical to the sum with the record
-        deleted; the max-shift is taken over the present records, and a
-        dropped event contributes no 1/s0 term and no delta.  The
-        temporaries are a few (n, rows) arrays: the caller bounds rows.
+        _sweep weights each row's dropped record out of an (n, rows) block;
+        the gradients are then one GEMM over the martingale residuals
+        a - delta, with no delta for a dropped event.  The temporaries are
+        a few (n, rows) arrays: the caller bounds rows.
         """
         lay = self._layout_of(PresenceVector.all_ones(self.data.n))
-        ids = np.asarray(ids, dtype=np.int64)
-        rank = np.empty(self.data.n, dtype=np.int64)
-        rank[lay.idx] = np.arange(lay.idx.size)
-        cols, pos = np.arange(ids.size), rank[ids]
-        dropped_event = lay.dlt[pos] == 1.0
-        if lay.ev.size == 1 and dropped_event.any():
+        pos = lay.rank[object_ids(self, ids)]
+        if lay.ev.size == 1 and lay.dlt[pos].any():
             raise NoEventsError("no uncensored events among present records")
-        eta = lay.xs @ np.asarray(thetas, dtype=np.float64).T
-        eta[pos, cols] = -np.inf
-        eta -= eta.max(axis=0)
-        w = np.exp(eta, out=eta)
-        s0 = np.cumsum(w[::-1], axis=0)[::-1][lay.ev]
-        # 1/inf = 0 drops the dropped event's term, whose s0 may be 0
-        s0[np.searchsorted(lay.ev, pos[dropped_event]), cols[dropped_event]] = np.inf
-        # row e of cum sums 1/s0 over the first e events
-        cum = np.zeros((lay.ev.size + 1, ids.size))
-        np.cumsum(np.reciprocal(s0, out=s0), axis=0, out=cum[1:])
-        a = cum[np.cumsum(lay.dlt).astype(np.int64)]
-        a *= w
-        # the martingale residuals a - delta, with no delta for a dropped event
+        a = _sweep(lay, thetas, pos).a
         a -= lay.dlt[:, None]
-        a[pos, cols] = 0.0
+        a[pos, np.arange(pos.size)] = 0.0
         return a.T @ lay.xs
 
     def delta_gradients(self, theta, ids):
@@ -296,8 +306,8 @@ class CoxModel(LossModel):
         j < e_i and holds at most DELTA_BLOCK_ENTRIES entries, or one row of
         e_i entries when e_i alone exceeds that.
         """
-        lay, s, r1, rank = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
-        pos = rank[np.asarray(ids, dtype=np.int64)]
+        lay, s, r1 = self._cached_sweep(theta, PresenceVector.all_ones(self.data.n))
+        pos = lay.rank[object_ids(self, ids)]
         e = np.searchsorted(lay.ev, pos)  # events strictly before each record
         out = np.empty((pos.size, self.dim))
         # the summands x_i - r1_j as one product: c @ [1, r1] = [sum c, c @ r1]
@@ -333,12 +343,12 @@ def reid_if(theta: np.ndarray, data: SurvivalDataset, i: int) -> np.ndarray:
         C_i = exp(eta_i) (1/n) sum_{events j: y_j <= y_i}
                   (x_i - S1/S0|_{y_j}) / S0|_{y_j}.
 
-    A record censored before every event time has IF_i = 0.
+    A record censored before every event time has IF_i = 0.  An i outside
+    [0, n) is a ValueError.
     """
-    lay = _layout(data, PresenceVector.all_ones(data.n))
-    s = _sweep(lay, theta)
-    r1 = _r1(lay, s)
-    pos = int(np.flatnonzero(lay.idx == i)[0])
+    model = CoxModel(data)
+    lay, s, r1 = model._cached_sweep(theta, PresenceVector.all_ones(data.n))
+    pos = int(lay.rank[object_ids(model, [i])[0]])
     x_i, w_i = lay.xs[pos], s.w[pos]
 
     score = np.zeros(data.d)

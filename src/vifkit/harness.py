@@ -30,7 +30,7 @@ from .losscore import (
     train,
     train_drop_one,
 )
-from .numkit import pearson
+from . import numkit
 
 # Each loss module is imported by the generator that needs it, so a stage
 # loads only its own scenario's; these names are for annotations.
@@ -38,10 +38,6 @@ if TYPE_CHECKING:
     from .coxloss import SurvivalDataset
     from .embedloss import Graph
     from .ltrloss import RankingDataset
-
-# Entries in one lockstep group's (n_objects, rows) drop-one gradient block:
-# 2**17 doubles, 1 MiB, the bound numkit.LISSA_ENTRIES puts on a LiSSA chunk.
-LOCKSTEP_ENTRIES = 1 << 17
 
 # Zachary's karate club: 34 nodes, 78 edges.
 KARATE_EDGES = (
@@ -368,7 +364,7 @@ def loo_retrain(
     and cfg is full-batch gd or adam, the retrainings run in lockstep groups
     through train_drop_one: one gradient call per epoch for a whole group, and
     each row ends where its own run would, up to rounding.  Groups hold at
-    most LOCKSTEP_ENTRIES // n_objects rows; jobs spreads whole groups (or,
+    most numkit.BLOCK_ENTRIES // n_objects rows; jobs spreads whole groups (or,
     on the per-retrain path, single retrainings) over processes, so the
     results never depend on jobs.
     """
@@ -388,7 +384,7 @@ def loo_retrain(
         and cfg.batch_size is None
     )
     if lockstep:
-        size = max(1, LOCKSTEP_ENTRIES // model.n_objects)
+        size = max(1, numkit.BLOCK_ENTRIES // model.n_objects)
         groups = [objects[s : s + size] for s in range(0, len(objects), size)]
         rows = [row for group in _spread(jobs, _loo_lockstep, args, groups) for row in group]
     else:
@@ -436,11 +432,11 @@ def brute_force_repeat(
     per_test = []
     for t in range(a.shape[1]):
         try:
-            per_test.append(pearson(a[:, t], c[:, t]))
+            per_test.append(numkit.pearson(a[:, t], c[:, t]))
         except DegenerateInputError:
             per_test.append(float("nan"))
     return RepeatResult(
-        pearson_pooled=pearson(a.ravel(), c.ravel()),
+        pearson_pooled=numkit.pearson(a.ravel(), c.ravel()),
         pearson_per_test=np.array(per_test),
         first=first,
         second=second,
@@ -484,7 +480,7 @@ def compare(
     if vif_runtime and loo_runtime:
         ratio = loo_runtime / vif_runtime
     return ExperimentReport(
-        pearson_r=pearson(vif[both], loo[both]),
+        pearson_r=numkit.pearson(vif[both], loo[both]),
         n_pairs=n_pairs,
         vif_runtime=vif_runtime,
         loo_runtime=loo_runtime,

@@ -27,9 +27,11 @@ DenseMatrix = np.ndarray
 COND_LIMIT = 1e14
 RESIDUAL_RTOL = 1e-8
 SYMMETRY_RTOL = 1e-10
-# Entries of the largest temporary in one LiSSA chunk (1 MiB of float64); each
-# chunk replays the index stream, so a block of any width runs in this bound.
-LISSA_ENTRIES = 2**17
+# Entries of the largest temporary in one blocked computation (1 MiB of
+# float64): a LiSSA chunk, which replays the index stream so a block of any
+# width runs in this bound, and a lockstep leave-one-out group's
+# (n_objects, rows) drop-one gradient block.
+BLOCK_ENTRIES = 2**17
 
 
 def as_vector(x) -> DenseVector:
@@ -244,9 +246,9 @@ def lissa_solve(
     from a generator seeded with rng_seed, so results are reproducible.
     rows is the row count of the tallest temporary sample_hvp makes per
     column (dim when None).  The nonzero columns run in chunks of
-    max(1, LISSA_ENTRIES // max(rows, dim)) columns, each replaying the same
+    max(1, BLOCK_ENTRIES // max(rows, dim)) columns, each replaying the same
     stream, so every column gets the answer of its own single-column run and
-    each chunk's temporaries stay within LISSA_ENTRIES entries whatever k is
+    each chunk's temporaries stay within BLOCK_ENTRIES entries whatever k is
     (a single column taller than that is one chunk); a zero column returns
     exact zeros.  Raises DivergedError when a column's iterate exceeds
     1e8 * |its rhs|.
@@ -260,7 +262,7 @@ def lissa_solve(
     out = np.zeros_like(b)
     rhs_norm = np.linalg.norm(b, axis=0)
     live = np.flatnonzero(rhs_norm)
-    width = max(1, LISSA_ENTRIES // max(rows or 0, b.shape[0]))
+    width = max(1, BLOCK_ENTRIES // max(rows or 0, b.shape[0]))
     for start in range(0, live.size, width):
         cols = live[start : start + width]
         chunk, limit = b[:, cols], 1e8 * rhs_norm[cols]

@@ -311,7 +311,7 @@ class TestBatchedAttribution:
         # a Cox per-term product makes (at-risk records) x columns temporaries,
         # so LiSSA chunks are sized by n = 35, not by dim = 3
         model, theta = cox_opt
-        monkeypatch.setattr(vifkit.numkit, "LISSA_ENTRIES", 350)
+        monkeypatch.setattr(vifkit.numkit, "BLOCK_ENTRIES", 350)
         widths = []
         hvp = CoxModel.per_term_hvp
 
@@ -361,6 +361,10 @@ class TestBatchedAttribution:
                     attribute_target(model, theta, target, [bad, n - 1])
                 with pytest.raises(ValueError, match=f"object id {bad} is outside"):
                     ctx.vif(bad)
+                with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                    model.delta_gradients(theta, [bad])
+                with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                    model.drop_one_gradients(theta[None], [bad])
 
 
 class TestSolverStrategies:

@@ -848,6 +848,9 @@ VALID_TABLES = {
         "points.csv": "label,x1\n1,0.5\n-1,-0.5\n",
         "points_test.csv": "label,x1\n1,0.25\n",
     },
+    "embed": {
+        "edges.txt": "0 1\n1 2\n2 0\n",
+    },
     "compare": {
         "influences.csv": "object_id,test_id,vif,loo\n0,0,1.0,\n1,0,2.0,\n2,0,0.5,\n",
         "loo.csv": "object_id,test_id,loo\n0,0,1.5\n1,0,2.5\n2,0,0.0\n",
@@ -864,10 +867,13 @@ MALFORMED_TABLES = {
     "cox-empty-delta": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n2.0,,0.5\n"),
     "cox-nan-delta": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n2.0,nan,0.5\n"),
     "cox-not-text": ("cox", "survival.csv", b"y,delta,x1\n1.0,1,\xff\n"),
+    "cox-test-width": ("cox", "survival_test.csv", "y,delta,x1,x2\n1.5,1,0.5,0.5\n"),
     "logistic-bad-header": ("logistic", "points.csv", "lbl,x1\n1,0.5\n"),
     "logistic-ragged-row": ("logistic", "points.csv", "label,x1\n1,0.5,0.5\n-1,0.5,0.5\n"),
     "logistic-non-numeric": ("logistic", "points_test.csv", "label,x1\nyes,0.5\n"),
     "logistic-empty-feature": ("logistic", "points.csv", "label,x1\n1,0.5\n-1,\n"),
+    "logistic-test-width": ("logistic", "points_test.csv", "label,x1,x2\n1,0.25,0.5\n"),
+    "logistic-test-label": ("logistic", "points_test.csv", "label,x1\n3,0.25\n"),
     "ltr-bad-header": ("ltr", "labels.csv", "query_id,position,item_id\n0,0,0\n1,0,1\n"),
     "ltr-no-rows": ("ltr", "queries.csv", "query_id,x1\n"),
     "ltr-fractional-id": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0.5\n1,0,1\n"),
@@ -876,6 +882,10 @@ MALFORMED_TABLES = {
     "ltr-query-order": ("ltr", "queries.csv", "query_id,x1\n1,0.5\n0,-0.5\n"),
     "ltr-unknown-query": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0\n1,0,1\n2,0,1\n"),
     "ltr-rank-gap": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0\n0,2,1\n1,0,1\n"),
+    "ltr-test-width": ("ltr", "queries_test.csv", "query_id,x1,x2\n0,0.25,0.5\n"),
+    "ltr-test-item": ("ltr", "labels_test.csv", "query_id,rank,item_id\n0,0,2\n"),
+    "embed-not-text": ("embed", "edges.txt", b"0 1\n1 \xff\n"),
+    "embed-three-tokens": ("embed", "edges.txt", "0 1\n1 2 0\n"),
     "compare-bad-header": ("compare", "influences.csv", "object,test_id,vif,loo\n0,0,1.0,\n"),
     "compare-no-rows": ("compare", "loo.csv", "object_id,test_id,loo\n"),
     "compare-ragged-row": ("compare", "influences.csv", "object_id,test_id,vif,loo\n0,0,1.0\n"),

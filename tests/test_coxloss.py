@@ -216,8 +216,8 @@ class TestCoxModel:
 def reference_delta_gradient(model, theta, i):
     """One record's drop-one gradient by the per-record loop that the blocked
     delta_gradients replaced: the same formula, one record at a time."""
-    lay, s, r1, rank = model._cached_sweep(theta, PresenceVector.all_ones(model.data.n))
-    pos = rank[i]
+    lay, s, r1 = model._cached_sweep(theta, PresenceVector.all_ones(model.data.n))
+    pos = lay.rank[i]
     x_i, w_i = lay.xs[pos], s.w[pos]
     out = np.zeros(model.dim)
     e = int(np.searchsorted(lay.ev, pos))  # events strictly before record i
@@ -431,6 +431,13 @@ class TestReidInfluence:
             delta=np.array([0, 1, 1, 1]),
         )
         np.testing.assert_array_equal(reid_if(np.array([0.3]), data, 0), np.zeros(1))
+
+    def test_out_of_range_id_rejected(self, survival40):
+        """A negative id would alias the record counted from the end."""
+        theta = np.array([0.3, -0.1, 0.2])
+        for bad in (-1, 40):
+            with pytest.raises(ValueError, match=f"object id {bad} is outside"):
+                reid_if(theta, survival40, bad)
 
     def test_tracks_loo_refit(self, survival40):
         model = CoxModel(survival40)

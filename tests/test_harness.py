@@ -11,7 +11,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import LinearTarget, QuadraticModel, subprocess_env
-from vifkit import harness
+from vifkit import harness, numkit
 from vifkit.attributor import attribute_target
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
 from vifkit.errors import DegenerateInputError, NoEventsError
@@ -244,7 +244,7 @@ class TestLockstepLoo:
         model, targets = cox
         cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=20, seed=4)
         one = loo_retrain(model, cfg, range(40), targets)
-        monkeypatch.setattr(harness, "LOCKSTEP_ENTRIES", 15 * model.n_objects)
+        monkeypatch.setattr(numkit, "BLOCK_ENTRIES", 15 * model.n_objects)
         seq = loo_retrain(model, cfg, range(40), targets, jobs=1)
         par = loo_retrain(model, cfg, range(40), targets, jobs=2)
         assert seq.group_rows.tolist() == par.group_rows.tolist() == [15, 15, 10]

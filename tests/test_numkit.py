@@ -295,7 +295,7 @@ class TestLissaBlock:
         rhs = rng.standard_normal((5, 7))
         args = dict(num_steps=80, scale=12.0, damping=0.1, rng_seed=3, n_terms=6)
         # chunks of 3 columns: each replays the seed, so chunking changes nothing
-        monkeypatch.setattr(numkit, "LISSA_ENTRIES", 15)
+        monkeypatch.setattr(numkit, "BLOCK_ENTRIES", 15)
         block = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs, **args)
         for c in range(7):
             single = lissa_solve(lambda j, v: terms[j] @ v, rhs=rhs[:, c], **args)
@@ -303,7 +303,7 @@ class TestLissaBlock:
             assert np.abs(block[:, c] - single).max() <= 1e-13 * np.abs(single).max()
 
     def test_chunks_bound_the_block_entries(self, monkeypatch):
-        monkeypatch.setattr(numkit, "LISSA_ENTRIES", 8)
+        monkeypatch.setattr(numkit, "BLOCK_ENTRIES", 8)
 
         def widths(**kw):
             seen = []
