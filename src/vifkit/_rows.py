@@ -1,77 +1,75 @@
-"""CSV text of table rows: the one row formatter behind `cli._write_records_csv`.
+"""CSV text of table rows, for the table writers in `cli`.
 
-The writer formats the first share of a large table's rows in its own
-process and hands each other share to a helper that runs this file by path:
-
-    python -I -S _rows.py SRC DST
-
-SRC holds one ASCII header line, the row count followed by one typecode per
-column ('q' int64, 'd' float64, '-' for a column of empty cells), and then
-each non-empty column's values as native-endian machine bytes, column after
-column.  The helper writes the rows' text to DST.  Both sides call
-format_rows, so a share's text does not depend on which process wrote it.
-
-The file imports only the standard library: a helper starts without numpy
-or the vifkit package, and `-S` skips the `site` hooks.
+`format_rows` writes rows from equal-length columns: the dataset tables.
+`format_score_rows` writes a score table straight from its objects x tests
+score matrices, one '%' format call per object row.  Both write a float as
+repr(float), the shortest round-trip decimal, and a NaN as an empty cell,
+so a score row has the same text whichever of the two writes it.  Both work
+through a bounded chunk of rows at a time, in this process.
 """
 
-import sys
 from itertools import repeat
+
+import numpy as np
 
 CHUNK_ROWS = 8192
 
 
-def format_rows(fh, columns, n_rows: int) -> None:
-    """Write rows [0, n_rows) of columns to the text file fh, one line each.
+def format_rows(fh, columns) -> None:
+    """Write the rows of columns to the text file fh, one line each.
 
-    columns is a list of (typecode, values) pairs.  'q' values are written
-    by str; 'd' values by repr(float), the shortest round-trip decimal, and
-    a NaN as an empty cell; a column whose values are None is all empty
-    cells.  values may be anything whose slices have tolist(): a numpy
-    array or a memoryview.  At least one column must have values.
+    columns is a list of equal-length numpy arrays, or None for a column of
+    empty cells; at least one must be an array.  Integer values are written
+    by str, float values by repr(float), and a NaN as an empty cell.
     """
+    n_rows = len(next(values for values in columns if values is not None))
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
         parts = []
-        for code, values in columns:
+        for values in columns:
             if values is None:
                 parts.append(repeat(""))
-            elif code == "q":
+            elif values.dtype.kind in "iu":
                 parts.append(map(str, values[lo:hi].tolist()))
             else:
                 parts.append([repr(v) if v == v else "" for v in values[lo:hi].tolist()])
         fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
-def write_share(path: str, columns, lo: int, hi: int) -> None:
-    """Write rows [lo, hi) of columns to the part file path, in the SRC
-    layout main reads.  columns is as for format_rows, with numpy arrays of
-    int64 or float64 as values, whose tofile writes their machine bytes."""
-    with open(path, "wb") as fh:
-        fh.write(" ".join([str(hi - lo)] + [code for code, _ in columns]).encode() + b"\n")
-        for _, values in columns:
-            if values is not None:
-                values[lo:hi].tofile(fh)
+def format_score_rows(fh, objects, tests, scores, keep=None) -> None:
+    """Write one line per (object, test) cell of (k, T) score matrices to fh:
+    the object id, the test id, then the cell of each matrix, row after row.
 
+    objects holds the k row ids and tests the T column ids, both integer
+    arrays.  scores is a list of float64 (k, T) matrices, or None for a
+    column of empty cells; at least one must be a matrix.  keep, a (k, T)
+    bool matrix, leaves out each cell where it is False.
 
-def main(src: str, dst: str) -> None:
-    """Format the share in the part file src into the text file dst."""
-    with open(src, "rb") as fh:
-        head = fh.readline().decode("ascii").split()
-        body = memoryview(fh.read())
-    n_rows, codes = int(head[0]), head[1:]
-    size = 8 * n_rows  # both typecodes are 8-byte items
-    if len(body) != size * sum(code != "-" for code in codes):
-        raise ValueError(f"{src}: {len(body)} bytes of values for {n_rows} rows of {codes}")
-    columns, at = [], 0
-    for code in codes:
-        values = None
-        if code != "-":
-            values, at = body[at : at + size].cast(code), at + size
-        columns.append((code, values))
-    with open(dst, "w", newline="") as fh:
-        format_rows(fh, columns, n_rows)
-
-
-if __name__ == "__main__":
-    main(*sys.argv[1:])
+    An object row is one template with its ids already in the text,
+    "o,t0,%r\\no,t1,%r\\n...", filled with the row's scores; %r is
+    repr(float).  A row with a NaN, which is an empty cell, or a left-out
+    cell goes through format_rows instead.  Rows are taken CHUNK_ROWS cells
+    at a time, at least one object row.
+    """
+    cells = ",".join("" if m is None else "%r" for m in scores)
+    pieces = [f",{t},{cells}\n" for t in tests.tolist()]
+    values = [m for m in scores if m is not None]
+    step = max(1, CHUNK_ROWS // len(pieces))
+    for lo in range(0, len(objects), step):
+        hi = min(lo + step, len(objects))
+        # (rows, T * scores): each cell's scores side by side, as in the template
+        block = np.stack([m[lo:hi] for m in values], axis=2).reshape(hi - lo, -1)
+        slow = np.isnan(block).any(axis=1)
+        if keep is not None:
+            slow |= ~keep[lo:hi].all(axis=1)
+        rows = zip(range(lo, hi), objects[lo:hi].tolist(), block.tolist(), slow.tolist())
+        for i, o, row, fallback in rows:
+            if not fallback:
+                o = str(o)
+                fh.write((o + o.join(pieces)) % tuple(row))
+                continue
+            cols = slice(None) if keep is None else keep[i]
+            ids = tests[cols]
+            if ids.size:
+                format_rows(fh, [np.full(ids.size, o), ids]
+                            + [None if m is None else m[i, cols] for m in scores])

@@ -13,20 +13,19 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
-import io
-import itertools
 import json
 import logging
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._rows import format_rows, write_share
+from ._rows import format_rows, format_score_rows
 from .errors import ConfigError, DataError, NumericalError, VifError
 from .numkit import is_int, is_real
 
@@ -45,11 +44,6 @@ CHECKPOINT_NAME = "checkpoint.bin"
 INFLUENCES_NAME = "influences.csv"
 LOO_NAME = "loo.csv"
 SUMMARY_NAME = "summary.json"
-# A table gets one more writing process per this many rows, up to the usable
-# CPUs.  A share of 50,000 rows takes about 0.1 s to format, 4x or more the
-# ~20 ms a helper takes to start (2-vCPU VM, Python 3.11).
-SHARE_MIN_ROWS = 50_000
-ROWS_HELPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rows.py")
 # The columns whose cells may be empty, for a missing score.
 SCORE_COLUMNS = ("vif", "loo")
 
@@ -266,75 +260,31 @@ def _require_files(paths: list[str]):
         )
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _write_records_csv(path: str, **columns) -> int:
-    """Write a CSV table from equal-length named columns; return the number
-    of processes that formatted its rows.
+def _write_table(path: str, **columns) -> None:
+    """Write a dataset table from equal-length named columns.
 
     The header is the column names.  Integer columns are written as
-    integers, float columns as repr(float), the shortest round-trip decimal;
-    a NaN score, and every cell of a column given as None, is an empty cell.
-
-    A table of n rows is cut into max(1, min(usable CPUs, n // SHARE_MIN_ROWS))
-    contiguous shares.  This process formats the first; each other share's
-    raw column bytes go to a part file beside path, a helper process
-    (`_rows.py`, standard library only) turns them into text in a second
-    part file, and the parts are copied into path in order.  Both sides run
-    `_rows.format_rows`, so the bytes do not depend on the share count.
-    Every helper is waited for and every part file removed, also on failure;
-    a helper that fails raises OSError.
+    integers, float columns as repr(float), the shortest round-trip decimal.
     """
-    # "safe": a uint64 column would not fit int64 and raises instead
-    typed = [
-        ("-", None) if col is None
-        else ("q", col.astype(np.int64, casting="safe", copy=False)) if col.dtype.kind in "iu"
-        else ("d", col.astype(np.float64, casting="safe", copy=False))
-        for col in columns.values()
-    ]
-    n_rows = len(next(values for _, values in typed if values is not None))
-    shares = max(1, min(_usable_cpus(), n_rows // SHARE_MIN_ROWS))
-    bounds = [n_rows * s // shares for s in range(shares + 1)]
-    parts = [(f"{path}.{s}.rows", f"{path}.{s}.txt") for s in range(1, shares)]
-    helpers = []
-    if parts:
-        import shutil
-        import subprocess
-    try:
-        for (src, dst), lo, hi in zip(parts, bounds[1:], bounds[2:]):
-            write_share(src, typed, lo, hi)
-            helpers.append(subprocess.Popen(
-                [sys.executable, "-I", "-S", ROWS_HELPER, src, dst],
-                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            ))
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            format_rows(fh, typed, bounds[1])
-            fh.flush()  # the parts go to the byte stream after this text
-            for proc, (_, dst) in zip(helpers, parts):
-                err = proc.communicate()[1].decode(errors="replace").strip()
-                if proc.returncode:
-                    last = err.splitlines()[-1] if err else "no message"
-                    raise OSError(f"row helper for {path} exited with {proc.returncode}: {last}")
-                with open(dst, "rb") as part:
-                    shutil.copyfileobj(part, fh.buffer)
-    finally:
-        for proc in helpers:
-            if proc.returncode is None:
-                proc.kill()
-                proc.communicate()
-        for name in itertools.chain.from_iterable(parts):
-            try:
-                os.remove(name)
-            except FileNotFoundError:
-                pass
-    return shares
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        format_rows(fh, list(columns.values()))
+
+
+def _write_records_csv(path: str, objects, tests, keep=None, **scores) -> None:
+    """Write a score table from (k, T) float64 score matrices named by column.
+
+    The header is object_id, test_id, then the score names.  Each kept
+    (object, test) cell is one row, objects in the order of objects and,
+    within an object, tests in the order of tests; keep, a (k, T) bool
+    matrix, keeps every cell when None.  Ids are written as integers, scores
+    as repr(float); a NaN score, and every cell of a score given as None,
+    is an empty cell.  The rows come straight from the matrices, a bounded
+    chunk of object rows at a time (`_rows.format_score_rows`).
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["object_id", "test_id", *scores]) + "\n")
+        format_score_rows(fh, objects, tests, list(scores.values()), keep)
 
 
 def _score_cell(text: str) -> float:
@@ -342,32 +292,36 @@ def _score_cell(text: str) -> float:
 
 
 def _read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
-    """Header and (rows x columns) float cells of a table _write_records_csv wrote.
+    """Header and (rows x columns) float cells of a table the writers here wrote.
 
     The header must start with the column names in lead and every row must
     have one number per header column.  An empty cell in a SCORE_COLUMNS
     column reads as NaN; numpy's C parser reads every other column, and
-    refuses an empty cell there.
+    refuses an empty cell there.  The parser reads the rows from the open
+    file, so the text is never held whole.
     """
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-            body = fh.read()
+            if tuple(header[: len(lead)]) != lead:
+                raise DataError(f"{path}: expected a header starting {','.join(lead)}")
+            with warnings.catch_warnings():
+                # a table without rows is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                cells = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=2,
+                    converters={
+                        j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS
+                    },
+                )
     except FileNotFoundError:
         raise DataError(f"missing {path}") from None
-    except UnicodeDecodeError:
+    except UnicodeDecodeError:  # a ValueError, raised as the parser reads on
         raise DataError(f"{path}: not a text file") from None
-    if tuple(header[: len(lead)]) != lead:
-        raise DataError(f"{path}: expected a header starting {','.join(lead)}")
-    if not body.strip():
-        raise DataError(f"{path}: no data rows")
-    try:
-        cells = np.loadtxt(
-            io.StringIO(body), delimiter=",", comments=None, ndmin=2,
-            converters={j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS},
-        )
     except ValueError as exc:  # a ragged row, a non-numeric or an empty data cell
         raise DataError(f"{path}: {exc}") from None
+    if cells.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
     if cells.shape[1] != len(header):
         raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
     return header, cells
@@ -400,9 +354,9 @@ def _read_points(path: str):
 
 
 def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
-    _write_records_csv(qpath, query_id=np.arange(data.m), **_x_columns(data.features))
+    _write_table(qpath, query_id=np.arange(data.m), **_x_columns(data.features))
     lengths = [len(lst) for lst in data.rel_lists]
-    _write_records_csv(
+    _write_table(
         lpath,
         query_id=np.repeat(np.arange(data.m), lengths),
         rank=np.concatenate([np.arange(k) for k in lengths]),
@@ -511,7 +465,7 @@ def cmd_synth(args) -> int:
             seed=seed,
         )
         for path, part in zip(paths, _split_survival(full, s["n"])):
-            _write_records_csv(path, y=part.y, delta=part.delta, **_x_columns(part.x))
+            _write_table(path, y=part.y, delta=part.delta, **_x_columns(part.x))
     elif scenario == "ltr":
         from .harness import synth_ranking
         from .ltrloss import RankingDataset
@@ -544,7 +498,7 @@ def cmd_synth(args) -> int:
         full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
         labels = full.labels.astype(np.int64)
         for path, rows in zip(paths, (slice(None, s["n"]), slice(s["n"], None))):
-            _write_records_csv(path, label=labels[rows], **_x_columns(full.x[rows]))
+            _write_table(path, label=labels[rows], **_x_columns(full.x[rows]))
     meta = {
         "config_hash": config_hash(cfg),
         "scenario": scenario,
@@ -735,21 +689,16 @@ def cmd_attribute(args) -> int:
     start = time.perf_counter()
     result = attribute_target(model, theta, targets, objects, solver=solver)
     runtime = time.perf_counter() - start
-    k, n_targets = result.scores.shape
     start = time.perf_counter()
-    processes = _write_records_csv(
-        os.path.join(out, INFLUENCES_NAME),
-        object_id=np.repeat(result.objects, n_targets),
-        test_id=np.tile(np.arange(n_targets), k),
-        vif=result.scores.ravel(),
-        loo=None,
+    _write_records_csv(
+        os.path.join(out, INFLUENCES_NAME), result.objects, np.arange(len(targets)),
+        vif=result.scores, loo=None,
     )
     meta = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "runtime_s": runtime,
         "write_s": time.perf_counter() - start,
-        "write_processes": processes,
         "n_objects": len(objects),
         "n_targets": len(targets),
         "grad_norm": result.grad_norm,
@@ -782,19 +731,13 @@ def cmd_loo(args) -> int:
     path = os.path.join(out, LOO_NAME)
     # scores in the influence convention, f(full) - f(drop i): negated deltas
     start = time.perf_counter()
-    processes = _write_records_csv(
-        path,
-        object_id=np.repeat(result.objects, n_targets),
-        test_id=np.tile(np.arange(n_targets), k),
-        loo=-result.deltas.ravel(),
-    )
+    _write_records_csv(path, result.objects, np.arange(n_targets), loo=-result.deltas)
     n_converged = int(result.converged.sum())
     meta = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "runtime_s": runtime,
         "write_s": time.perf_counter() - start,
-        "write_processes": processes,
         "n_retrains": k,
         "n_converged": n_converged,
         "all_converged": n_converged == k,
@@ -863,14 +806,9 @@ def cmd_compare(args) -> int:
         loo_runtime=loo_meta.get("runtime_s"),
         config=vif_meta.get("config", {}),
     )
-    has_vif = ~np.isnan(vif)
-    obj_rows, test_cols = np.nonzero(has_vif)
+    # one row per cell with a vif score
     _write_records_csv(
-        os.path.join(out, INFLUENCES_NAME),
-        object_id=objects[obj_rows],
-        test_id=tests[test_cols],
-        vif=vif[has_vif],
-        loo=loo[has_vif],
+        os.path.join(out, INFLUENCES_NAME), objects, tests, keep=~np.isnan(vif), vif=vif, loo=loo
     )
     summary = asdict(report)
     summary["config_hash"] = vif_meta.get("config_hash")
@@ -1003,7 +941,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. an id in the data that sizes the model past memory
         # numpy raises a private subclass; report the public name
         return _fail(3, MemoryError(str(exc) or "out of memory"))
-    except OSError as exc:  # a run file that cannot be written: disk full, a failed row helper
+    except OSError as exc:  # a run file that cannot be written: disk full, no permission
         return _fail(3, exc)
 
 

@@ -1,8 +1,8 @@
 """End-to-end command-line pipeline: synth, train, attribute, loo, compare."""
 
 import csv
+import itertools
 import json
-import os
 import subprocess
 import sys
 
@@ -154,8 +154,10 @@ class TestInfluenceTable:
         loo = rng.standard_normal(15)
         loo[[0, 9]] = np.nan
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        objects, tests = np.arange(5), np.arange(3)
         for loo_col, with_loo in ((None, False), (loo, True)):
-            cli._write_records_csv(str(got), object_id=ids, test_id=tids, vif=vif, loo=loo_col)
+            cli._write_records_csv(str(got), objects, tests, vif=vif.reshape(5, 3),
+                                   loo=None if loo_col is None else loo_col.reshape(5, 3))
             records = [
                 (int(o), int(t), float(v), float(lv) if with_loo else None)
                 for o, t, v, lv in zip(ids, tids, vif, loo)
@@ -163,54 +165,61 @@ class TestInfluenceTable:
             reference_records_csv(want, INFLUENCE_HEADER, records)
             assert got.read_bytes() == want.read_bytes()
         # loo.csv: the header follows the named columns
-        cli._write_records_csv(str(got), object_id=ids, test_id=tids, loo=loo)
+        cli._write_records_csv(str(got), objects, tests, loo=loo.reshape(5, 3))
         reference_records_csv(want, ["object_id", "test_id", "loo"],
                               [(int(o), int(t), float(lv)) for o, t, lv in zip(ids, tids, loo)])
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("with_loo", [False, True])
-    def test_shared_writer_matches_row_writer(self, tmp_path, monkeypatch, with_loo):
-        # three shares of 20 rows: rows 0-19 here, 20-39 and 40-59 in helpers
-        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 20)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    def test_matrix_writer_matches_row_writer(self, tmp_path, monkeypatch, with_loo):
+        # 4 object rows of T=5 per chunk of 20 cells; T=1 and k=1 tables too
+        monkeypatch.setattr(_rows, "CHUNK_ROWS", 20)
         rng = np.random.default_rng(2)
-        ids = np.arange(60) * 2**40
-        tids = np.arange(60) % 4
-        vif, loo = rng.standard_normal(60), rng.standard_normal(60)
         special = [np.nan, -0.0, np.inf, -np.inf, 1e300, 1e-300, -1e300, -1e-300]
-        for edge in (20, 40):  # four special values on each side of a boundary
-            vif[edge - 4 : edge + 4] = special
-            loo[edge - 4 : edge + 4] = special[::-1]
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        got, want = run_dir / "got.csv", tmp_path / "want.csv"
-        shares = cli._write_records_csv(str(got), object_id=ids, test_id=tids, vif=vif,
-                                        loo=loo if with_loo else None)
-        assert shares == 3
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for k, n_tests in ((12, 5), (1, 5), (30, 1), (1, 1)):
+            objects = 2**40 - 6 + np.arange(k) * 3  # ids around 2**40
+            tests = 2**40 + np.arange(n_tests)
+            vif, loo = rng.standard_normal((2, k * n_tests))
+            # a run of the special values at the start and across each chunk
+            # boundary; the NaNs share a cell, so the rows of the other
+            # special values take the template
+            for edge in (4, 20, 40):
+                run = np.arange(edge - 4, edge + 4) % vif.size
+                vif[run], loo[run] = special, special[:1] + special[:0:-1]
+            cli._write_records_csv(str(got), objects, tests, vif=vif.reshape(k, n_tests),
+                                   loo=loo.reshape(k, n_tests) if with_loo else None)
+            reference_records_csv(want, INFLUENCE_HEADER, [
+                (int(o), int(t), float(v), float(lv) if with_loo else None)
+                for (o, t), v, lv in zip(itertools.product(objects, tests), vif, loo)
+            ])
+            assert got.read_bytes() == want.read_bytes(), (k, n_tests)
+
+    def test_matrix_writer_leaves_out_unkept_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_rows, "CHUNK_ROWS", 6)  # two object rows per chunk
+        rng = np.random.default_rng(3)
+        objects, tests = np.array([1, 4, 9, 2**40, 2**40 + 1]), np.array([0, 2, 7])
+        vif, loo = rng.standard_normal((2, 5, 3))
+        keep = np.ones((5, 3), dtype=bool)
+        keep[1, 2] = keep[3, 0] = False
+        keep[4] = False  # an object row with no kept cell
+        loo[0, 1] = np.nan
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_records_csv(str(got), objects, tests, keep=keep, vif=vif, loo=loo)
         reference_records_csv(want, INFLUENCE_HEADER, [
-            (int(o), int(t), float(v), float(lv) if with_loo else None)
-            for o, t, v, lv in zip(ids, tids, vif, loo)
+            (int(objects[i]), int(tests[j]), float(vif[i, j]), float(loo[i, j]))
+            for i, j in zip(*np.nonzero(keep))
         ])
         assert got.read_bytes() == want.read_bytes()
-        assert [p.name for p in run_dir.iterdir()] == ["got.csv"]  # no part file left
 
-    def test_meta_records_table_write(self, capsys, cox_run, monkeypatch):
+    def test_meta_records_table_write(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
         for cmd in ("synth", "train", "attribute", "loo"):
             assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
-        tables = {name: (out / name).read_bytes() for name in ("influences.csv", "loo.csv")}
         for name in ("attribute_meta.json", "loo_meta.json"):
             meta = json.loads((out / name).read_text())
-            assert meta["write_processes"] == 1  # 360 rows: one share
+            assert "write_processes" not in meta  # one process writes every table
             assert 0.0 < meta["write_s"] < meta["runtime_s"] + 1.0
-        # the same stages with the 360 rows cut into three shares
-        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 100)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        for cmd in ("attribute", "loo"):
-            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
-        for name in ("attribute_meta.json", "loo_meta.json"):
-            assert json.loads((out / name).read_text())["write_processes"] == 3
-        assert {name: (out / name).read_bytes() for name in tables} == tables
 
     def test_attribute_meta_records_grad_norm_and_solver(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
@@ -693,49 +702,20 @@ class TestExitCodes:
         assert code == 3 and err.count("\n") == 1
         assert stderr_payload(err)["error"] == "IsADirectoryError"
 
-    @pytest.mark.parametrize("failure", ["helper exits 1", "writer fails"])
-    def test_failed_table_write_reaps_helpers_and_parts(self, capsys, cox_run, tmp_path,
-                                                         monkeypatch, failure):
+    def test_failed_table_write_is_one_json_error(self, capsys, cox_run, monkeypatch):
         _, cfg_path, out = cox_run
         for cmd in ("synth", "train"):
             assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
-        helper = tmp_path / "helper.py"
-        if failure == "helper exits 1":
-            helper.write_text("import sys\nsys.exit(1)\n")
-        else:  # the helpers run on while this process fails its own share
-            helper.write_text("import time\ntime.sleep(60)\n")
 
-            def full_disk(*args):
-                raise OSError(28, "No space left on device")
+        def full_disk(fh, *args):
+            fh.write("0,0,")
+            raise OSError(28, "No space left on device")
 
-            monkeypatch.setattr(cli, "format_rows", full_disk)
-        monkeypatch.setattr(cli, "ROWS_HELPER", str(helper))
-        monkeypatch.setattr(cli, "SHARE_MIN_ROWS", 100)  # 360 rows: three shares
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        started = []
-
-        class RecordedPopen(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+        monkeypatch.setattr(cli, "format_score_rows", full_disk)
         code, stdout, err = run(capsys, "attribute", "--config", str(cfg_path))
         assert code == 3 and stdout == "" and err.count("\n") == 1
-        message = stderr_payload(err)["message"]
-        if failure == "helper exits 1":
-            assert message == f"row helper for {out / 'influences.csv'} exited with 1: no message"
-        else:
-            assert "No space left on device" in message
-        assert len(started) == 2
-        # a failure kills the helpers still running; a helper that exits 1 may
-        # have exited before that
-        codes = {1, -9} if failure == "helper exits 1" else {-9}
-        for proc in started:
-            assert proc.returncode in codes
-            with pytest.raises(ProcessLookupError):  # reaped: the pid is gone
-                os.kill(proc.pid, 0)
-        assert not [p.name for p in out.iterdir() if p.name.startswith("influences.csv.")]
+        payload = stderr_payload(err)
+        assert payload["error"] == "OSError" and "No space left on device" in payload["message"]
 
     def test_extreme_theta_star_is_one_json_error(self, tmp_path):
         cfg_path = tmp_path / "c.json"

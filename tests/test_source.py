@@ -15,13 +15,11 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from array import array
 
 import pytest
 
 import vifkit
 from conftest import subprocess_env
-from vifkit import cli
 from vifkit.cli import main
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vifkit"
@@ -102,11 +100,25 @@ def test_cox_train_loads_no_other_scenario_or_later_stage(cox_run):
     assert sorted(loaded & unwanted) == []
 
 
-def test_cox_attribute_of_one_share_starts_no_process(cox_run):
-    # its 150-row table is one share, written in this process
-    loaded = run_stage("attribute", "--config", cox_run)
-    assert "vifkit.attributor" in loaded
-    assert sorted(loaded & {"subprocess", "numpy.ma", "concurrent.futures"}) == []
+def test_cox_attribute_starts_no_process(cox_run, tmp_path):
+    # a 150-row table, and a 100,000-row one from a small-d run, which the
+    # two-CPU share rule of earlier versions split over two processes: both
+    # written in this process
+    big = tmp_path / "cox.json"
+    big.write_text(json.dumps({
+        "scenario": "cox", "seed": 1, "out": str(tmp_path / "run"),
+        "synth": {"n": 2000, "d": 1, "n_test": 50},
+        "train": {"optimizer": "adam", "learning_rate": 0.01, "epochs": 5},
+    }))
+    for stage in ("synth", "train"):
+        assert main([stage, "--config", str(big)]) == 0
+    for cfg_path, rows in ((cox_run, 150), (str(big), 100_000)):
+        loaded = run_stage("attribute", "--config", cfg_path)
+        assert "vifkit.attributor" in loaded
+        assert sorted(loaded & {"subprocess", "numpy.ma", "concurrent.futures"}) == []
+        table = pathlib.Path(json.loads(pathlib.Path(cfg_path).read_text())["out"], "influences.csv")
+        with open(table) as fh:
+            assert sum(1 for _ in fh) == rows + 1
 
 
 @pytest.mark.parametrize("stage, argv", [("loo", ("--jobs", "1")), ("compare", ())])
@@ -118,20 +130,3 @@ def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stag
     if stage == "compare":  # it reads score tables and runs no model
         losses = {"vifkit.attributor", "vifkit.coxloss", "vifkit.embedloss", "vifkit.ltrloss"}
         assert sorted(loaded & losses) == []
-
-
-def test_row_helper_loads_only_the_standard_library(tmp_path):
-    """The helper the table writer starts, run as the writer runs it."""
-    src, dst = tmp_path / "share.rows", tmp_path / "share.txt"
-    src.write_bytes(b"2 q d -\n" + array("q", [3, -4]).tobytes()
-                    + array("d", [0.5, float("nan")]).tobytes())
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", "-X", "importtime", cli.ROWS_HELPER, str(src), str(dst)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "encodings" in imported  # the import log was read
-    assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "vifkit", "site")) == []
-    assert dst.read_text() == "3,0.5,\n-4,,\n"
