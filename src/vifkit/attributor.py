@@ -13,7 +13,9 @@ one matrix expression,
     scores = -D [(1/n) H + damping I]^{-1} G^T,
 
 with D the drop-one gradients (objects x dim) and G the target gradients
-(targets x dim): one delta_gradients call, one block solve, one product.
+(targets x dim): one delta_gradients call and one block solve give the VIF
+rows -D [(1/n) H + damping I]^{-1}, and their product with G^T gives the
+scores, formed a block of object rows at a time where they are written.
 """
 
 from __future__ import annotations
@@ -306,18 +308,31 @@ def finite_difference_if(
 
 @dataclass(frozen=True, eq=False)
 class Attribution:
-    """Influence scores of objects (rows) on targets (columns).
+    """Influence of objects (rows) on targets (columns), kept in factored form.
 
-    scores[r, t] = grad f_t(theta) . vif(objects[r]).  grad_norm is the loss
-    gradient norm at theta and solver the path the inverse-Hessian solves
-    took: cholesky, lu, cg or lissa.  details holds HessianContext.details().
+    vif[r] is the versatile influence of objects[r] (HessianContext.vif) and
+    target_gradients[t] is grad f_t(theta), so the score of object r on
+    target t is their dot product.  The (objects x targets) scores are never
+    stored: self[lo:hi] forms the score rows lo..hi-1 from those rows of vif
+    alone, and scores forms every row.  grad_norm is the loss gradient norm
+    at theta and solver the path the inverse-Hessian solves took: cholesky,
+    lu, cg or lissa.  details holds HessianContext.details().
     """
 
     objects: np.ndarray
-    scores: np.ndarray
+    vif: np.ndarray
+    target_gradients: np.ndarray
     grad_norm: float
     solver: str
     details: dict
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.vif[rows] @ self.target_gradients.T
+
+    @property
+    def scores(self) -> np.ndarray:
+        """The (objects x targets) score matrix, formed anew on each access."""
+        return self[:]
 
 
 def attribute_target(
@@ -332,7 +347,8 @@ def attribute_target(
     Row r of D is the drop-one gradient of objects[r], from one
     delta_gradients call, and row t of G is grad f_t(theta).  The Hessian is
     assembled and checked once, then one block solve of D^T, whose columns
-    are the objects' own solves, and one matrix product give every score.
+    are the objects' own solves, gives the VIF rows.  The result holds them
+    with G; the scores are their product, formed when they are read.
     """
     if isinstance(targets, TargetFunction):
         targets = [targets]
@@ -340,5 +356,5 @@ def attribute_target(
     context = HessianContext(model, theta, solver or HessianSolver())
     d = model.delta_gradients(context.theta, ids)
     g = np.array([t.gradient(context.theta) for t in targets]).reshape(len(targets), model.dim)
-    scores = -context.solve(d.T).T @ g.T
-    return Attribution(ids, scores, context.grad_norm, context.path, context.details())
+    vif = -context.solve(d.T).T
+    return Attribution(ids, vif, g, context.grad_norm, context.path, context.details())

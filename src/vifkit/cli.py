@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import logging
 import os
@@ -28,6 +27,16 @@ import numpy as np
 from ._rows import format_rows, format_score_rows
 from .errors import ConfigError, DataError, NumericalError, VifError
 from .numkit import is_int, is_real
+
+# SHA-256 from CPython's own module, as random.py takes SHA-512: hashlib loads
+# OpenSSL, which costs a stage several MiB and milliseconds for one digest.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Each command imports the modules it runs, so a stage process loads only
 # those; the names below are for annotations.
@@ -120,6 +129,12 @@ def load_config(args, need_out: bool = True) -> dict:
         )
     cfg = _deep_merge(COMMON_DEFAULTS, SCENARIO_DEFAULTS[scenario])
     cfg = _deep_merge(cfg, file_cfg)
+    for name in ("train", "solver", "data"):
+        section = cfg.get(name)
+        if name == "data" and section is None:
+            continue  # no data section: the run directory's own files
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "solver", None) is not None:
@@ -144,7 +159,7 @@ def load_config(args, need_out: bool = True) -> dict:
 def config_hash(cfg: dict) -> str:
     subset = {k: cfg[k] for k in HASHED_KEYS if k in cfg}
     blob = json.dumps(subset, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _out_dir(cfg: dict) -> str:
@@ -244,9 +259,13 @@ def _data_paths(cfg: dict) -> list[str]:
     data = cfg.get("data")
     if data is not None:
         try:
-            return [data[os.path.splitext(n)[0]] for n in names]
+            paths = [data[os.path.splitext(n)[0]] for n in names]
         except KeyError as exc:
             raise ConfigError(f"data section missing entry {exc}") from None
+        for path in paths:
+            if not isinstance(path, str):
+                raise ConfigError(f"data paths must be strings, got {path!r}")
+        return paths
     if "out" not in cfg:
         raise ConfigError("no data paths configured and no run directory to read from")
     return [os.path.join(cfg["out"], n) for n in names]
@@ -272,15 +291,16 @@ def _write_table(path: str, **columns) -> None:
 
 
 def _write_records_csv(path: str, objects, tests, keep=None, **scores) -> None:
-    """Write a score table from (k, T) float64 score matrices named by column.
+    """Write a score table from named (k, T) score columns.
 
     The header is object_id, test_id, then the score names.  Each kept
     (object, test) cell is one row, objects in the order of objects and,
     within an object, tests in the order of tests; keep, a (k, T) bool
     matrix, keeps every cell when None.  Ids are written as integers, scores
     as repr(float); a NaN score, and every cell of a score given as None,
-    is an empty cell.  The rows come straight from the matrices, a bounded
-    chunk of object rows at a time (`_rows.format_score_rows`).
+    is an empty cell.  A score column is a float64 matrix or an
+    `Attribution`; each is read a bounded chunk of object rows at a time
+    (`_rows.format_score_rows`).
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["object_id", "test_id", *scores]) + "\n")
@@ -690,9 +710,10 @@ def cmd_attribute(args) -> int:
     result = attribute_target(model, theta, targets, objects, solver=solver)
     runtime = time.perf_counter() - start
     start = time.perf_counter()
+    # the scores are formed chunk by chunk as the table is written
     _write_records_csv(
         os.path.join(out, INFLUENCES_NAME), result.objects, np.arange(len(targets)),
-        vif=result.scores, loo=None,
+        vif=result, loo=None,
     )
     meta = {
         "config_hash": config_hash(cfg),
@@ -707,7 +728,8 @@ def cmd_attribute(args) -> int:
     }
     _write_json(os.path.join(out, "attribute_meta.json"), meta)
     log.info("attributed %d objects x %d targets in %.3fs", len(objects), len(targets), runtime)
-    print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({result.scores.size} rows, {runtime:.3f}s)")
+    rows = len(objects) * len(targets)
+    print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({rows} rows, {runtime:.3f}s)")
     return 0
 
 

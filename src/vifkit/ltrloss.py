@@ -6,9 +6,12 @@ Scores are f(x)_l = W[l] . x for an item weight matrix W of shape
     sum_j [ logsumexp_{l in C_j} s_l - s_{y_j} ],   C_j = present - {y_1..y_{j-1}}.
 
 Items are the data objects: dropping item i removes it from every relevance
-list (later positions shift up) and from every logsumexp; W[i] is frozen.
-An optional ridge term keeps the objective strictly convex (the raw loss is
-invariant to adding one vector to every row of W).
+list (later positions shift up) and from every logsumexp, so the list loss
+no longer depends on W[i].  The optional ridge term 0.5 * l2 * |W|^2 covers
+every row, present or not: an absent row's gradient is l2 * W[i] alone,
+and a run trained without item i pulls that row toward 0.  The ridge keeps
+the objective strictly convex (the raw loss is invariant to adding one
+vector to every row of W).
 
 Every quantity comes from one batched Plackett-Luce pass over S = X W^T and
 the padded lists: the candidate softmax P_j and logsumexp of each position.

@@ -367,6 +367,33 @@ class TestBatchedAttribution:
                     model.drop_one_gradients(theta[None], [bad])
 
 
+class TestFactoredAttribution:
+    """The result keeps the VIF rows and G; the scores are formed on demand."""
+
+    def test_scores_are_the_vif_rows_times_the_target_gradients(self, cox_opt):
+        model, theta = cox_opt
+        rng = np.random.default_rng(30)
+        targets = [LinearTarget(rng.standard_normal(3)) for _ in range(6)]
+        result = attribute_target(model, theta, targets, rng.permutation(35))
+        g = np.stack([t.gradient(theta) for t in targets])
+        np.testing.assert_array_equal(result.target_gradients, g)
+        assert result.vif.shape == (35, 3)
+        np.testing.assert_array_equal(result.scores, result.vif @ result.target_gradients.T)
+        assert result.scores is not result.scores  # formed anew, not stored
+        np.testing.assert_array_equal(result[4:9], result.vif[4:9] @ g.T)
+
+    @pytest.mark.parametrize("strategy", ["explicit", "cg", "lissa"])
+    def test_vif_rows_are_the_objects_vifs(self, cox_opt, strategy):
+        # one block solve against one solve per object: equal up to rounding
+        model, theta = cox_opt
+        solver = HessianSolver(strategy=strategy)
+        objects = [30, 2, 17, 0]
+        result = attribute_target(model, theta, LinearTarget(np.ones(3)), objects, solver)
+        ctx = HessianContext(model, theta, solver)
+        for row, o in zip(result.vif, objects):
+            assert rel_err(row, ctx.vif(o)) < 1e-12
+
+
 class TestSolverStrategies:
     def test_cg_matches_explicit(self, cox_opt):
         model, theta = cox_opt

@@ -3,19 +3,21 @@
 import csv
 import itertools
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import LinearTarget, subprocess_env
 from vifkit import _rows, cli, harness
 from vifkit.attributor import attribute_target
 from vifkit.cli import main, read_checkpoint, write_checkpoint
 from vifkit.errors import DataError
 from vifkit.harness import synth_graph
-from vifkit.losscore import PresenceVector
+from vifkit.losscore import PresenceVector, TrainConfig, train
 
 
 def run(capsys, *argv):
@@ -211,6 +213,54 @@ class TestInfluenceTable:
             for i, j in zip(*np.nonzero(keep))
         ])
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_factored_scores_write_the_bytes_of_the_matrix(self, tmp_path, monkeypatch, with_nan):
+        # 4 object rows of T=5 per chunk: 26 objects in 6 full chunks and a
+        # 2-row tail.  A NaN target gradient makes its column NaN in every
+        # row, so each row then takes the fallback writer.
+        monkeypatch.setattr(_rows, "CHUNK_ROWS", 20)
+        model = harness.logistic_fixture(30, 4, seed=0)
+        theta = train(model, PresenceVector.all_ones(30),
+                      TrainConfig(optimizer="newton", epochs=50)).theta
+        rng = np.random.default_rng(8)
+        coefs = rng.standard_normal((5, 4))
+        if with_nan:
+            coefs[3, 1] = np.nan
+        result = attribute_target(model, theta, [LinearTarget(c) for c in coefs],
+                                  rng.permutation(30)[:26])
+        scores = result.scores
+        assert np.isnan(scores).any() == with_nan
+        tests = np.arange(5)
+        got, matrix, want = tmp_path / "got.csv", tmp_path / "matrix.csv", tmp_path / "want.csv"
+        cli._write_records_csv(str(got), result.objects, tests, vif=result, loo=None)
+        cli._write_records_csv(str(matrix), result.objects, tests, vif=scores, loo=None)
+        reference_records_csv(want, INFLUENCE_HEADER, [
+            (o, t, vif, None)
+            for o, row in zip(result.objects.tolist(), scores.tolist())
+            for t, vif in enumerate(row)
+        ])
+        assert got.read_bytes() == want.read_bytes() == matrix.read_bytes()
+
+    def test_attribute_and_write_stay_below_the_score_matrix(self):
+        # 1000 x 1000 scores are 8 MB as float64, the 1000 x 5 VIF rows 40 kB;
+        # tracing every float the writer formats makes this test take seconds
+        k, n_tests = 1000, 1000
+        model = harness.logistic_fixture(k, 5, seed=1)
+        theta = train(model, PresenceVector.all_ones(k),
+                      TrainConfig(optimizer="newton", epochs=20)).theta
+        rng = np.random.default_rng(9)
+        targets = [harness.LogLossTarget(x, 1.0) for x in rng.standard_normal((n_tests, 5))]
+        tracemalloc.start()
+        try:
+            result = attribute_target(model, theta, targets, range(k))
+            cli._write_records_csv(os.devnull, result.objects, np.arange(n_tests),
+                                   vif=result, loo=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.vif.nbytes <= 2**20
+        assert peak < k * n_tests * 8 / 4
 
     def test_meta_records_table_write(self, capsys, cox_run):
         cfg, cfg_path, out = cox_run
@@ -565,6 +615,32 @@ class TestExitCodes:
         stage = "synth" if section == "synth" else "train"
         code, _, err = run(capsys, stage, "--config", str(cfg_path))
         assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert section in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, value, stage, flags",
+        [
+            ("train", 5, "train", ()),
+            ("solver", 5, "attribute", ("--solver", "cg")),
+            ("solver", 5, "attribute", ("--damping", "0.1")),
+            ("data", 5, "train", ()),
+            ("data", {"survival": None, "survival_test": "test.csv"}, "train", ()),
+            ("data", {"survival": 1, "survival_test": 2}, "train", ()),
+        ],
+        ids=["train", "solver-flag", "damping-flag", "data", "null-path", "descriptor-path"],
+    )
+    def test_sections_that_are_not_objects_are_config_errors(
+        self, capsys, cox_run, section, value, stage, flags
+    ):
+        # an int data path would otherwise open that file descriptor
+        cfg, cfg_path, out = cox_run
+        cfg_path.write_text(json.dumps(dict(cfg, **{section: value})))
+        code, stdout, err = run(capsys, stage, "--config", str(cfg_path), *flags)
+        assert code == 1 and stdout == ""
         assert len(err.strip().splitlines()) == 1
         payload = stderr_payload(err)
         assert payload["error"] == "ConfigError"

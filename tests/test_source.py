@@ -7,9 +7,11 @@ caches hide the warning on later imports, so compile from source here.
 
 A `vif` stage is one short process, so every module it imports without
 running adds to its wall time; the start-up tests read sys.modules in fresh
-interpreters.
+interpreters.  `hashlib` loads OpenSSL (`_hashlib`), several MiB of a
+stage's peak RSS, so no stage that draws no random numbers may load it.
 """
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -20,9 +22,11 @@ import pytest
 
 import vifkit
 from conftest import subprocess_env
+from vifkit import cli
 from vifkit.cli import main
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vifkit"
+OPENSSL = {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -72,8 +76,24 @@ def test_cli_import_loads_only_its_own_layer():
     loaded = modules_after("import vifkit.cli")
     unwanted = {f"vifkit.{m}" for m in
                 ("attributor", "coxloss", "embedloss", "harness", "losscore", "ltrloss")}
-    unwanted |= {"numpy.ma", "concurrent.futures"}
+    unwanted |= {"numpy.ma", "concurrent.futures"} | OPENSSL
     assert sorted(loaded & unwanted) == []
+
+
+def test_config_hash_is_sha256_of_the_hashed_keys(tmp_path):
+    # the benchmark's cox-scale config at seed 42, and its digest at the
+    # version that still took SHA-256 from hashlib
+    cfg_path = tmp_path / "cox-scale.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "cox", "seed": 42, "out": str(tmp_path / "run"), "jobs": 1,
+        "synth": {"n": 5000, "d": 10, "n_test": 50},
+    }))
+    cfg = cli.load_config(cli.build_parser().parse_args(["attribute", "--config", str(cfg_path)]))
+    digest = cli.config_hash(cfg)
+    assert digest == "edb606d4a8b69c007dfbed18f5bc6f095dec3a83caee05e87d5958f3117daee7"
+    subset = {k: cfg[k] for k in cli.HASHED_KEYS if k in cfg}
+    blob = json.dumps(subset, sort_keys=True, separators=(",", ":"))
+    assert digest == hashlib.sha256(blob.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +116,7 @@ def test_cox_train_loads_no_other_scenario_or_later_stage(cox_run):
     loaded = run_stage("train", "--config", cox_run)
     assert "vifkit.coxloss" in loaded
     unwanted = {"vifkit.embedloss", "vifkit.ltrloss", "vifkit.attributor", "vifkit.harness",
-                "numpy.ma", "numpy.random", "subprocess"}
+                "numpy.ma", "numpy.random", "subprocess"} | OPENSSL
     assert sorted(loaded & unwanted) == []
 
 
@@ -115,7 +135,7 @@ def test_cox_attribute_starts_no_process(cox_run, tmp_path):
     for cfg_path, rows in ((cox_run, 150), (str(big), 100_000)):
         loaded = run_stage("attribute", "--config", cfg_path)
         assert "vifkit.attributor" in loaded
-        assert sorted(loaded & {"subprocess", "numpy.ma", "concurrent.futures"}) == []
+        assert sorted(loaded & ({"subprocess", "numpy.ma", "concurrent.futures"} | OPENSSL)) == []
         table = pathlib.Path(json.loads(pathlib.Path(cfg_path).read_text())["out"], "influences.csv")
         with open(table) as fh:
             assert sum(1 for _ in fh) == rows + 1
@@ -126,7 +146,7 @@ def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stag
     if stage == "compare":
         assert main(["loo", "--config", cox_run]) == 0
     loaded = run_stage(stage, "--config", cox_run, *argv)
-    assert sorted(loaded & {"numpy.ma", "concurrent.futures", "subprocess"}) == []
+    assert sorted(loaded & ({"numpy.ma", "concurrent.futures", "subprocess"} | OPENSSL)) == []
     if stage == "compare":  # it reads score tables and runs no model
         losses = {"vifkit.attributor", "vifkit.coxloss", "vifkit.embedloss", "vifkit.ltrloss"}
         assert sorted(loaded & losses) == []
