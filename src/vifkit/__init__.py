@@ -36,19 +36,9 @@ _HOME = {
     ),
     "VifError": "errors",
     **dict.fromkeys(
-        (
-            "ExperimentReport",
-            "LogisticModel",
-            "brute_force_repeat",
-            "compare",
-            "logistic_fixture",
-            "loo_retrain",
-            "synth_graph",
-            "synth_ranking",
-            "synth_survival",
-        ),
-        "harness",
+        ("ExperimentReport", "brute_force_repeat", "compare", "loo_retrain"), "harness"
     ),
+    **dict.fromkeys(("LogisticModel", "logistic_fixture"), "logisticloss"),
     **dict.fromkeys(
         (
             "LossModel",
@@ -67,6 +57,7 @@ _HOME = {
         ("SpdFactor", "cg_solve", "factor_spd", "lissa_solve", "pearson", "solve_spd"),
         "numkit",
     ),
+    **dict.fromkeys(("synth_graph", "synth_ranking", "synth_survival"), "synth"),
 }
 _SUBMODULES = frozenset(_HOME.values())
 

@@ -2,10 +2,10 @@
 
 Subcommands: synth, train, attribute, loo, compare, check.  A run lives in
 one output directory; each command reads the artifacts of the previous stage
-from there and refuses stale mixtures via a config hash.  Exit codes: 1 for
-config errors, 2 for data errors, 3 for numerical failures, running out
-of memory and failed file operations (OSError), with a machine-readable
-JSON object on stderr.
+from there, through `files`, and refuses stale mixtures via a config hash.
+Exit codes: 1 for config errors, 2 for data errors, 3 for numerical
+failures, running out of memory and failed file operations (OSError), with
+a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -17,16 +17,19 @@ import logging
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._rows import format_rows, format_score_rows
+from . import files
 from .errors import ConfigError, DataError, NumericalError, VifError
 from .numkit import is_int, is_real
+
+# bench/tracer.py times score-table writes by wrapping cli._write_records_csv,
+# so the commands call the writer through that name
+from .files import write_scores as _write_records_csv
 
 # SHA-256 from CPython's own module, as random.py takes SHA-512: hashlib loads
 # OpenSSL, which costs a stage several MiB and milliseconds for one digest.
@@ -43,18 +46,9 @@ except ImportError:
 if TYPE_CHECKING:
     from .attributor import HessianSolver
     from .coxloss import SurvivalDataset
-    from .embedloss import Graph
     from .losscore import TrainConfig
-    from .ltrloss import RankingDataset
 
 log = logging.getLogger("vifkit.cli")
-
-CHECKPOINT_NAME = "checkpoint.bin"
-INFLUENCES_NAME = "influences.csv"
-LOO_NAME = "loo.csv"
-SUMMARY_NAME = "summary.json"
-# The columns whose cells may be empty, for a missing score.
-SCORE_COLUMNS = ("vif", "loo")
 
 # Per-scenario defaults; a config file overrides these, flags override both.
 # Training recipes are tuned per loss family.
@@ -244,18 +238,9 @@ def _solver(cfg: dict) -> HessianSolver:
         raise ConfigError(f"bad solver config: {exc}") from None
 
 
-# Per-scenario dataset filenames inside the run directory.
-_FILES = {
-    "cox": ("survival.csv", "survival_test.csv"),
-    "ltr": ("queries.csv", "labels.csv", "queries_test.csv", "labels_test.csv"),
-    "embed": ("edges.txt",),
-    "logistic": ("points.csv", "points_test.csv"),
-}
-
-
 def _data_paths(cfg: dict) -> list[str]:
     """Paths the scenario reads: explicit `data` entries or synth outputs."""
-    names = _FILES[cfg["scenario"]]
+    names = files.DATASET_FILES[cfg["scenario"]]
     data = cfg.get("data")
     if data is not None:
         try:
@@ -279,180 +264,6 @@ def _require_files(paths: list[str]):
         )
 
 
-def _write_table(path: str, **columns) -> None:
-    """Write a dataset table from equal-length named columns.
-
-    The header is the column names.  Integer columns are written as
-    integers, float columns as repr(float), the shortest round-trip decimal.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        format_rows(fh, list(columns.values()))
-
-
-def _write_records_csv(path: str, objects, tests, keep=None, **scores) -> None:
-    """Write a score table from named (k, T) score columns.
-
-    The header is object_id, test_id, then the score names.  Each kept
-    (object, test) cell is one row, objects in the order of objects and,
-    within an object, tests in the order of tests; keep, a (k, T) bool
-    matrix, keeps every cell when None.  Ids are written as integers, scores
-    as repr(float); a NaN score, and every cell of a score given as None,
-    is an empty cell.  A score column is a float64 matrix or an
-    `Attribution`; each is read a bounded chunk of object rows at a time
-    (`_rows.format_score_rows`).
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["object_id", "test_id", *scores]) + "\n")
-        format_score_rows(fh, objects, tests, list(scores.values()), keep)
-
-
-def _score_cell(text: str) -> float:
-    return float(text) if text else np.nan
-
-
-def _read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
-    """Header and (rows x columns) float cells of a table the writers here wrote.
-
-    The header must start with the column names in lead and every row must
-    have one number per header column.  An empty cell in a SCORE_COLUMNS
-    column reads as NaN; numpy's C parser reads every other column, and
-    refuses an empty cell there.  The parser reads the rows from the open
-    file, so the text is never held whole.
-    """
-    try:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if tuple(header[: len(lead)]) != lead:
-                raise DataError(f"{path}: expected a header starting {','.join(lead)}")
-            with warnings.catch_warnings():
-                # a table without rows is refused below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                cells = np.loadtxt(
-                    fh, delimiter=",", comments=None, ndmin=2,
-                    converters={
-                        j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS
-                    },
-                )
-    except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
-    except UnicodeDecodeError:  # a ValueError, raised as the parser reads on
-        raise DataError(f"{path}: not a text file") from None
-    except ValueError as exc:  # a ragged row, a non-numeric or an empty data cell
-        raise DataError(f"{path}: {exc}") from None
-    if cells.shape[0] == 0:
-        raise DataError(f"{path}: no data rows")
-    if cells.shape[1] != len(header):
-        raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
-    return header, cells
-
-
-def _ids(path: str, column: np.ndarray) -> np.ndarray:
-    """An id column as int64; every value must be a non-negative integer."""
-    # 2**53 bounds the integers a float64 cell holds exactly
-    if not np.all((column >= 0) & (column < 2.0**53) & (column == np.floor(column))):
-        raise DataError(f"{path}: an id is not a non-negative integer")
-    return column.astype(np.int64)
-
-
-def _x_columns(x: np.ndarray) -> dict:
-    """Feature columns x1..xd for the table writer, one per column of x."""
-    return {f"x{j + 1}": x[:, j] for j in range(x.shape[1])}
-
-
-def _read_survival(path: str) -> SurvivalDataset:
-    from .coxloss import SurvivalDataset
-
-    _, cells = _read_table(path, ("y", "delta", "x1"))
-    return SurvivalDataset(x=cells[:, 2:], y=cells[:, 0], delta=cells[:, 1])
-
-
-def _read_points(path: str):
-    """Features and labels of a label,x1,...,xd table."""
-    _, cells = _read_table(path, ("label", "x1"))
-    return cells[:, 1:], cells[:, 0]
-
-
-def _write_ranking_csv(qpath: str, lpath: str, data: RankingDataset):
-    _write_table(qpath, query_id=np.arange(data.m), **_x_columns(data.features))
-    lengths = [len(lst) for lst in data.rel_lists]
-    _write_table(
-        lpath,
-        query_id=np.repeat(np.arange(data.m), lengths),
-        rank=np.concatenate([np.arange(k) for k in lengths]),
-        item_id=np.concatenate(data.rel_lists),
-    )
-
-
-def _read_ranking(qpath: str, lpath: str) -> RankingDataset:
-    """Queries (query_id,x1,...,xp) and their ranked items (query_id,rank,item_id)."""
-    from .ltrloss import RankingDataset
-
-    _, queries = _read_table(qpath, ("query_id", "x1"))
-    m = queries.shape[0]
-    if not np.array_equal(queries[:, 0], np.arange(m)):
-        raise DataError(f"{qpath}: query_id must be 0..m-1 in order")
-    _, labels = _read_table(lpath, ("query_id", "rank", "item_id"))
-    query, rank, item = _ids(lpath, labels[:, :3]).T
-    if query.max() >= m:
-        raise DataError(f"{lpath}: unknown query_id {query.max()}")
-    order = np.lexsort((rank, query))
-    query, rank, item = query[order], rank[order], item[order]
-    starts = np.searchsorted(query, np.arange(m + 1))
-    if not np.array_equal(rank, np.arange(rank.size) - starts[query]):
-        raise DataError(f"{lpath}: each query's ranks must be 0..k-1")
-    lists = tuple(tuple(item[a:b].tolist()) for a, b in zip(starts[:-1], starts[1:]))
-    return RankingDataset(features=queries[:, 1:], rel_lists=lists, n_items=int(item.max()) + 1)
-
-
-def _write_edges(path: str, graph: Graph):
-    with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
-
-
-def _read_edges(path: str) -> Graph:
-    """Whitespace-separated 'u v' lines; '#' starts a comment."""
-    from .embedloss import Graph
-
-    pairs = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not a text file") from None
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
-    if not pairs:
-        raise DataError(f"{path}: no edges")
-    n = max(max(u, v) for u, v in pairs) + 1
-    return Graph(n=n, edges=np.array(pairs, dtype=np.int64))
-
-
-def _read_scores_csv(path: str, column: str):
-    """Object ids, test ids and one score column of a score table.
-
-    Each (object_id, test_id) pair may appear once.
-    """
-    header, cells = _read_table(path, ("object_id", "test_id"))
-    if column not in header:
-        raise DataError(f"{path}: no {column} column")
-    ids = _ids(path, cells[:, :2])
-    pairs = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
-    if np.any(np.all(pairs[1:] == pairs[:-1], axis=1)):
-        raise DataError(f"{path}: duplicate (object_id, test_id) rows")
-    return ids[:, 0], ids[:, 1], cells[:, header.index(column)]
-
-
 def _split_survival(full: SurvivalDataset, n: int):
     from .coxloss import SurvivalDataset
 
@@ -474,7 +285,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg)
     paths = _data_paths(cfg)
     if scenario == "cox":
-        from .harness import synth_survival
+        from .synth import synth_survival
 
         theta_star = np.asarray(s.get("theta_star", _default_theta_star(s["d"])))
         full = synth_survival(
@@ -485,9 +296,9 @@ def cmd_synth(args) -> int:
             seed=seed,
         )
         for path, part in zip(paths, _split_survival(full, s["n"])):
-            _write_table(path, y=part.y, delta=part.delta, **_x_columns(part.x))
+            files.write_survival(path, part)
     elif scenario == "ltr":
-        from .harness import synth_ranking
+        from .synth import synth_ranking
         from .ltrloss import RankingDataset
 
         full = synth_ranking(
@@ -503,29 +314,29 @@ def cmd_synth(args) -> int:
             rel_lists=full.rel_lists[s["m"] :],
             n_items=s["n"],
         )
-        _write_ranking_csv(paths[0], paths[1], train_part)
-        _write_ranking_csv(paths[2], paths[3], test_part)
+        files.write_ranking(paths[0], paths[1], train_part)
+        files.write_ranking(paths[2], paths[3], test_part)
     elif scenario == "embed":
-        from .harness import synth_graph
+        from .synth import synth_graph
 
         g = synth_graph(
             n=s.get("n"), edge_prob=s.get("edge_prob"), seed=seed, preset=s.get("preset")
         )
-        _write_edges(paths[0], g)
+        files.write_edges(paths[0], g)
     else:
-        from .harness import logistic_fixture
+        from .logisticloss import logistic_fixture
 
         full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
         labels = full.labels.astype(np.int64)
         for path, rows in zip(paths, (slice(None, s["n"]), slice(s["n"], None))):
-            _write_table(path, label=labels[rows], **_x_columns(full.x[rows]))
+            files.write_points(path, full.x[rows], labels[rows])
     meta = {
         "config_hash": config_hash(cfg),
         "scenario": scenario,
         "seed": seed,
         "files": [os.path.basename(p) for p in paths],
     }
-    _write_json(os.path.join(out, "synth_meta.json"), meta)
+    files.write_json(os.path.join(out, "synth_meta.json"), meta)
     log.info("synthesized %s dataset into %s", scenario, out)
     print(f"wrote {len(paths)} dataset file(s) to {out}")
     return 0
@@ -537,11 +348,36 @@ def _held_out(path: str, fits: bool, why: str):
         raise DataError(f"{path}: {why}")
 
 
+def _object_count(cfg: dict) -> int | None:
+    """The items (ltr) or nodes (embed) of a run that `synth` wrote under
+    this config: synth.n, or the karate club's 34 nodes, whether or not the
+    data names every one.  None for any other data, a data section or tables
+    put in the run directory by hand, where the readers take the largest
+    id + 1."""
+    if cfg.get("data") is not None:
+        return None
+    try:
+        meta = files.read_meta(cfg["out"], "synth_meta.json")
+    except DataError:  # no synth record: the tables did not come from synth
+        return None
+    if not isinstance(meta, dict) or meta.get("config_hash") != config_hash(cfg):
+        return None
+    s = _section(cfg, "synth")
+    if cfg["scenario"] == "embed" and s.get("preset") is not None:
+        from .synth import KARATE_NODES
+
+        return KARATE_NODES
+    return s.get("n")
+
+
 def build_model(cfg: dict):
     """Model plus the target list implied by the scenario's test artifacts.
 
-    Each held-out table is checked against the training data, so a table
-    that no target can use is a DataError naming the file.
+    The ltr items and embed nodes of a synthesized run are the synth
+    config's (_object_count), otherwise 0 up to the largest id in the
+    training data; an id outside them is a DataError naming the file.  Each
+    held-out table is checked against the training data, so a table that no
+    target can use is a DataError naming the file.
     """
     scenario, m = cfg["scenario"], _section(cfg, "model")
     paths = _data_paths(cfg)
@@ -549,21 +385,18 @@ def build_model(cfg: dict):
     if scenario == "cox":
         from .coxloss import CoxModel, relative_risk_target
 
-        data = _read_survival(paths[0])
-        test = _read_survival(paths[1])
+        data = files.read_survival(paths[0])
+        test = files.read_survival(paths[1])
         _held_out(paths[1], test.d == data.d, f"{test.d} features, training data has {data.d}")
         model = CoxModel(data)
         targets = [relative_risk_target(row) for row in test.x]
     elif scenario == "ltr":
         from .ltrloss import ListMLEModel, query_loss_target
 
-        data = _read_ranking(paths[0], paths[1])
-        test = _read_ranking(paths[2], paths[3])
+        data = files.read_ranking(paths[0], paths[1], _object_count(cfg))
+        # an item of labels_test.csv outside the training items is a DataError
+        test = files.read_ranking(paths[2], paths[3], data.n_items)
         _held_out(paths[2], test.p == data.p, f"{test.p} features, training data has {data.p}")
-        _held_out(
-            paths[3], test.n_items <= data.n_items,
-            f"item {test.n_items - 1} is outside the training items [0, {data.n_items})",
-        )
         model = ListMLEModel(data, l2=m.get("l2", 0.0))
         targets = [
             query_loss_target(model, test.features[q], test.rel_lists[q])
@@ -572,7 +405,7 @@ def build_model(cfg: dict):
     elif scenario == "embed":
         from .embedloss import EmbedModel, WalkParams, pair_loss_target
 
-        graph = _read_edges(paths[0])
+        graph = files.read_edges(paths[0], _object_count(cfg))
         walks = WalkParams(
             walks_per_node=m["walks_per_node"],
             walk_length=m["walk_length"],
@@ -582,10 +415,10 @@ def build_model(cfg: dict):
         model = EmbedModel(graph, k=m["k"], walk_params=walks)
         targets = [pair_loss_target(model, int(u), int(v)) for u, v in graph.edges]
     else:
-        from .harness import LogisticModel, LogLossTarget
+        from .logisticloss import LogisticModel, LogLossTarget
 
-        x, labels = _read_points(paths[0])
-        xt, lt = _read_points(paths[1])
+        x, labels = files.read_points(paths[0])
+        xt, lt = files.read_points(paths[1])
         d, dt = x.shape[1], xt.shape[1]
         _held_out(paths[1], dt == d, f"{dt} features, training data has {d}")
         _held_out(paths[1], np.all(np.isin(lt, (-1.0, 1.0))), "labels must be -1 or +1")
@@ -612,35 +445,6 @@ def _objects(cfg: dict, model) -> list[int]:
     return sel
 
 
-def write_checkpoint(path: str, theta: np.ndarray, layout: dict, extra: dict):
-    header = dict(extra)
-    header["format"] = "vif-checkpoint-v1"
-    header["dim"] = int(theta.shape[0])
-    header["layout"] = {k: [int(a), int(b)] for k, (a, b) in layout.items()}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode())
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(theta, dtype="<f8").tobytes())
-
-
-def read_checkpoint(path: str):
-    try:
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"checkpoint not found: {path}; run `vif train` first") from None
-    try:
-        header = json.loads(header_line)
-    except ValueError:  # undecodable bytes or malformed JSON
-        raise DataError(f"{path}: corrupt checkpoint header") from None
-    if not isinstance(header, dict) or header.get("format") != "vif-checkpoint-v1":
-        raise DataError(f"{path}: not a recognized checkpoint")
-    if len(blob) % 8 or len(blob) // 8 != header.get("dim"):
-        raise DataError(f"{path}: payload length does not match header dim")
-    return np.frombuffer(blob, dtype="<f8").astype(np.float64), header
-
-
 def cmd_train(args) -> int:
     from .losscore import PresenceVector, train
 
@@ -650,8 +454,8 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     ones = PresenceVector.all_ones(model.n_objects)
     res = train(model, ones, tc)
-    path = os.path.join(out, CHECKPOINT_NAME)
-    write_checkpoint(
+    path = os.path.join(out, files.CHECKPOINT_NAME)
+    files.write_checkpoint(
         path,
         res.theta,
         model.layout,
@@ -673,8 +477,8 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_for(cfg: dict, model):
-    path = os.path.join(cfg["out"], CHECKPOINT_NAME)
-    theta, header = read_checkpoint(path)
+    path = os.path.join(cfg["out"], files.CHECKPOINT_NAME)
+    theta, header = files.read_checkpoint(path)
     want = config_hash(cfg)
     if header.get("config_hash") != want:
         raise ConfigError(
@@ -688,13 +492,6 @@ def _load_checkpoint_for(cfg: dict, model):
     if not np.all(np.isfinite(theta)):
         raise DataError(f"{path}: non-finite parameters")
     return theta, header
-
-
-def _write_json(path: str, obj) -> None:
-    """Write obj as indented JSON with sorted keys and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_attribute(args) -> int:
@@ -712,7 +509,7 @@ def cmd_attribute(args) -> int:
     start = time.perf_counter()
     # the scores are formed chunk by chunk as the table is written
     _write_records_csv(
-        os.path.join(out, INFLUENCES_NAME), result.objects, np.arange(len(targets)),
+        os.path.join(out, files.INFLUENCES_NAME), result.objects, np.arange(len(targets)),
         vif=result, loo=None,
     )
     meta = {
@@ -726,10 +523,10 @@ def cmd_attribute(args) -> int:
         "solver": result.solver,
         **result.details,
     }
-    _write_json(os.path.join(out, "attribute_meta.json"), meta)
+    files.write_json(os.path.join(out, "attribute_meta.json"), meta)
     log.info("attributed %d objects x %d targets in %.3fs", len(objects), len(targets), runtime)
     rows = len(objects) * len(targets)
-    print(f"wrote {os.path.join(out, INFLUENCES_NAME)} ({rows} rows, {runtime:.3f}s)")
+    print(f"wrote {os.path.join(out, files.INFLUENCES_NAME)} ({rows} rows, {runtime:.3f}s)")
     return 0
 
 
@@ -750,7 +547,7 @@ def cmd_loo(args) -> int:
     result = loo_retrain(model, tc, objects, targets, full_result=full, jobs=cfg["jobs"])
     runtime = time.perf_counter() - start
     k, n_targets = result.deltas.shape
-    path = os.path.join(out, LOO_NAME)
+    path = os.path.join(out, files.LOO_NAME)
     # scores in the influence convention, f(full) - f(drop i): negated deltas
     start = time.perf_counter()
     _write_records_csv(path, result.objects, np.arange(n_targets), loo=-result.deltas)
@@ -772,24 +569,13 @@ def cmd_loo(args) -> int:
         # retrains per lockstep group; empty when each retrained on its own
         "group_rows": result.group_rows.tolist(),
     }
-    _write_json(os.path.join(out, "loo_meta.json"), meta)
+    files.write_json(os.path.join(out, "loo_meta.json"), meta)
     log.info("retrained %d times in %.3fs", k, runtime)
     print(
         f"wrote {path} ({result.deltas.size} rows, {runtime:.3f}s, "
         f"{n_converged}/{k} retrains converged)"
     )
     return 0
-
-
-def _read_meta(out: str, name: str) -> dict:
-    path = os.path.join(out, name)
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (FileNotFoundError, NotADirectoryError):  # no such file, or out is not a directory
-        raise DataError(f"missing {path}; run the corresponding stage first") from None
-    except json.JSONDecodeError:
-        raise DataError(f"{path}: corrupt JSON") from None
 
 
 def cmd_compare(args) -> int:
@@ -801,8 +587,8 @@ def cmd_compare(args) -> int:
         out = load_config(args)["out"]
     if out is None:
         raise ConfigError("output directory is required (--out or config file)")
-    vif_meta = _read_meta(out, "attribute_meta.json")
-    loo_meta = _read_meta(out, "loo_meta.json")
+    vif_meta = files.read_meta(out, "attribute_meta.json")
+    loo_meta = files.read_meta(out, "loo_meta.json")
     hashes = {vif_meta.get("config_hash"), loo_meta.get("config_hash")}
     if len(hashes) != 1:
         if not args.force:
@@ -811,8 +597,9 @@ def cmd_compare(args) -> int:
                 f"({sorted(hashes)}); rerun the stale stage or pass --force"
             )
         log.warning("config hash mismatch overridden by --force")
-    vif_obj, vif_test, vif_score = _read_scores_csv(os.path.join(out, INFLUENCES_NAME), "vif")
-    loo_obj, loo_test, loo_score = _read_scores_csv(os.path.join(out, LOO_NAME), "loo")
+    influences = os.path.join(out, files.INFLUENCES_NAME)
+    vif_obj, vif_test, vif_score = files.read_scores(influences, "vif")
+    loo_obj, loo_test, loo_score = files.read_scores(os.path.join(out, files.LOO_NAME), "loo")
     # both files as objects x tests tables over the distinct ids they name
     objects, obj_at = np.unique(np.concatenate([vif_obj, loo_obj]), return_inverse=True)
     tests, test_at = np.unique(np.concatenate([vif_test, loo_test]), return_inverse=True)
@@ -829,13 +616,11 @@ def cmd_compare(args) -> int:
         config=vif_meta.get("config", {}),
     )
     # one row per cell with a vif score
-    _write_records_csv(
-        os.path.join(out, INFLUENCES_NAME), objects, tests, keep=~np.isnan(vif), vif=vif, loo=loo
-    )
+    _write_records_csv(influences, objects, tests, keep=~np.isnan(vif), vif=vif, loo=loo)
     summary = asdict(report)
     summary["config_hash"] = vif_meta.get("config_hash")
     summary["created_utc"] = datetime.now(timezone.utc).isoformat()
-    _write_json(os.path.join(out, SUMMARY_NAME), summary)
+    files.write_json(os.path.join(out, files.SUMMARY_NAME), summary)
     print(
         f"pearson_r={report.pearson_r:.6f} over {report.n_pairs} pairs"
         + (
@@ -875,7 +660,7 @@ def cmd_check(args) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if "out" in cfg:
-        _write_json(os.path.join(_out_dir(cfg), "check_report.json"), report)
+        files.write_json(os.path.join(_out_dir(cfg), "check_report.json"), report)
     return 0
 
 

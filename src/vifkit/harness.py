@@ -1,4 +1,4 @@
-"""Experiment harness: synthetic data, brute-force leave-one-out, comparison.
+"""Experiment harness: brute-force leave-one-out and comparison.
 
 The leave-one-out oracle retrains from scratch per dropped object under the
 same configuration (in lockstep groups where the model batches its drop-one
@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import DataError, DegenerateInputError
+from .errors import DegenerateInputError
 from .losscore import (
-    DecomposableLoss,
     LossModel,
     PresenceVector,
-    TargetFunction,
     TrainConfig,
     TrainResult,
     derive_seed,
@@ -31,237 +29,6 @@ from .losscore import (
     train_drop_one,
 )
 from . import numkit
-
-# Each loss module is imported by the generator that needs it, so a stage
-# loads only its own scenario's; these names are for annotations.
-if TYPE_CHECKING:
-    from .coxloss import SurvivalDataset
-    from .embedloss import Graph
-    from .ltrloss import RankingDataset
-
-# Zachary's karate club: 34 nodes, 78 edges.
-KARATE_EDGES = (
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
-    (0, 10), (0, 11), (0, 12), (0, 13), (0, 17), (0, 19), (0, 21), (0, 31),
-    (1, 2), (1, 3), (1, 7), (1, 13), (1, 17), (1, 19), (1, 21), (1, 30),
-    (2, 3), (2, 7), (2, 8), (2, 9), (2, 13), (2, 27), (2, 28), (2, 32),
-    (3, 7), (3, 12), (3, 13), (4, 6), (4, 10), (5, 6), (5, 10), (5, 16),
-    (6, 16), (8, 30), (8, 32), (8, 33), (9, 33), (13, 33), (14, 32), (14, 33),
-    (15, 32), (15, 33), (18, 32), (18, 33), (19, 33), (20, 32), (20, 33),
-    (22, 32), (22, 33), (23, 25), (23, 27), (23, 29), (23, 32), (23, 33),
-    (24, 25), (24, 27), (24, 31), (25, 31), (26, 29), (26, 33), (27, 33),
-    (28, 31), (28, 33), (29, 32), (29, 33), (30, 32), (30, 33), (31, 32),
-    (31, 33), (32, 33),
-)
-
-
-def synth_survival(
-    n: int, d: int, theta_star, censor_rate: float = 0.0, seed: int = 0
-) -> SurvivalDataset:
-    """Exponential survival times with hazard exp(theta* . x) and independent
-    exponential censoring calibrated to the requested censoring fraction."""
-    from .coxloss import SurvivalDataset
-
-    if not 0 <= censor_rate < 1:
-        raise ValueError("censor_rate must be in [0, 1)")
-    theta_star = np.ascontiguousarray(theta_star, dtype=np.float64)
-    if theta_star.shape != (d,):
-        raise ValueError("theta_star must have length d")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    # a large theta_star overflows or underflows here; the check below refuses
-    # it, and no numpy warning reaches stderr ahead of the error
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        rate = np.exp(x @ theta_star)
-        t_event = rng.exponential(1.0, n) / rate
-    if not np.all((rate > 0) & np.isfinite(rate) & np.isfinite(t_event)):
-        raise DataError(
-            "non-finite values in survival data: theta_star puts a planted rate "
-            "exp(x . theta_star) or an event time out of floating-point range"
-        )
-    if censor_rate == 0.0:
-        y = t_event
-        delta = np.ones(n, dtype=np.int64)
-    else:
-        # P(C < T | x) = c / (c + rate); calibrate c by bisection on the mean
-        lo, hi = 1e-12, 1e12
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            if np.mean(mid / (mid + rate)) < censor_rate:
-                lo = mid
-            else:
-                hi = mid
-        t_cens = rng.exponential(1.0, n) / lo
-        delta = (t_event <= t_cens).astype(np.int64)
-        y = np.minimum(t_event, t_cens)
-    # continuous times are almost surely tie-free; nudge defensively anyway
-    _nudge_ties(y)
-    return SurvivalDataset(x=x, y=y, delta=delta)
-
-
-def _nudge_ties(y: np.ndarray) -> None:
-    """Scale every tied value of y but the first in index order by 1 + 1e-12,
-    in place, until no tie is left or no nudge moves one (0 and inf do not
-    move, and SurvivalDataset refuses the ties or the infinities left)."""
-    while True:
-        order = np.argsort(y, kind="stable")
-        tied = order[1:][y[order[1:]] == y[order[:-1]]]
-        nudged = y[tied] * (1.0 + 1e-12)
-        if not np.any(nudged != y[tied]):
-            return
-        y[tied] = nudged
-
-
-def synth_ranking(m: int, n: int, k: int, p: int, seed: int = 0) -> RankingDataset:
-    """Queries with relevance lists given by the top-k scores of a planted W*."""
-    from .ltrloss import RankingDataset
-
-    if k > n:
-        raise ValueError("list length k cannot exceed the item universe")
-    rng = np.random.default_rng(seed)
-    feats = rng.standard_normal((m, p))
-    w_star = rng.standard_normal((n, p))
-    lists = []
-    for x in feats:
-        scores = w_star @ x + 0.1 * rng.standard_normal(n)
-        top = np.argsort(-scores, kind="stable")[:k]
-        lists.append(tuple(int(t) for t in top))
-    return RankingDataset(features=feats, rel_lists=tuple(lists), n_items=n)
-
-
-def synth_graph(
-    n: int | None = None,
-    edge_prob: float | None = None,
-    seed: int = 0,
-    preset: str | None = None,
-) -> Graph:
-    """Erdos-Renyi graph, or the karate preset (34 nodes, 78 edges)."""
-    from .embedloss import Graph
-
-    if preset is not None:
-        if preset != "karate":
-            raise ValueError(f"unknown preset {preset!r}")
-        g = Graph(n=34, edges=np.array(KARATE_EDGES, dtype=np.int64))
-        if g.n != 34 or g.n_edges != 78:
-            raise DataError("karate preset failed its shape check")
-        return g
-    if n is None or edge_prob is None:
-        raise ValueError("n and edge_prob are required without a preset")
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < edge_prob
-    return Graph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1))
-
-
-class LogisticModel(LossModel, DecomposableLoss):
-    """Ridge-regularized logistic regression, decomposable by construction.
-
-    Per-point loss l_i = log(1 + exp(-y_i theta.x_i)) + (reg/2n)|theta|^2
-    with labels y in {-1, +1}; the same object doubles as the decomposable
-    view for the classical influence and, via presence masking, as a sum-form
-    loss for the versatile influence.
-    """
-
-    is_convex = True
-
-    def __init__(self, x: np.ndarray, labels: np.ndarray, reg: float = 1e-3):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        labels = np.ascontiguousarray(labels, dtype=np.float64)
-        if x.ndim != 2 or labels.shape != (x.shape[0],):
-            raise DataError("x must be (n, d) with one label per row")
-        if not np.all(np.isfinite(x)):
-            raise DataError("non-finite feature values")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise DataError("labels must be -1 or +1")
-        if reg < 0:
-            raise ValueError("reg must be >= 0")
-        self.x = x
-        self.labels = labels
-        self.reg = float(reg)
-
-    @property
-    def n_objects(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def _margins(self, theta, idx):
-        return self.labels[idx] * (self.x[idx] @ theta)
-
-    def _slopes(self, theta, idx):
-        """d l_i / d(theta.x_i) = -y_i / (1 + exp(z_i)) for the objects in idx."""
-        return -self.labels[idx] / (1.0 + np.exp(self._margins(theta, idx)))
-
-    def _curvatures(self, theta, idx):
-        """d^2 l_i / d(theta.x_i)^2 = s_i (1 - s_i), s_i = sigmoid(z_i), for idx."""
-        s = 1.0 / (1.0 + np.exp(-self._margins(theta, idx)))
-        return s * (1.0 - s)
-
-    def value(self, theta, b):
-        idx = b.present_indices()
-        z = self._margins(theta, idx)
-        # log(1 + exp(-z)) evaluated stably
-        val = np.logaddexp(0.0, -z).sum()
-        val += 0.5 * self.reg * (idx.size / self.n_objects) * float(theta @ theta)
-        return float(val)
-
-    def gradient(self, theta, b):
-        return self.term_gradient_sum(theta, b, np.arange(b.count))
-
-    def hessian(self, theta, b):
-        idx = b.present_indices()
-        w = self._curvatures(theta, idx)
-        h = (self.x[idx] * w[:, None]).T @ self.x[idx]
-        return h + self.reg * (idx.size / self.n_objects) * np.eye(self.dim)
-
-    def num_terms(self, b):
-        return b.count
-
-    def per_term_hvp(self, j, theta, b, v):
-        i = b.present_indices()[j]
-        w = self._curvatures(theta, i)
-        xv = self.x[i] @ v  # a scalar, or one entry per column of a block
-        return np.multiply.outer(w * self.x[i], xv) + (self.reg / self.n_objects) * v
-
-    def term_gradient_sum(self, theta, b, idx_terms):
-        idx = b.present_indices()[np.asarray(idx_terms, dtype=np.int64)]
-        g = self._slopes(theta, idx) @ self.x[idx]
-        return g + self.reg * (idx.size / self.n_objects) * theta
-
-    def point_gradients(self, theta):
-        coef = self._slopes(theta, slice(None))
-        return coef[:, None] * self.x + (self.reg / self.n_objects) * theta[None, :]
-
-
-class LogLossTarget(TargetFunction):
-    """Logistic test loss of one held-out point."""
-
-    def __init__(self, x_test, label: float):
-        self.x_test = np.ascontiguousarray(x_test, dtype=np.float64)
-        if label not in (-1.0, 1.0):
-            raise ValueError("label must be -1 or +1")
-        self.label = float(label)
-
-    def value(self, theta):
-        return float(np.logaddexp(0.0, -self.label * (theta @ self.x_test)))
-
-    def gradient(self, theta):
-        z = self.label * (theta @ self.x_test)
-        return -self.label / (1.0 + np.exp(z)) * self.x_test
-
-
-def logistic_fixture(
-    n: int, d: int, seed: int = 0, reg: float = 1e-3
-) -> LogisticModel:
-    """Seeded synthetic logistic regression problem."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    w = rng.standard_normal(d)
-    probs = 1.0 / (1.0 + np.exp(-(x @ w)))
-    labels = np.where(rng.random(n) < probs, 1.0, -1.0)
-    return LogisticModel(x=x, labels=labels, reg=reg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -413,20 +413,25 @@ def _train_first_order(cfg, theta, gradient, n_terms=None):
     return theta
 
 
+def _difference_error(exact: np.ndarray, f, theta: np.ndarray, h: float) -> float:
+    """Max abs deviation of exact from the central differences of f, relative
+    to exact's max magnitude (floored at 1e-8).  Entry j of the last axis
+    differences f at theta +- h e_j."""
+    fd = np.empty_like(exact)
+    for j in range(theta.shape[0]):
+        e = np.zeros_like(theta)
+        e[j] = h
+        fd[..., j] = (f(theta + e) - f(theta - e)) / (2 * h)
+    return float(np.abs(exact - fd).max() / (float(np.abs(exact).max()) + 1e-8))
+
+
 def check_gradient(
     model: LossModel, theta: np.ndarray, b: PresenceVector, h: float = 1e-5
 ) -> float:
     """Max abs deviation between analytic and central-difference gradient,
     relative to the gradient's max magnitude (floored at 1e-8)."""
     theta = np.asarray(theta, dtype=np.float64)
-    g = model.gradient(theta, b)
-    fd = np.empty_like(g)
-    for j in range(theta.shape[0]):
-        e = np.zeros_like(theta)
-        e[j] = h
-        fd[j] = (model.value(theta + e, b) - model.value(theta - e, b)) / (2 * h)
-    denom = max(float(np.abs(g).max()), 0.0) + 1e-8
-    return float(np.abs(g - fd).max() / denom)
+    return _difference_error(model.gradient(theta, b), lambda t: model.value(t, b), theta, h)
 
 
 def check_hessian(
@@ -434,11 +439,4 @@ def check_hessian(
 ) -> float:
     """Same as check_gradient but for the Hessian, differencing the gradient."""
     theta = np.asarray(theta, dtype=np.float64)
-    hess = model.hessian(theta, b)
-    fd = np.empty_like(hess)
-    for j in range(theta.shape[0]):
-        e = np.zeros_like(theta)
-        e[j] = h
-        fd[:, j] = (model.gradient(theta + e, b) - model.gradient(theta - e, b)) / (2 * h)
-    denom = max(float(np.abs(hess).max()), 0.0) + 1e-8
-    return float(np.abs(hess - fd).max() / denom)
+    return _difference_error(model.hessian(theta, b), lambda t: model.gradient(t, b), theta, h)

@@ -22,16 +22,8 @@ from vifkit.attributor import (
 )
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset, reid_if
 from vifkit.embedloss import EmbedModel, WalkParams, pair_loss_target
-from vifkit.harness import (
-    LogisticModel,
-    brute_force_repeat,
-    compare,
-    logistic_fixture,
-    loo_retrain,
-    synth_graph,
-    synth_ranking,
-    synth_survival,
-)
+from vifkit.harness import brute_force_repeat, compare, loo_retrain
+from vifkit.logisticloss import LogisticModel, logistic_fixture
 from vifkit.losscore import (
     PresenceVector,
     TrainConfig,
@@ -41,6 +33,7 @@ from vifkit.losscore import (
 )
 from vifkit.ltrloss import ListMLEModel, RankingDataset, query_loss_target
 from vifkit.numkit import pearson
+from vifkit.synth import synth_graph, synth_ranking, synth_survival
 
 THETA_STAR = (1.0, -0.5, 0.25)
 

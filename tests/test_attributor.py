@@ -19,7 +19,8 @@ from vifkit.attributor import (
 from vifkit.coxloss import CoxModel
 from vifkit.embedloss import EmbedModel, Graph, WalkParams
 from vifkit.errors import UnrealizableMixtureError
-from vifkit.harness import logistic_fixture, synth_survival
+from vifkit.logisticloss import logistic_fixture
+from vifkit.synth import synth_survival
 from vifkit.losscore import LossModel, PresenceVector, TrainConfig, train
 from vifkit.numkit import cg_solve, factor_spd, lissa_solve, solve_spd
 

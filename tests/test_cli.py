@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import LinearTarget, subprocess_env
-from vifkit import _rows, cli, harness
+from vifkit import cli, files, harness, logisticloss
 from vifkit.attributor import attribute_target
-from vifkit.cli import main, read_checkpoint, write_checkpoint
+from vifkit.cli import main
 from vifkit.errors import DataError
-from vifkit.harness import synth_graph
+from vifkit.files import read_checkpoint, write_checkpoint
 from vifkit.losscore import PresenceVector, TrainConfig, train
+from vifkit.synth import synth_graph
 
 
 def run(capsys, *argv):
@@ -146,7 +147,7 @@ class TestInfluenceTable:
         assert written.splitlines()[8].endswith(b",")
 
     def test_bulk_writer_matches_row_writer(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_rows, "CHUNK_ROWS", 4)  # several chunks
+        monkeypatch.setattr(files, "CHUNK_ROWS", 4)  # several chunks
         rng = np.random.default_rng(0)
         ids = np.repeat(np.arange(5), 3)
         tids = np.tile(np.arange(3), 5)
@@ -158,8 +159,8 @@ class TestInfluenceTable:
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         objects, tests = np.arange(5), np.arange(3)
         for loo_col, with_loo in ((None, False), (loo, True)):
-            cli._write_records_csv(str(got), objects, tests, vif=vif.reshape(5, 3),
-                                   loo=None if loo_col is None else loo_col.reshape(5, 3))
+            files.write_scores(str(got), objects, tests, vif=vif.reshape(5, 3),
+                               loo=None if loo_col is None else loo_col.reshape(5, 3))
             records = [
                 (int(o), int(t), float(v), float(lv) if with_loo else None)
                 for o, t, v, lv in zip(ids, tids, vif, loo)
@@ -167,7 +168,7 @@ class TestInfluenceTable:
             reference_records_csv(want, INFLUENCE_HEADER, records)
             assert got.read_bytes() == want.read_bytes()
         # loo.csv: the header follows the named columns
-        cli._write_records_csv(str(got), objects, tests, loo=loo.reshape(5, 3))
+        files.write_scores(str(got), objects, tests, loo=loo.reshape(5, 3))
         reference_records_csv(want, ["object_id", "test_id", "loo"],
                               [(int(o), int(t), float(lv)) for o, t, lv in zip(ids, tids, loo)])
         assert got.read_bytes() == want.read_bytes()
@@ -175,7 +176,7 @@ class TestInfluenceTable:
     @pytest.mark.parametrize("with_loo", [False, True])
     def test_matrix_writer_matches_row_writer(self, tmp_path, monkeypatch, with_loo):
         # 4 object rows of T=5 per chunk of 20 cells; T=1 and k=1 tables too
-        monkeypatch.setattr(_rows, "CHUNK_ROWS", 20)
+        monkeypatch.setattr(files, "CHUNK_ROWS", 20)
         rng = np.random.default_rng(2)
         special = [np.nan, -0.0, np.inf, -np.inf, 1e300, 1e-300, -1e300, -1e-300]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -189,8 +190,8 @@ class TestInfluenceTable:
             for edge in (4, 20, 40):
                 run = np.arange(edge - 4, edge + 4) % vif.size
                 vif[run], loo[run] = special, special[:1] + special[:0:-1]
-            cli._write_records_csv(str(got), objects, tests, vif=vif.reshape(k, n_tests),
-                                   loo=loo.reshape(k, n_tests) if with_loo else None)
+            files.write_scores(str(got), objects, tests, vif=vif.reshape(k, n_tests),
+                               loo=loo.reshape(k, n_tests) if with_loo else None)
             reference_records_csv(want, INFLUENCE_HEADER, [
                 (int(o), int(t), float(v), float(lv) if with_loo else None)
                 for (o, t), v, lv in zip(itertools.product(objects, tests), vif, loo)
@@ -198,7 +199,7 @@ class TestInfluenceTable:
             assert got.read_bytes() == want.read_bytes(), (k, n_tests)
 
     def test_matrix_writer_leaves_out_unkept_cells(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_rows, "CHUNK_ROWS", 6)  # two object rows per chunk
+        monkeypatch.setattr(files, "CHUNK_ROWS", 6)  # two object rows per chunk
         rng = np.random.default_rng(3)
         objects, tests = np.array([1, 4, 9, 2**40, 2**40 + 1]), np.array([0, 2, 7])
         vif, loo = rng.standard_normal((2, 5, 3))
@@ -207,7 +208,7 @@ class TestInfluenceTable:
         keep[4] = False  # an object row with no kept cell
         loo[0, 1] = np.nan
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_records_csv(str(got), objects, tests, keep=keep, vif=vif, loo=loo)
+        files.write_scores(str(got), objects, tests, keep=keep, vif=vif, loo=loo)
         reference_records_csv(want, INFLUENCE_HEADER, [
             (int(objects[i]), int(tests[j]), float(vif[i, j]), float(loo[i, j]))
             for i, j in zip(*np.nonzero(keep))
@@ -219,8 +220,8 @@ class TestInfluenceTable:
         # 4 object rows of T=5 per chunk: 26 objects in 6 full chunks and a
         # 2-row tail.  A NaN target gradient makes its column NaN in every
         # row, so each row then takes the fallback writer.
-        monkeypatch.setattr(_rows, "CHUNK_ROWS", 20)
-        model = harness.logistic_fixture(30, 4, seed=0)
+        monkeypatch.setattr(files, "CHUNK_ROWS", 20)
+        model = logisticloss.logistic_fixture(30, 4, seed=0)
         theta = train(model, PresenceVector.all_ones(30),
                       TrainConfig(optimizer="newton", epochs=50)).theta
         rng = np.random.default_rng(8)
@@ -233,8 +234,8 @@ class TestInfluenceTable:
         assert np.isnan(scores).any() == with_nan
         tests = np.arange(5)
         got, matrix, want = tmp_path / "got.csv", tmp_path / "matrix.csv", tmp_path / "want.csv"
-        cli._write_records_csv(str(got), result.objects, tests, vif=result, loo=None)
-        cli._write_records_csv(str(matrix), result.objects, tests, vif=scores, loo=None)
+        files.write_scores(str(got), result.objects, tests, vif=result, loo=None)
+        files.write_scores(str(matrix), result.objects, tests, vif=scores, loo=None)
         reference_records_csv(want, INFLUENCE_HEADER, [
             (o, t, vif, None)
             for o, row in zip(result.objects.tolist(), scores.tolist())
@@ -246,16 +247,16 @@ class TestInfluenceTable:
         # 1000 x 1000 scores are 8 MB as float64, the 1000 x 5 VIF rows 40 kB;
         # tracing every float the writer formats makes this test take seconds
         k, n_tests = 1000, 1000
-        model = harness.logistic_fixture(k, 5, seed=1)
+        model = logisticloss.logistic_fixture(k, 5, seed=1)
         theta = train(model, PresenceVector.all_ones(k),
                       TrainConfig(optimizer="newton", epochs=20)).theta
         rng = np.random.default_rng(9)
-        targets = [harness.LogLossTarget(x, 1.0) for x in rng.standard_normal((n_tests, 5))]
+        targets = [logisticloss.LogLossTarget(x, 1.0) for x in rng.standard_normal((n_tests, 5))]
         tracemalloc.start()
         try:
             result = attribute_target(model, theta, targets, range(k))
-            cli._write_records_csv(os.devnull, result.objects, np.arange(n_tests),
-                                   vif=result, loo=None)
+            files.write_scores(os.devnull, result.objects, np.arange(n_tests),
+                               vif=result, loo=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -783,11 +784,12 @@ class TestExitCodes:
         for cmd in ("synth", "train"):
             assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
 
-        def full_disk(fh, *args):
-            fh.write("0,0,")
-            raise OSError(28, "No space left on device")
+        def full_disk(path, *args, **kwargs):
+            with open(path, "w") as fh:
+                fh.write("0,0,")
+                raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli, "format_score_rows", full_disk)
+        monkeypatch.setattr(cli, "_write_records_csv", full_disk)
         code, stdout, err = run(capsys, "attribute", "--config", str(cfg_path))
         assert code == 3 and stdout == "" and err.count("\n") == 1
         payload = stderr_payload(err)
@@ -848,18 +850,18 @@ class TestSynthFiles:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"scenario": scenario, "seed": 42, "out": str(out)}))
         assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
-        names = cli._FILES[scenario]
+        names = files.DATASET_FILES[scenario]
         if scenario == "cox":
             for name in names:
-                data = cli._read_survival(str(out / name))
+                data = files.read_survival(str(out / name))
                 row_writer_survival_csv(want / name, data.x, data.y, data.delta)
         elif scenario == "ltr":
             for qname, lname in (names[:2], names[2:]):
-                data = cli._read_ranking(str(out / qname), str(out / lname))
+                data = files.read_ranking(str(out / qname), str(out / lname))
                 row_writer_ranking_csv(want / qname, want / lname, data)
         else:
             for name in names:
-                x, labels = cli._read_points(str(out / name))
+                x, labels = files.read_points(str(out / name))
                 row_writer_points_csv(want / name, x, labels)
         for name in names:
             assert (out / name).read_bytes() == (want / name).read_bytes(), name
@@ -873,9 +875,76 @@ class TestSynthFiles:
         }))
         code, _, err = run(capsys, "synth", "--config", str(cfg_path))
         assert code == 0, err
-        graph = cli._read_edges(str(out / "edges.txt"))
+        graph = files.read_edges(str(out / "edges.txt"))
         want = synth_graph(n=8, edge_prob=0.5, seed=5)
         np.testing.assert_array_equal(graph.edges, want.edges)
+
+
+LABELS = ("query_id", "rank", "item_id")
+
+
+class TestSynthObjectCount:
+    """A synthesized ltr or embed run keeps its synth config's object count,
+    even where the drawn data names fewer ids."""
+
+    def test_ltr_items_are_synth_n(self, capsys, tmp_path):
+        out, cfg_path = tmp_path / "run", tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "ltr", "seed": 3, "out": str(out),
+            "synth": {"m": 4, "n": 40, "k": 3, "p": 2, "n_test": 4},
+        }))
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        # the training lists name items up to 36, a held-out list item 39
+        _, labels = files.read_table(str(out / "labels.csv"), LABELS)
+        _, test_labels = files.read_table(str(out / "labels_test.csv"), LABELS)
+        assert labels[:, 2].max() == 36 and test_labels[:, 2].max() == 39
+        for stage in ("train", "attribute"):
+            code, _, err = run(capsys, stage, "--config", str(cfg_path))
+            assert code == 0, err
+        assert read_checkpoint(str(out / "checkpoint.bin"))[1]["dim"] == 40 * 2
+        meta = json.loads((out / "attribute_meta.json").read_text())
+        assert meta["n_objects"] == 40
+
+        # an item at or beyond synth.n is a data error naming the file
+        (out / "labels_test.csv").write_text("query_id,rank,item_id\n0,0,40\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2 and "labels_test.csv: item 40" in stderr_payload(err)["message"]
+
+        # with a data section the training data's largest item + 1 is the count
+        data = {name.split(".")[0]: str(out / name) for name in files.DATASET_FILES["ltr"]}
+        (out / "labels_test.csv").write_text("query_id,rank,item_id\n0,0,39\n")
+        external = tmp_path / "external.json"
+        external.write_text(json.dumps({
+            "scenario": "ltr", "seed": 3, "out": str(tmp_path / "ext"), "data": data,
+        }))
+        code, _, err = run(capsys, "train", "--config", str(external))
+        message = stderr_payload(err)["message"]
+        assert code == 2 and "labels_test.csv: item 39 is outside the items [0, 37)" in message
+
+    def test_embed_nodes_are_synth_n(self, capsys, tmp_path):
+        out, cfg_path = tmp_path / "run", tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "embed", "seed": 4, "out": str(out),
+            "synth": {"preset": None, "n": 12, "edge_prob": 0.15},
+            "model": {"k": 2, "walks_per_node": 20, "walk_length": 6, "window": 3},
+            "train": {"optimizer": "adam", "learning_rate": 0.05, "epochs": 20},
+        }))
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        # no edge touches nodes 8-11
+        assert files.read_edges(str(out / "edges.txt")).n == 8
+        for stage in ("train", "attribute"):
+            code, _, err = run(capsys, stage, "--config", str(cfg_path))
+            assert code == 0, err
+        model, targets = cli.build_model(run_config(cfg_path, "attribute"))
+        assert model.n_objects == 12 and model.dim == 2 * 12 * 2
+        meta = json.loads((out / "attribute_meta.json").read_text())
+        assert meta["n_objects"] == 12 and meta["n_targets"] == len(targets)
+
+        # a node at or beyond synth.n is a data error naming the file
+        with open(out / "edges.txt", "a") as fh:
+            fh.write("3 12\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2 and "edges.txt: node 12" in stderr_payload(err)["message"]
 
 
 def write_score_run(out, influences, loo):

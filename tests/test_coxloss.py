@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from vifkit import cli, coxloss
+from vifkit import coxloss, files
 from vifkit.coxloss import CoxModel, SurvivalDataset, reid_if, relative_risk_target
 from vifkit.errors import DataError, NoEventsError
-from vifkit.harness import loo_retrain, synth_survival
+from vifkit.harness import loo_retrain
 from vifkit.losscore import PresenceVector, TrainConfig, train
+from vifkit.synth import synth_survival
 
 
 def risk_sets(data, b):
@@ -88,7 +89,7 @@ class TestSurvivalDataset:
             cells += [repr(float(v)) for v in survival40.x[i]]
             rows.append(",".join(cells))
         path.write_text("\n".join(rows) + "\n")
-        loaded = cli._read_survival(path)
+        loaded = files.read_survival(path)
         np.testing.assert_array_equal(loaded.y, survival40.y)
         np.testing.assert_array_equal(loaded.delta, survival40.delta)
         np.testing.assert_array_equal(loaded.x, survival40.x)
@@ -97,7 +98,7 @@ class TestSurvivalDataset:
         path = tmp_path / "bad.csv"
         path.write_text("time,delta,x1\n1.0,1,0.5\n")
         with pytest.raises(DataError):
-            cli._read_survival(path)
+            files.read_survival(path)
 
     def test_without_removes_one_record(self, survival40):
         cut = survival40.without(7)

@@ -17,10 +17,10 @@ from vifkit.embedloss import (
     walks_to_pairs,
 )
 import vifkit.embedloss as embedloss
-from vifkit import cli
+from vifkit import files
 from vifkit.errors import DataError, EmptyGraphError
-from vifkit.harness import synth_graph
 from vifkit.losscore import PresenceVector, TrainConfig, check_gradient, check_hessian, train
+from vifkit.synth import synth_graph
 
 
 def path_graph(n):
@@ -141,7 +141,7 @@ class TestGraph:
     def test_from_edge_list(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("# comment line\n0 1\n\n2 1  # trailing comment\n")
-        g = cli._read_edges(p)
+        g = files.read_edges(p)
         assert g.n == 3 and g.n_edges == 2
         np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
 
@@ -149,7 +149,7 @@ class TestGraph:
         p = tmp_path / "edges.txt"
         p.write_text("0 1 2\n")
         with pytest.raises(DataError):
-            cli._read_edges(p)
+            files.read_edges(p)
 
     def test_without_node_renumbers(self):
         g = Graph(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]]))

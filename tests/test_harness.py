@@ -11,20 +11,14 @@ import pytest
 from dataclasses import replace
 
 from conftest import LinearTarget, QuadraticModel, subprocess_env
-from vifkit import harness, numkit
+from vifkit import harness, numkit, synth
 from vifkit.attributor import attribute_target
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
 from vifkit.errors import DegenerateInputError, NoEventsError
-from vifkit.harness import (
-    brute_force_repeat,
-    compare,
-    logistic_fixture,
-    loo_retrain,
-    synth_graph,
-    synth_ranking,
-    synth_survival,
-)
+from vifkit.harness import brute_force_repeat, compare, loo_retrain
+from vifkit.logisticloss import logistic_fixture
 from vifkit.losscore import PresenceVector, TrainConfig, derive_seed, train
+from vifkit.synth import synth_graph, synth_ranking, synth_survival
 
 
 class TestSynthSurvival:
@@ -60,14 +54,14 @@ class TestSynthSurvival:
         y = rng.choice([0.5, 1.0, 2.0, 3.0], size=40) * (1.0 + np.repeat([0.0, 1e-12], 20))
         want = y.copy()
         reference(want)
-        harness._nudge_ties(y)
+        synth._nudge_ties(y)
         np.testing.assert_array_equal(y, want)
         assert np.unique(y).size == 40
 
     def test_unmovable_ties_end(self):
         # 0 and inf do not move under a nudge; the loop must still stop
         y = np.array([0.0, 1.0, 0.0, np.inf, 1.0, np.inf])
-        harness._nudge_ties(y)
+        synth._nudge_ties(y)
         assert y.tolist() == [0.0, 1.0, 0.0, np.inf, 1.0 + 1e-12, np.inf]
 
     def test_unmovable_ties_end_in_data_error(self):
@@ -76,7 +70,7 @@ class TestSynthSurvival:
         code = (
             "import numpy as np\n"
             "from vifkit.errors import DataError\n"
-            "from vifkit.harness import synth_survival\n"
+            "from vifkit.synth import synth_survival\n"
             "try:\n"
             "    with np.errstate(over='ignore', divide='ignore'):\n"
             "        synth_survival(10, 1, [1e6], censor_rate=0.0, seed=0)\n"

@@ -6,7 +6,7 @@ import pytest
 from conftest import QuadraticModel, count_calls
 from vifkit.coxloss import CoxModel, SurvivalDataset
 from vifkit.errors import NonFiniteError
-from vifkit.harness import logistic_fixture
+from vifkit.logisticloss import logistic_fixture
 from vifkit.losscore import (
     PresenceVector,
     TrainConfig,

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from vifkit import cli
+from vifkit import files
 from vifkit.errors import DataError, NoPresentItemsError
-from vifkit.harness import synth_ranking
 from vifkit.losscore import PresenceVector, check_gradient, check_hessian
 from vifkit.ltrloss import ListMLEModel, RankingDataset, query_loss_target
+from vifkit.synth import synth_ranking
 
 
 def naive_listmle(w, data, present_mask, l2=0.0):
@@ -78,7 +78,7 @@ class TestRankingDataset:
             for rank, item in enumerate(lst):
                 l_rows.append(f"{qi},{rank},{item}")
         lp.write_text("\n".join(l_rows) + "\n")
-        loaded = cli._read_ranking(qp, lp)
+        loaded = files.read_ranking(qp, lp)
         np.testing.assert_array_equal(loaded.features, ranking_data.features)
         assert loaded.rel_lists == ranking_data.rel_lists
 
@@ -88,7 +88,7 @@ class TestRankingDataset:
         qp.write_text("query_id,x1\n0,1.0\n")
         lp.write_text("query_id,rank,item_id\n0,0,0\n0,2,1\n")
         with pytest.raises(DataError):
-            cli._read_ranking(qp, lp)
+            files.read_ranking(qp, lp)
 
 
 class TestListMLEValue:
@@ -185,10 +185,10 @@ class TestListMLEDerivatives:
             d = model.delta_gradients(theta, ids)
             stacked = np.stack([model.delta_gradients(theta, [i])[0] for i in ids])
             assert np.abs(d - stacked).max() <= 1e-12 * np.abs(stacked).max()
-            full = model._query_coefficients(theta, ones)
+            g_full = model.gradient(theta, ones)
             for row, i in enumerate(ids):
-                diff = full - model._query_coefficients(theta, ones.without(i))
-                np.testing.assert_array_equal(d[row], (diff.T @ data.features).ravel())
+                direct = g_full - model.gradient(theta, ones.without(i))
+                np.testing.assert_array_equal(d[row], direct)
 
     def test_delta_gradient_ignores_ridge(self, ranking_data):
         rng = np.random.default_rng(5)

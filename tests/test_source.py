@@ -72,10 +72,15 @@ def test_package_import_loads_no_submodule():
     assert sorted(m for m in loaded if m.startswith("vifkit.")) == []
 
 
+def test_files_import_loads_only_errors():
+    loaded = modules_after("import vifkit.files")
+    assert sorted(m for m in loaded if m.startswith("vifkit.")) == ["vifkit.errors", "vifkit.files"]
+
+
 def test_cli_import_loads_only_its_own_layer():
     loaded = modules_after("import vifkit.cli")
-    unwanted = {f"vifkit.{m}" for m in
-                ("attributor", "coxloss", "embedloss", "harness", "losscore", "ltrloss")}
+    unwanted = {f"vifkit.{m}" for m in ("attributor", "coxloss", "embedloss", "harness",
+                                        "logisticloss", "losscore", "ltrloss", "synth")}
     unwanted |= {"numpy.ma", "concurrent.futures"} | OPENSSL
     assert sorted(loaded & unwanted) == []
 
@@ -110,6 +115,13 @@ def cox_run(tmp_path_factory):
     for stage in ("synth", "train", "attribute"):
         assert main([stage, "--config", str(cfg_path)]) == 0
     return str(cfg_path)
+
+
+def test_cox_synth_loads_no_oracle_or_attributor(cox_run):
+    loaded = run_stage("synth", "--config", cox_run)
+    assert {"vifkit.synth", "vifkit.coxloss"} <= loaded
+    unwanted = {"vifkit.harness", "vifkit.attributor", "vifkit.logisticloss"}
+    assert sorted(loaded & unwanted) == []
 
 
 def test_cox_train_loads_no_other_scenario_or_later_stage(cox_run):
@@ -148,5 +160,6 @@ def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stag
     loaded = run_stage(stage, "--config", cox_run, *argv)
     assert sorted(loaded & ({"numpy.ma", "concurrent.futures", "subprocess"} | OPENSSL)) == []
     if stage == "compare":  # it reads score tables and runs no model
-        losses = {"vifkit.attributor", "vifkit.coxloss", "vifkit.embedloss", "vifkit.ltrloss"}
-        assert sorted(loaded & losses) == []
+        unwanted = {f"vifkit.{m}" for m in ("attributor", "coxloss", "embedloss",
+                                            "logisticloss", "ltrloss", "synth")}
+        assert sorted(loaded & unwanted) == []
