@@ -336,6 +336,10 @@ def cmd_synth(args) -> int:
         "seed": seed,
         "files": [os.path.basename(p) for p in paths],
     }
+    if scenario == "ltr":
+        meta["n_objects"] = s["n"]
+    elif scenario == "embed":
+        meta["n_objects"] = g.n
     files.write_json(os.path.join(out, "synth_meta.json"), meta)
     log.info("synthesized %s dataset into %s", scenario, out)
     print(f"wrote {len(paths)} dataset file(s) to {out}")
@@ -349,25 +353,22 @@ def _held_out(path: str, fits: bool, why: str):
 
 
 def _object_count(cfg: dict) -> int | None:
-    """The items (ltr) or nodes (embed) of a run that `synth` wrote under
-    this config: synth.n, or the karate club's 34 nodes, whether or not the
-    data names every one.  None for any other data, a data section or tables
-    put in the run directory by hand, where the readers take the largest
-    id + 1."""
+    """The items (ltr) or nodes (embed) that `synth` wrote into the run
+    directory (synth_meta.json n_objects), whether or not the data names
+    every one.  None with a data section, or for tables put in the run
+    directory by hand, where the readers take the largest id + 1."""
     if cfg.get("data") is not None:
         return None
-    try:
-        meta = files.read_meta(cfg["out"], "synth_meta.json")
-    except DataError:  # no synth record: the tables did not come from synth
+    path = os.path.join(cfg["out"], "synth_meta.json")
+    if not os.path.isfile(path):  # no synth record: the tables did not come from synth
         return None
-    if not isinstance(meta, dict) or meta.get("config_hash") != config_hash(cfg):
+    meta = files.read_meta(cfg["out"], "synth_meta.json")
+    if not isinstance(meta, dict) or meta.get("scenario") != cfg["scenario"]:
         return None
-    s = _section(cfg, "synth")
-    if cfg["scenario"] == "embed" and s.get("preset") is not None:
-        from .synth import KARATE_NODES
-
-        return KARATE_NODES
-    return s.get("n")
+    n = meta.get("n_objects")
+    if n is not None and not (is_int(n) and n > 0):
+        raise DataError(f"{path}: n_objects must be a positive integer, got {n!r}")
+    return n
 
 
 def build_model(cfg: dict):

@@ -197,6 +197,13 @@ class ListMLEModel(LossModel):
         g[pl.items] = _coefficients(pl.p, pl.lists, pl.valid).T @ pl.x
         return g
 
+    def _query_coefficients(self, theta, b):
+        """(m, n_items) score coefficients of every query, zero where absent."""
+        pl = self._pass(theta, b)
+        c = np.zeros((self.data.m, self.data.n_items))
+        c[np.ix_(pl.rows, pl.items)] = _coefficients(pl.p, pl.lists, pl.valid)
+        return c
+
     def value(self, theta, b):
         theta = np.asarray(theta, dtype=np.float64)
         pl = self._pass(theta, b)
@@ -229,6 +236,22 @@ class ListMLEModel(LossModel):
         # ridge is part of the full objective; spread evenly over terms
         ridge = self.l2 * chosen.sum() / self.data.m
         return self._loss_gradient(theta, b, chosen).ravel() + ridge * np.asarray(theta)
+
+    def delta_gradients(self, theta, ids):
+        """grad L(theta, 1) - grad L(theta, 1_-i) for each i in ids.
+
+        One pass at full presence serves every object, plus one pass without
+        each.  The per-query coefficients are differenced before they are
+        summed over queries, so the result keeps the precision of the small
+        per-query changes; the ridge is presence-independent and drops out.
+        """
+        ones = PresenceVector.all_ones(self.data.n_items)
+        full = self._query_coefficients(theta, ones)
+        out = np.empty((len(ids), self.dim))
+        for row, i in enumerate(ids):
+            diff = full - self._query_coefficients(theta, ones.without(int(i)))
+            out[row] = (diff.T @ self.data.features).ravel()
+        return out
 
 
 class QueryLossTarget(TargetFunction):

@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .ltrloss import RankingDataset
 
 # Zachary's karate club: 34 nodes, 78 edges.
-KARATE_NODES = 34
 KARATE_EDGES = (
     (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
     (0, 10), (0, 11), (0, 12), (0, 13), (0, 17), (0, 19), (0, 21), (0, 31),
@@ -121,7 +120,7 @@ def synth_graph(
     if preset is not None:
         if preset != "karate":
             raise ValueError(f"unknown preset {preset!r}")
-        g = Graph(n=KARATE_NODES, edges=np.array(KARATE_EDGES, dtype=np.int64))
+        g = Graph(n=34, edges=np.array(KARATE_EDGES, dtype=np.int64))
         if g.n != 34 or g.n_edges != 78:
             raise DataError("karate preset failed its shape check")
         return g

@@ -784,16 +784,23 @@ class TestExitCodes:
         for cmd in ("synth", "train"):
             assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
 
-        def full_disk(path, *args, **kwargs):
-            with open(path, "w") as fh:
-                fh.write("0,0,")
+        class FullDisk:
+            """A score column whose rows fail as a full disk would."""
+
+            def __getitem__(self, rows):
                 raise OSError(28, "No space left on device")
+
+        # the real writer opens the table and writes its header first
+        def full_disk(path, objects, tests, keep=None, **scores):
+            files.write_scores(path, objects, tests, keep,
+                               **{k: None if m is None else FullDisk() for k, m in scores.items()})
 
         monkeypatch.setattr(cli, "_write_records_csv", full_disk)
         code, stdout, err = run(capsys, "attribute", "--config", str(cfg_path))
         assert code == 3 and stdout == "" and err.count("\n") == 1
         payload = stderr_payload(err)
         assert payload["error"] == "OSError" and "No space left on device" in payload["message"]
+        assert (out / "influences.csv").read_text() == "object_id,test_id,vif,loo\n"
 
     def test_extreme_theta_star_is_one_json_error(self, tmp_path):
         cfg_path = tmp_path / "c.json"
@@ -884,16 +891,21 @@ LABELS = ("query_id", "rank", "item_id")
 
 
 class TestSynthObjectCount:
-    """A synthesized ltr or embed run keeps its synth config's object count,
-    even where the drawn data names fewer ids."""
+    """A synthesized ltr or embed run keeps the object count synth recorded,
+    even where the drawn data names fewer ids, and whatever the config's
+    model, train and objects sections say after synth."""
 
     def test_ltr_items_are_synth_n(self, capsys, tmp_path):
         out, cfg_path = tmp_path / "run", tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({
+        cfg = {
             "scenario": "ltr", "seed": 3, "out": str(out),
             "synth": {"m": 4, "n": 40, "k": 3, "p": 2, "n_test": 4},
-        }))
+        }
+        cfg_path.write_text(json.dumps(cfg))
         assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        # sections that do not describe the data change the config hash only
+        cfg.update(model={"l2": 0.01}, train={"epochs": 20}, objects=[0, 39])
+        cfg_path.write_text(json.dumps(cfg))
         # the training lists name items up to 36, a held-out list item 39
         _, labels = files.read_table(str(out / "labels.csv"), LABELS)
         _, test_labels = files.read_table(str(out / "labels_test.csv"), LABELS)
@@ -903,7 +915,7 @@ class TestSynthObjectCount:
             assert code == 0, err
         assert read_checkpoint(str(out / "checkpoint.bin"))[1]["dim"] == 40 * 2
         meta = json.loads((out / "attribute_meta.json").read_text())
-        assert meta["n_objects"] == 40
+        assert meta["n_objects"] == 2
 
         # an item at or beyond synth.n is a data error naming the file
         (out / "labels_test.csv").write_text("query_id,rank,item_id\n0,0,40\n")
@@ -923,13 +935,15 @@ class TestSynthObjectCount:
 
     def test_embed_nodes_are_synth_n(self, capsys, tmp_path):
         out, cfg_path = tmp_path / "run", tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({
+        cfg = {
             "scenario": "embed", "seed": 4, "out": str(out),
             "synth": {"preset": None, "n": 12, "edge_prob": 0.15},
             "model": {"k": 2, "walks_per_node": 20, "walk_length": 6, "window": 3},
-            "train": {"optimizer": "adam", "learning_rate": 0.05, "epochs": 20},
-        }))
+        }
+        cfg_path.write_text(json.dumps(cfg))
         assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        cfg["train"] = {"optimizer": "adam", "learning_rate": 0.05, "epochs": 20}
+        cfg_path.write_text(json.dumps(cfg))
         # no edge touches nodes 8-11
         assert files.read_edges(str(out / "edges.txt")).n == 8
         for stage in ("train", "attribute"):
@@ -945,6 +959,13 @@ class TestSynthObjectCount:
             fh.write("3 12\n")
         code, _, err = run(capsys, "train", "--config", str(cfg_path))
         assert code == 2 and "edges.txt: node 12" in stderr_payload(err)["message"]
+
+        # a recorded count that is not a positive integer names synth_meta.json
+        meta = json.loads((out / "synth_meta.json").read_text())
+        assert meta["n_objects"] == 12
+        (out / "synth_meta.json").write_text(json.dumps({**meta, "n_objects": 0}))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2 and "synth_meta.json: n_objects" in stderr_payload(err)["message"]
 
 
 def write_score_run(out, influences, loo):
