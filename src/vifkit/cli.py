@@ -141,8 +141,8 @@ def load_config(args, need_out: bool = True) -> dict:
         cfg["out"] = args.out
     if "seed" not in cfg:
         raise ConfigError("seed is required (config field or --seed)")
-    if not is_int(cfg["seed"]):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    if not is_int(cfg["seed"]) or cfg["seed"] < 0:  # every stream is seeded from it
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     if not is_int(cfg["jobs"]) or cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {cfg['jobs']!r}")
     if need_out and "out" not in cfg:
@@ -363,7 +363,7 @@ def _object_count(cfg: dict) -> int | None:
     if not os.path.isfile(path):  # no synth record: the tables did not come from synth
         return None
     meta = files.read_meta(cfg["out"], "synth_meta.json")
-    if not isinstance(meta, dict) or meta.get("scenario") != cfg["scenario"]:
+    if meta.get("scenario") != cfg["scenario"]:
         return None
     n = meta.get("n_objects")
     if n is not None and not (is_int(n) and n > 0):

@@ -336,8 +336,11 @@ def read_meta(out: str, name: str) -> dict:
     path = os.path.join(out, name)
     try:
         with open(path) as fh:
-            return json.load(fh)
+            meta = json.load(fh)
     except (FileNotFoundError, NotADirectoryError):  # no such file, or out is not a directory
         raise DataError(f"missing {path}; run the corresponding stage first") from None
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, UnicodeDecodeError):
         raise DataError(f"{path}: corrupt JSON") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return meta

@@ -17,14 +17,18 @@ import numpy as np
 
 from .errors import NonFiniteError, SingularMatrixError
 from .numkit import factor_spd, is_int, is_real, require_finite, solve_spd
+from .pcg64 import generate_state
 
 log = logging.getLogger("vifkit.losscore")
 
 
 def derive_seed(master: int, *keys: int) -> int:
-    """Stable per-key child seed, independent of scheduling order."""
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in keys]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Stable per-key child seed, independent of scheduling order: numpy's
+    SeedSequence([master, *keys]).generate_state(1, np.uint64)[0], taken
+    from `pcg64` so that deriving a seed loads neither numpy.random nor
+    OpenSSL.  A negative master or key is a ValueError."""
+    lo, hi = generate_state([master, *keys], 2)
+    return lo | hi << 32
 
 
 class PresenceVector:

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteError,
     SingularMatrixError,
 )
+from .pcg64 import PCG64
 
 DenseVector = np.ndarray
 DenseMatrix = np.ndarray
@@ -242,8 +243,10 @@ def lissa_solve(
     index j in [0, n_terms); with n_terms == 1 it is called with j = 0 every
     step, which gives the deterministic full-batch recursion.  Runs
     R_{t+1} = rhs + R_t - (sample_hvp(j_t, R_t) + damping * R_t) / scale
-    for num_steps steps and returns R_T / scale.  The index stream is drawn
-    from a generator seeded with rng_seed, so results are reproducible.
+    for num_steps steps and returns R_T / scale.  The index stream j_t is
+    numpy's default_rng(rng_seed).integers(n_terms), drawn bit for bit by
+    the pure-Python `pcg64.PCG64` so that LiSSA never loads numpy.random;
+    n_terms == 1 draws nothing.
     rows is the row count of the tallest temporary sample_hvp makes per
     column (dim when None).  The nonzero columns run in chunks of
     max(1, BLOCK_ENTRIES // max(rows, dim)) columns, each replaying the same
@@ -266,10 +269,10 @@ def lissa_solve(
     for start in range(0, live.size, width):
         cols = live[start : start + width]
         chunk, limit = b[:, cols], 1e8 * rhs_norm[cols]
-        rng = np.random.default_rng(rng_seed)
+        rng = PCG64(rng_seed)
         r = chunk.copy()
         for _ in range(num_steps):
-            j = int(rng.integers(n_terms)) if n_terms > 1 else 0
+            j = rng.integers(n_terms)
             hv = np.asarray(sample_hvp(j, r), dtype=np.float64)
             r = chunk + r - (hv + damping * r) / scale
             norm = np.linalg.norm(r, axis=0)

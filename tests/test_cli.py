@@ -569,6 +569,19 @@ class TestExitCodes:
         assert payload["error"] == "ConfigError"
         assert "seed" in payload["message"]
 
+    @pytest.mark.parametrize("stage", ["synth", "train"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_negative_seed_is_config_error(self, capsys, cox_run, stage, flag):
+        # every stream is seeded from it, and SeedSequence refuses negative words
+        cfg, cfg_path, out = cox_run
+        if not flag:
+            cfg_path.write_text(json.dumps(dict(cfg, seed=-3)))
+        code, _, err = run(capsys, stage, "--config", str(cfg_path), *(["--seed", "-3"] * flag))
+        assert code == 1 and err.count("\n") == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == "seed must be an integer >= 0, got -3"
+
     @pytest.mark.parametrize(
         "train",
         [{"epochs": 2.5}, {"batch_size": True}, {"grad_tol": "1e-8"}, {"weight_decay": 0.1}],
@@ -966,6 +979,10 @@ class TestSynthObjectCount:
         (out / "synth_meta.json").write_text(json.dumps({**meta, "n_objects": 0}))
         code, _, err = run(capsys, "train", "--config", str(cfg_path))
         assert code == 2 and "synth_meta.json: n_objects" in stderr_payload(err)["message"]
+        # and so is a record that is not a JSON object
+        (out / "synth_meta.json").write_text(json.dumps([meta]))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2 and "synth_meta.json: not a JSON object" in stderr_payload(err)["message"]
 
 
 def write_score_run(out, influences, loo):
@@ -1112,6 +1129,21 @@ class TestCompareTable:
         code, _, err = run(capsys, "compare", "--out", str(out))
         assert code == 2
         assert stderr_payload(err)["error"] == "DataError"
+
+    @pytest.mark.parametrize("name, text", [
+        ("attribute_meta.json", b"[1]"),
+        ("loo_meta.json", b"5"),
+        ("loo_meta.json", b'"h"'),
+        ("attribute_meta.json", b'{"config_hash": "\xff"}'),
+    ], ids=["list", "number", "string", "not-text"])
+    def test_meta_that_is_not_an_object_is_one_data_error(self, capsys, tmp_path, name, text):
+        out = tmp_path / "run"
+        write_score_run(out, "0,0,1.0,\n1,0,2.0,\n", "0,0,1.5\n1,0,2.5\n")
+        (out / name).write_bytes(text)
+        code, _, err = run(capsys, "compare", "--out", str(out))
+        assert code == 2 and err.count("\n") == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "DataError" and name in payload["message"]
 
 
 class TestCheckpointFormat:

@@ -77,6 +77,17 @@ def test_files_import_loads_only_errors():
     assert sorted(m for m in loaded if m.startswith("vifkit.")) == ["vifkit.errors", "vifkit.files"]
 
 
+@pytest.mark.parametrize("code", [
+    "import numpy as np\nfrom vifkit.numkit import lissa_solve\n"
+    "lissa_solve(lambda j, v: v * (j + 1), 20, 10.0, 0.0, np.ones((3, 2)), 0, n_terms=4)",
+    "from vifkit.losscore import derive_seed\nderive_seed(42, 7)",
+], ids=["numkit.lissa_solve", "losscore.derive_seed"])
+def test_lissa_and_seed_derivation_load_no_numpy_random(code):
+    # numpy loads numpy.random on first use of np.random, so import and call:
+    # both draw from vifkit.pcg64, a copy of numpy's integer streams
+    assert sorted(modules_after(code) & ({"numpy.random"} | OPENSSL)) == []
+
+
 def test_cli_import_loads_only_its_own_layer():
     loaded = modules_after("import vifkit.cli")
     unwanted = {f"vifkit.{m}" for m in ("attributor", "coxloss", "embedloss", "harness",
@@ -151,6 +162,25 @@ def test_cox_attribute_starts_no_process(cox_run, tmp_path):
         table = pathlib.Path(json.loads(pathlib.Path(cfg_path).read_text())["out"], "influences.csv")
         with open(table) as fh:
             assert sum(1 for _ in fh) == rows + 1
+
+
+def test_cox_lissa_attribute_and_newton_loo_load_no_numpy_random(tmp_path):
+    # the per-term LiSSA index stream and each per-retrain seed are integers
+    # drawn by vifkit.pcg64, so neither stage loads numpy.random or OpenSSL
+    cfg_path, out = tmp_path / "cox.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps({
+        "scenario": "cox", "seed": 1, "out": str(out),
+        "synth": {"n": 30, "n_test": 5}, "train": {"optimizer": "newton", "epochs": 20},
+    }))
+    for stage in ("synth", "train"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    loaded = run_stage("attribute", "--config", str(cfg_path), "--solver", "lissa")
+    assert sorted(loaded & ({"numpy.random"} | OPENSSL)) == []
+    assert json.loads((out / "attribute_meta.json").read_text())["lissa"]["mode"] == "per_term"
+    loaded = run_stage("loo", "--config", str(cfg_path), "--jobs", "1")
+    assert sorted(loaded & ({"numpy.random", "concurrent.futures"} | OPENSSL)) == []
+    meta = json.loads((out / "loo_meta.json").read_text())
+    assert meta["n_retrains"] == 30 and meta["group_rows"] == []  # one retrain at a time
 
 
 @pytest.mark.parametrize("stage, argv", [("loo", ("--jobs", "1")), ("compare", ())])
