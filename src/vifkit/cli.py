@@ -422,7 +422,6 @@ def build_model(cfg: dict):
         xt, lt = files.read_points(paths[1])
         d, dt = x.shape[1], xt.shape[1]
         _held_out(paths[1], dt == d, f"{dt} features, training data has {d}")
-        _held_out(paths[1], np.all(np.isin(lt, (-1.0, 1.0))), "labels must be -1 or +1")
         model = LogisticModel(x, labels, reg=m.get("reg", 1e-3))
         targets = [LogLossTarget(xt[i], lt[i]) for i in range(xt.shape[0])]
     return model, targets

@@ -75,32 +75,11 @@ class WalkParams:
             raise ValueError("walks_per_node, walk_length, window must be >= 1")
 
 
-@dataclass(frozen=True)
-class WalkCorpus:
-    """Walks as one (W, walk_length) int64 array, -1 past a walk's end.
-
-    The corpus holds a read-only view of the array, as Graph does its edges.
-    """
-
-    walks: np.ndarray
-    params: WalkParams
-    present: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.walks, dtype=np.int64).view()
-        if w.ndim != 2:
-            raise ValueError("walks must be a (W, walk_length) array")
-        w.setflags(write=False)
-        object.__setattr__(self, "walks", w)
-
-
-def generate_walks(
-    graph: Graph, b: PresenceVector, params: WalkParams
-) -> WalkCorpus:
+def generate_walks(graph: Graph, b: PresenceVector, params: WalkParams) -> np.ndarray:
     """Uniform random walks restricted to present nodes.
 
-    Returns the corpus as one (W, walk_length) int64 array, W = present
-    nodes x walks_per_node, stored time-major (the transpose of a
+    Returns the corpus as one read-only (W, walk_length) int64 array, W =
+    present nodes x walks_per_node, stored time-major (the transpose of a
     (walk_length, W) buffer).  Row r is walk r % walks_per_node from the
     (r // walks_per_node)-th present node in ascending id order.  A walk
     from a node with no present neighbor stops after its start; the rest of
@@ -149,26 +128,30 @@ def generate_walks(
     for t in range(steps):
         cur = indices[indptr[cur] + (draws[t, live] * deg[cur]).astype(np.int64)]
         walks[t + 1, live] = cur
-    return WalkCorpus(walks=walks.T, params=params, present=tuple(int(i) for i in present))
+    walks = walks.T
+    walks.setflags(write=False)
+    return walks
 
 
-def walks_to_pairs(corpus: WalkCorpus, n: int) -> np.ndarray:
+def walks_to_pairs(walks: np.ndarray, n: int, window: int) -> np.ndarray:
     """Ordered co-occurrence counts within the window, both directions.
 
+    walks is a (W, walk_length) array of node ids, as generate_walks returns.
     Returns an (n, n) count matrix C with C[u, v] = number of ordered pairs
-    (anchor u, positive v) emitted by the corpus.  Entries of -1 in the
+    (anchor u, positive v) emitted by the walks; the counts of a subset of
+    walks are walks_to_pairs(walks[rows], n, window).  Entries of -1 in the
     padded walk array are not nodes and pair with nothing: they are counted
     as a sink node n, whose row and column are dropped at the end.  Each
     window offset is one bincount over the (n + 1)^2 grid of the time-major
     walk steps.
     """
-    nodes = np.ascontiguousarray(corpus.walks.T)  # a view for generated corpora
+    nodes = np.ascontiguousarray(walks.T)  # a view for generated walks
     if nodes.size and nodes.min() < 0:
         nodes = np.where(nodes < 0, n, nodes)
     size = n + 1
     scaled = nodes * size
     forward = np.zeros(size * size, dtype=np.int64)
-    for off in range(1, min(corpus.params.window, nodes.shape[0] - 1) + 1):
+    for off in range(1, min(window, nodes.shape[0] - 1) + 1):
         forward += np.bincount((scaled[:-off] + nodes[off:]).ravel(), minlength=size * size)
     forward = forward.reshape(size, size)[:n, :n]
     return (forward + forward.T).astype(np.float64)
@@ -265,7 +248,8 @@ class EmbedModel(LossModel):
         return presence_cached(self._pair_cache, b, self._build_pair_counts)
 
     def _build_pair_counts(self, b: PresenceVector) -> np.ndarray:
-        counts = walks_to_pairs(generate_walks(self.graph, b, self.walk_params), self.graph.n)
+        walks = generate_walks(self.graph, b, self.walk_params)
+        counts = walks_to_pairs(walks, self.graph.n, self.walk_params.window)
         if counts.sum() == 0:
             log.warning("walk corpus produced no co-occurrence pairs")
         return counts

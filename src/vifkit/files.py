@@ -9,7 +9,9 @@ A table is CSV: a header row of column names, then one row of numbers per
 record.  The writers write ids and flags as integers, floats as repr(float),
 the shortest round-trip decimal, and a NaN as an empty cell; they work
 through a bounded chunk of rows at a time (CHUNK_ROWS), in this process.
-One reader, numpy's C parser, reads every table from the open file.
+The edge list, edges.txt, is 'u v' lines without a header.  One reader,
+numpy's C parser, reads every table and the edge list from the open file,
+and every error in a dataset file names that file.
 """
 
 from __future__ import annotations
@@ -81,29 +83,30 @@ def _score_cell(text: str) -> float:
     return float(text) if text else np.nan
 
 
-def read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
-    """Header and (rows x columns) float cells of a table the writers here wrote.
+def _parse(path: str, lead: tuple | None, **options) -> tuple[list, np.ndarray]:
+    """Header and (rows x columns) cells of the text file at path.
 
-    The header must start with the column names in lead and every row must
-    have one number per header column.  An empty cell in a SCORE_COLUMNS
-    column reads as NaN; numpy's C parser reads every other column, and
-    refuses an empty cell there.  The parser reads the rows from the open
-    file, so the text is never held whole.
+    With lead, the first line is a comma-separated header that must start
+    with the column names in lead, and an empty cell in a SCORE_COLUMNS
+    column reads as NaN; without, there is no header ([]).  numpy's C parser
+    reads the rows with options from the open file, so the text is never
+    held whole.  A missing file, what the parser refuses and a file without
+    rows are DataErrors naming path.
     """
+    header = []
     try:
         with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if tuple(header[: len(lead)]) != lead:
-                raise DataError(f"{path}: expected a header starting {','.join(lead)}")
+            if lead is not None:
+                header = fh.readline().rstrip("\n").split(",")
+                if tuple(header[: len(lead)]) != lead:
+                    raise DataError(f"{path}: expected a header starting {','.join(lead)}")
+                options["converters"] = {
+                    j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS
+                }
             with warnings.catch_warnings():
-                # a table without rows is refused below
+                # a file without rows is refused below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                cells = np.loadtxt(
-                    fh, delimiter=",", comments=None, ndmin=2,
-                    converters={
-                        j: _score_cell for j, name in enumerate(header) if name in SCORE_COLUMNS
-                    },
-                )
+                cells = np.loadtxt(fh, ndmin=2, **options)
     except FileNotFoundError:
         raise DataError(f"missing {path}") from None
     except UnicodeDecodeError:  # a ValueError, raised as the parser reads on
@@ -112,13 +115,36 @@ def read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
         raise DataError(f"{path}: {exc}") from None
     if cells.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    if cells.shape[1] != len(header):
-        raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
     return header, cells
 
 
+def read_table(path: str, lead: tuple) -> tuple[list, np.ndarray]:
+    """Header and (rows x columns) float cells of a table the writers here wrote.
+
+    The header must start with the column names in lead and every row must
+    have one number per header column.  An empty cell in a SCORE_COLUMNS
+    column reads as NaN; every other cell must be a finite number.
+    """
+    header, cells = _parse(path, lead, delimiter=",", comments=None)
+    if cells.shape[1] != len(header):
+        raise DataError(f"{path}: {cells.shape[1]} cells per row, {len(header)} header columns")
+    finite = np.isfinite(cells).all(axis=0)
+    bad = [name for name, ok in zip(header, finite) if not (ok or name in SCORE_COLUMNS)]
+    if bad:
+        raise DataError(f"{path}: non-finite value in column {bad[0]}")
+    return header, cells
+
+
+def _dataset(path: str, cls, **fields):
+    """cls(**fields), a DataError it raises prefixed with path as the readers' are."""
+    try:
+        return cls(**fields)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _ids(path: str, column: np.ndarray) -> np.ndarray:
-    """An id column as int64; every value must be a non-negative integer."""
+    """Id cells as int64; every value must be a non-negative integer."""
     # 2**53 bounds the integers a float64 cell holds exactly
     if not np.all((column >= 0) & (column < 2.0**53) & (column == np.floor(column))):
         raise DataError(f"{path}: an id is not a non-negative integer")
@@ -150,7 +176,7 @@ def read_survival(path: str) -> SurvivalDataset:
     from .coxloss import SurvivalDataset
 
     _, cells = read_table(path, ("y", "delta", "x1"))
-    return SurvivalDataset(x=cells[:, 2:], y=cells[:, 0], delta=cells[:, 1])
+    return _dataset(path, SurvivalDataset, x=cells[:, 2:], y=cells[:, 0], delta=cells[:, 1])
 
 
 def write_points(path: str, x: np.ndarray, labels: np.ndarray) -> None:
@@ -158,8 +184,10 @@ def write_points(path: str, x: np.ndarray, labels: np.ndarray) -> None:
 
 
 def read_points(path: str):
-    """Features and labels of a label,x1,...,xd table."""
+    """Features and labels of a label,x1,...,xd table; a label is -1 or +1."""
     _, cells = read_table(path, ("label", "x1"))
+    if not np.all(np.isin(cells[:, 0], (-1.0, 1.0))):
+        raise DataError(f"{path}: labels must be -1 or +1")
     return cells[:, 1:], cells[:, 0]
 
 
@@ -196,43 +224,25 @@ def read_ranking(qpath: str, lpath: str, n_items: int | None = None) -> RankingD
     if not np.array_equal(rank, np.arange(rank.size) - starts[query]):
         raise DataError(f"{lpath}: each query's ranks must be 0..k-1")
     lists = tuple(tuple(item[a:b].tolist()) for a, b in zip(starts[:-1], starts[1:]))
-    return RankingDataset(features=queries[:, 1:], rel_lists=lists, n_items=n_items)
+    return _dataset(lpath, RankingDataset, features=queries[:, 1:], rel_lists=lists,
+                    n_items=n_items)
 
 
 def write_edges(path: str, graph: Graph) -> None:
-    with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+    """One 'u v' line per edge."""
+    np.savetxt(path, graph.edges, fmt="%d")
 
 
 def read_edges(path: str, n: int | None = None) -> Graph:
-    """Whitespace-separated 'u v' lines; '#' starts a comment.
+    """Whitespace-separated 'u v' lines of node ids; '#' starts a comment.
 
     The nodes are 0..n-1; without n, 0 up to the largest node id.
     """
     from .embedloss import Graph
 
-    pairs = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not a text file") from None
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer endpoint") from None
-    if not pairs:
-        raise DataError(f"{path}: no edges")
-    edges = np.array(pairs, dtype=np.int64)
-    return Graph(n=_universe(path, edges, n, "node"), edges=edges)
+    _, cells = _parse(path, None, comments="#")
+    edges = _ids(path, cells)
+    return _dataset(path, Graph, n=_universe(path, edges, n, "node"), edges=edges)
 
 
 def write_scores(path: str, objects, tests, keep=None, **scores) -> None:

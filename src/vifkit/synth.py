@@ -120,10 +120,7 @@ def synth_graph(
     if preset is not None:
         if preset != "karate":
             raise ValueError(f"unknown preset {preset!r}")
-        g = Graph(n=34, edges=np.array(KARATE_EDGES, dtype=np.int64))
-        if g.n != 34 or g.n_edges != 78:
-            raise DataError("karate preset failed its shape check")
-        return g
+        return Graph(n=34, edges=np.array(KARATE_EDGES, dtype=np.int64))
     if n is None or edge_prob is None:
         raise ValueError("n and edge_prob are required without a preset")
     rng = np.random.default_rng(seed)

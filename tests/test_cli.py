@@ -1037,6 +1037,9 @@ MALFORMED_TABLES = {
     "logistic-empty-feature": ("logistic", "points.csv", "label,x1\n1,0.5\n-1,\n"),
     "logistic-test-width": ("logistic", "points_test.csv", "label,x1,x2\n1,0.25,0.5\n"),
     "logistic-test-label": ("logistic", "points_test.csv", "label,x1\n3,0.25\n"),
+    "logistic-test-inf": ("logistic", "points_test.csv", "label,x1\n1,inf\n"),
+    "cox-tied-times": ("cox", "survival.csv", "y,delta,x1\n1.0,1,0.5\n1.0,0,-0.5\n3.0,1,0.25\n"),
+    "ltr-inf-feature": ("ltr", "queries.csv", "query_id,x1\n0,inf\n1,-0.5\n"),
     "ltr-bad-header": ("ltr", "labels.csv", "query_id,position,item_id\n0,0,0\n1,0,1\n"),
     "ltr-no-rows": ("ltr", "queries.csv", "query_id,x1\n"),
     "ltr-fractional-id": ("ltr", "labels.csv", "query_id,rank,item_id\n0,0,0.5\n1,0,1\n"),
@@ -1049,6 +1052,11 @@ MALFORMED_TABLES = {
     "ltr-test-item": ("ltr", "labels_test.csv", "query_id,rank,item_id\n0,0,2\n"),
     "embed-not-text": ("embed", "edges.txt", b"0 1\n1 \xff\n"),
     "embed-three-tokens": ("embed", "edges.txt", "0 1\n1 2 0\n"),
+    "embed-self-loop": ("embed", "edges.txt", "0 1\n1 1\n"),
+    "embed-one-row-three-columns": ("embed", "edges.txt", "0 1 2\n"),
+    "embed-comments-only": ("embed", "edges.txt", "# no edges\n"),
+    "embed-fractional-endpoint": ("embed", "edges.txt", "0 1\n1 2.5\n"),
+    "embed-huge-endpoint": ("embed", "edges.txt", "0 1\n" + "9" * 20 + " 1\n"),
     "compare-bad-header": ("compare", "influences.csv", "object,test_id,vif,loo\n0,0,1.0,\n"),
     "compare-no-rows": ("compare", "loo.csv", "object_id,test_id,loo\n"),
     "compare-ragged-row": ("compare", "influences.csv", "object_id,test_id,vif,loo\n0,0,1.0\n"),
@@ -1067,7 +1075,7 @@ def write_tables(out, scenario, replace=None):
         (out / name).write_bytes(text if isinstance(text, bytes) else text.encode())
 
 
-def run_on_tables(capsys, tmp_path, scenario):
+def run_on_tables(capsys, tmp_path, scenario, stage="train"):
     out = tmp_path / "run"
     if scenario == "compare":
         return run(capsys, "compare", "--out", str(out))
@@ -1076,7 +1084,7 @@ def run_on_tables(capsys, tmp_path, scenario):
         "scenario": scenario, "seed": 1, "out": str(out),
         "train": {"optimizer": "gd", "epochs": 1},
     }))
-    return run(capsys, "train", "--config", str(cfg_path))
+    return run(capsys, stage, "--config", str(cfg_path))
 
 
 class TestMalformedTables:
@@ -1099,6 +1107,23 @@ class TestMalformedTables:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "DataError" and payload["exit_code"] == 2
+        assert name in payload["message"]
+
+    def test_non_finite_held_out_feature_writes_no_scores(self, capsys, tmp_path):
+        write_tables(tmp_path / "run", "logistic")
+        assert run_on_tables(capsys, tmp_path, "logistic")[0] == 0
+        (tmp_path / "run" / "points_test.csv").write_text("label,x1\n1,inf\n")
+        code, _, err = run_on_tables(capsys, tmp_path, "logistic", "attribute")
+        assert code == 2 and "points_test.csv" in stderr_payload(err)["message"]
+        assert not (tmp_path / "run" / files.INFLUENCES_NAME).exists()
+
+
+def test_write_edges_writes_the_bytes_of_a_line_per_edge(tmp_path):
+    graph = synth_graph(preset="karate")
+    path = tmp_path / "edges.txt"
+    files.write_edges(str(path), graph)
+    assert path.read_bytes() == "".join(f"{u} {v}\n" for u, v in graph.edges).encode()
+    np.testing.assert_array_equal(files.read_edges(str(path)).edges, graph.edges)
 
 
 class TestCompareTable:

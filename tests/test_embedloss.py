@@ -9,7 +9,6 @@ from conftest import count_calls
 from vifkit.embedloss import (
     EmbedModel,
     Graph,
-    WalkCorpus,
     WalkParams,
     contrastive_value_from_pairs,
     generate_walks,
@@ -110,8 +109,8 @@ def reference_hessian(model, theta, b):
     return h
 
 
-def walk_lengths(corpus):
-    return (corpus.walks >= 0).sum(axis=1)
+def walk_lengths(walks):
+    return (walks >= 0).sum(axis=1)
 
 
 @pytest.fixture
@@ -163,27 +162,25 @@ class TestWalks:
         g = path_graph(6)
         b = PresenceVector.all_ones(6)
         wp = WalkParams(5, 4, 2, seed=11)
-        c1 = generate_walks(g, b, wp)
-        c2 = generate_walks(g, b, wp)
-        np.testing.assert_array_equal(c1.walks, c2.walks)
-        c3 = generate_walks(g, b, WalkParams(5, 4, 2, seed=12))
-        assert not np.array_equal(c1.walks, c3.walks)
+        w1 = generate_walks(g, b, wp)
+        np.testing.assert_array_equal(w1, generate_walks(g, b, wp))
+        assert not np.array_equal(w1, generate_walks(g, b, WalkParams(5, 4, 2, seed=12)))
 
     def test_walks_respect_presence(self):
         g = path_graph(6)
         b = PresenceVector.drop(6, 3)
-        corpus = generate_walks(g, b, WalkParams(8, 5, 2, seed=0))
-        assert corpus.walks.shape == (8 * 5, 5)
-        assert not np.any(corpus.walks == 3)
-        assert not corpus.walks.flags.writeable
+        walks = generate_walks(g, b, WalkParams(8, 5, 2, seed=0))
+        assert walks.shape == (8 * 5, 5) and walks.dtype == np.int64
+        assert not np.any(walks == 3)
+        assert not walks.flags.writeable
 
     def test_isolated_node_stops_immediately(self):
         g = Graph(n=3, edges=np.array([[0, 1]]))
-        corpus = generate_walks(g, PresenceVector.all_ones(3), WalkParams(2, 5, 2, 0))
-        from_isolated = corpus.walks[:, 0] == 2
+        walks = generate_walks(g, PresenceVector.all_ones(3), WalkParams(2, 5, 2, 0))
+        from_isolated = walks[:, 0] == 2
         assert from_isolated.sum() == 2
-        np.testing.assert_array_equal(walk_lengths(corpus)[from_isolated], 1)
-        np.testing.assert_array_equal(walk_lengths(corpus)[~from_isolated], 5)
+        np.testing.assert_array_equal(walk_lengths(walks)[from_isolated], 1)
+        np.testing.assert_array_equal(walk_lengths(walks)[~from_isolated], 5)
 
     def test_fewer_than_two_present_raises(self):
         g = path_graph(3)
@@ -202,42 +199,35 @@ class TestWalksToPairs:
         # walk (0,1,2): offsets 1 and 2 give 3 forward pairs, doubled by the
         # reverse direction, 6 ordered pairs total; the stopped walk (1) and
         # its -1 padding add none
-        corpus = WalkCorpus(
-            walks=np.array([[0, 1, 2], [1, -1, -1]]),
-            params=WalkParams(1, 3, 3, 0),
-            present=(0, 1, 2),
-        )
-        c = walks_to_pairs(corpus, 3)
+        c = walks_to_pairs(np.array([[0, 1, 2], [1, -1, -1]]), 3, 3)
         assert c.sum() == 6
         expected = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         np.testing.assert_array_equal(c, expected)
 
     def test_window_truncates(self):
-        corpus = WalkCorpus(
-            walks=np.array([[0, 1, 2]]),
-            params=WalkParams(1, 3, 1, 0),
-            present=(0, 1, 2),
-        )
-        c = walks_to_pairs(corpus, 3)
+        c = walks_to_pairs(np.array([[0, 1, 2]]), 3, 1)
         assert c.sum() == 4  # only the two adjacent pairs, both directions
         assert c[0, 2] == 0
 
     def test_read_only_corpus_with_dead_start_left_unchanged(self):
         walks = np.array([[0, 1, 2], [1, -1, -1]])
-        corpus = WalkCorpus(walks=walks, params=WalkParams(1, 3, 3, 0), present=(0, 1, 2))
-        assert not corpus.walks.flags.writeable
-        with pytest.raises(ValueError):
-            corpus.walks[1, 1] = 0
-        before = corpus.walks.copy()
-        c = walks_to_pairs(corpus, 3)
-        np.testing.assert_array_equal(corpus.walks, before)
+        walks.setflags(write=False)
+        before = walks.copy()
+        c = walks_to_pairs(walks, 3, 3)
         np.testing.assert_array_equal(walks, before)
         assert c.sum() == 6
 
+    def test_counts_add_over_a_split_of_the_walks(self):
+        params = WalkParams(5, 6, 3, seed=8)
+        walks = generate_walks(KARATE, PresenceVector.drop(34, 0), params)
+        rows = np.arange(walks.shape[0]) % 3 == 0
+        parts = walks_to_pairs(walks[rows], 34, 3) + walks_to_pairs(walks[~rows], 34, 3)
+        np.testing.assert_array_equal(parts, walks_to_pairs(walks, 34, 3))
+
     def test_two_node_alternation_by_hand(self):
         g = Graph(n=2, edges=np.array([[0, 1]]))
-        corpus = generate_walks(g, PresenceVector.all_ones(2), WalkParams(1, 4, 3, 0))
-        c = walks_to_pairs(corpus, 2)
+        walks = generate_walks(g, PresenceVector.all_ones(2), WalkParams(1, 4, 3, 0))
+        c = walks_to_pairs(walks, 2, 3)
         # both walks alternate deterministically; counted by hand
         np.testing.assert_array_equal(c, [[4.0, 8.0], [8.0, 4.0]])
 
@@ -270,8 +260,8 @@ class TestPairCountsOracle:
 
     def test_stranded_node_counted_nowhere(self):
         graph, b, params = ORACLE_CASES["karate-without-0"]
-        corpus = generate_walks(graph, b, params)
-        np.testing.assert_array_equal(walk_lengths(corpus)[corpus.walks[:, 0] == 11], 1)
+        walks = generate_walks(graph, b, params)
+        np.testing.assert_array_equal(walk_lengths(walks)[walks[:, 0] == 11], 1)
         assert EmbedModel(graph, 2, params).pair_counts(b)[11].sum() == 0
 
     def test_karate_full_and_every_drop_one(self):
