@@ -317,6 +317,11 @@ class Attribution:
     alone, and scores forms every row.  grad_norm is the loss gradient norm
     at theta and solver the path the inverse-Hessian solves took: cholesky,
     lu, cg or lissa.  details holds HessianContext.details().
+
+    self[lo:hi], which is what influences.csv holds, can differ in the last
+    bit from the same rows of scores: BLAS forms a one-row block with gemv,
+    and gemm blocks some row counts differently once dim is about 40 or
+    more.  Each is deterministic, so reruns give the same bytes.
     """
 
     objects: np.ndarray

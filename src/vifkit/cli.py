@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import logging
 import os
@@ -322,6 +323,11 @@ def cmd_synth(args) -> int:
         g = synth_graph(
             n=s.get("n"), edge_prob=s.get("edge_prob"), seed=seed, preset=s.get("preset")
         )
+        if g.edges.shape[0] == 0:  # `train` would refuse the empty edges.txt
+            raise ConfigError(
+                f"the graph drawn with n={s.get('n')}, edge_prob={s.get('edge_prob')} "
+                f"and seed {seed} has no edges; raise n or edge_prob, or change the seed"
+            )
         files.write_edges(paths[0], g)
     else:
         from .logisticloss import logistic_fixture
@@ -758,5 +764,19 @@ def _fail(code: int, exc: Exception) -> int:
     return code
 
 
+def run() -> int:
+    """The `vif` process: main on sys.argv, then gc.freeze().
+
+    A stage exits right after main returns, and interpreter shutdown would
+    run full collections over the tens of thousands of objects numpy and
+    the stage leave alive; frozen objects are exempt, so the process ends
+    without them.  main itself never freezes: it runs many times in one
+    process under tests, where frozen garbage would never be freed.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

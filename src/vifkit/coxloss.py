@@ -129,7 +129,9 @@ class _Sweep(NamedTuple):
     a: np.ndarray  # w * cumsum_events(1/s0), each record's residual weight
 
 
-def _sweep(lay: _Layout, theta: np.ndarray, pos: np.ndarray | None = None) -> _Sweep:
+def _sweep(
+    lay: _Layout, theta: np.ndarray, pos: np.ndarray | None = None, out: tuple | None = None
+) -> _Sweep:
     """At-risk sums s0 = sum w at each event, with w = exp(eta - max eta).
 
     Record k sits in the at-risk set of every event at or before it, so the
@@ -144,8 +146,14 @@ def _sweep(lay: _Layout, theta: np.ndarray, pos: np.ndarray | None = None) -> _S
     bit-identical to the sum with the record deleted, the max-shift runs
     over the present records, and a dropped event's s0 reads inf, so it
     adds no 1/s0 term.  Such a sweep keeps no eta.
+
+    out, for a block, is four arrays (eta, a, s0, 1/s0), (n, rows) twice
+    and then (E, rows) twice for E events, that the sweep fills in place of
+    fresh ones; the returned w, s0 and a are then views of them, which the
+    next sweep into out overwrites.
     """
-    eta = lay.xs @ np.transpose(theta)
+    eta, a, s0, inv = (None,) * 4 if out is None else out
+    eta = np.matmul(lay.xs, np.transpose(theta), out=eta)
     if pos is not None:
         cols = np.arange(pos.size)
         eta[pos, cols] = -np.inf
@@ -155,15 +163,16 @@ def _sweep(lay: _Layout, theta: np.ndarray, pos: np.ndarray | None = None) -> _S
     else:  # no caller reads a block's eta, so it becomes w in place
         w, eta = np.subtract(eta, shift, out=eta), None
     np.exp(w, out=w)
-    # one buffer holds the suffix sums of w, then the weights a
-    a = np.empty(w.shape)
+    # a holds the suffix sums of w, then the weights a; mode "clip" (the
+    # events are in range) spares the copy of out that take makes to raise
+    a = np.empty(w.shape) if a is None else a
     np.cumsum(w[::-1], axis=0, out=a[::-1])
-    s0 = a[lay.ev]
+    s0 = np.take(a, lay.ev, axis=0, out=s0, mode="clip")
     if pos is not None:
         dropped = lay.dlt[pos] == 1.0
         s0[np.searchsorted(lay.ev, pos[dropped]), cols[dropped]] = np.inf
     a.fill(0.0)
-    a[lay.ev] = 1.0 / s0
+    a[lay.ev] = np.reciprocal(s0, out=inv)
     np.cumsum(a, axis=0, out=a)
     a *= w
     return _Sweep(eta, shift, w, s0, a)
@@ -204,8 +213,9 @@ class CoxModel(LossModel):
     sampling) are the per-event contributions.  The time-ordered layout is
     cached per presence vector: the full-presence one stays, plus the most
     recent other one, so training sorts once, and lockstep leave-one-out
-    (drop_one_gradients) reuses the full layout.  Value, gradient and
-    Hessian sweep afresh at each theta;
+    (drop_one_gradients) reuses the full layout, and one set of sweep
+    buffers for its group's shape.  Value, gradient and Hessian sweep
+    afresh at each theta;
     per_term_hvp and delta_gradients, which are called many times at one
     point, share one cached sweep per (theta, b).
     """
@@ -217,6 +227,11 @@ class CoxModel(LossModel):
         self._layouts: dict[bytes, _Layout] = {}
         self._cache_key = None
         self._cache_val = None
+        self._drop_one_out = None
+
+    def __getstate__(self):
+        # the drop-one buffers are scratch space: a --jobs worker makes its own
+        return {**self.__dict__, "_drop_one_out": None}
 
     @property
     def n_objects(self) -> int:
@@ -277,14 +292,20 @@ class CoxModel(LossModel):
 
         _sweep weights each row's dropped record out of an (n, rows) block;
         the gradients are then one GEMM over the martingale residuals
-        a - delta, with no delta for a dropped event.  The temporaries are
-        a few (n, rows) arrays: the caller bounds rows.
+        a - delta, with no delta for a dropped event.  The sweep fills two
+        (n, rows) and two (E, rows) buffers that the model keeps for the
+        last group size it saw, so the epochs of a lockstep group map no
+        fresh pages; the caller bounds rows.  The returned (rows, dim) block
+        is a fresh array, and equals a sweep into fresh arrays bit for bit.
         """
         lay = self._layout_of(PresenceVector.all_ones(self.data.n))
         pos = lay.rank[object_ids(self, ids)]
         if lay.ev.size == 1 and lay.dlt[pos].any():
             raise NoEventsError("no uncensored events among present records")
-        a = _sweep(lay, thetas, pos).a
+        if self._drop_one_out is None or self._drop_one_out[0].shape[1] != pos.size:
+            n, e = lay.idx.size, lay.ev.size
+            self._drop_one_out = tuple(np.empty((m, pos.size)) for m in (n, n, e, e))
+        a = _sweep(lay, thetas, pos, self._drop_one_out).a
         a -= lay.dlt[:, None]
         a[pos, np.arange(pos.size)] = 0.0
         return a.T @ lay.xs
@@ -371,6 +392,9 @@ class RelativeRiskTarget(TargetFunction):
 
     def value(self, theta):
         return float(np.exp(theta @ self.x_test))
+
+    def values(self, thetas):
+        return np.exp(thetas @ self.x_test)
 
     def gradient(self, theta):
         return np.exp(theta @ self.x_test) * self.x_test

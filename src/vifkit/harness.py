@@ -62,8 +62,12 @@ class _Retrain(NamedTuple):
     wall_s: float
 
 
-def _deltas(targets, base_values, theta) -> np.ndarray:
-    return np.array([t.value(theta) - base for t, base in zip(targets, base_values)])
+def _deltas(targets, base_values, thetas) -> np.ndarray:
+    """f_t(thetas[r]) - f_t(theta_full), (rows, targets), one values call per target."""
+    deltas = np.empty((len(thetas), len(targets)))
+    for k, (t, base) in enumerate(zip(targets, base_values)):
+        deltas[:, k] = t.values(thetas) - base
+    return deltas
 
 
 def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
@@ -74,7 +78,7 @@ def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
         init = model.initial_params(cfg_i.seed)
     res = train(model, b, cfg_i, init=init)
     return _Retrain(
-        _deltas(targets, base_values, res.theta),
+        _deltas(targets, base_values, res.theta[None])[0],
         res.grad_norm,
         res.converged,
         res.iterations,
@@ -89,7 +93,7 @@ def _loo_lockstep(model, cfg, init, base_values, targets, group) -> list[_Retrai
     else:
         inits = [init] * len(group)
     thetas, grad_norms = train_drop_one(model, cfg, np.array(inits), group)
-    deltas = [_deltas(targets, base_values, theta) for theta in thetas]
+    deltas = _deltas(targets, base_values, thetas)
     wall_s = (time.perf_counter() - start) / len(group)
     return [
         _Retrain(d, float(gn), bool(gn <= cfg.grad_tol), cfg.epochs, wall_s)

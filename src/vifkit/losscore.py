@@ -106,10 +106,24 @@ def presence_cached(cache: dict, b: PresenceVector, build):
 
 
 class TargetFunction(abc.ABC):
-    """Differentiable scalar function of the parameters, f(theta)."""
+    """Differentiable scalar function of the parameters, f(theta).
+
+    values evaluates f at every row of a (rows, dim) block; leave-one-out
+    takes a lockstep group's deltas, or one retrain's, from one call per
+    target.
+    """
 
     @abc.abstractmethod
     def value(self, theta: np.ndarray) -> float: ...
+
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """f at each row of a (rows, dim) block, (rows,).
+
+        The default calls value once per row, so it equals that loop
+        exactly; a target that is one product of the block overrides it,
+        and may differ from the loop in the last bit.
+        """
+        return np.array([self.value(theta) for theta in thetas], dtype=np.float64)
 
     @abc.abstractmethod
     def gradient(self, theta: np.ndarray) -> np.ndarray: ...

@@ -899,6 +899,24 @@ class TestSynthFiles:
         want = synth_graph(n=8, edge_prob=0.5, seed=5)
         np.testing.assert_array_equal(graph.edges, want.edges)
 
+    def test_edgeless_random_graph_is_config_error(self, capsys, tmp_path):
+        """`train` refuses an empty edges.txt, so synth writes none."""
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "embed", "seed": 1, "out": str(out),
+            "synth": {"preset": None, "n": 6, "edge_prob": 0.0},
+        }))
+        code, _, err = run(capsys, "synth", "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError" and payload["exit_code"] == 1
+        for part in ("n=6", "edge_prob=0.0", "seed 1"):
+            assert part in payload["message"]
+        assert not (out / "edges.txt").exists()
+        assert not (out / "synth_meta.json").exists()
+
 
 LABELS = ("query_id", "rank", "item_id")
 

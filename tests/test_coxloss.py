@@ -1,5 +1,7 @@
 """Cox partial likelihood: values, derivatives, deletion algebra, classical IF."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,34 @@ class TestDropOneGradients:
         got = CoxModel(survival40).drop_one_gradients(np.empty((0, 3)), [])
         assert got.shape == (0, 3)
 
+    def test_reused_buffers_give_a_fresh_models_bits(self, survival_edges):
+        """The model's sweep buffers carry nothing from one call to the next,
+        and no returned block is a view of them."""
+        model = CoxModel(survival_edges)
+        rng = np.random.default_rng(8)
+        calls = []
+        for rows in (6, 6, 6, 3, 40, 6):  # 3 and 40 rows need new buffer shapes
+            ids = rng.choice(40, size=rows, replace=rows > 40)
+            calls.append((rng.normal(0.0, 0.6, (rows, 3)), ids))
+        kept = []
+        for thetas, ids in calls:
+            got = model.drop_one_gradients(thetas, ids)
+            want = CoxModel(survival_edges).drop_one_gradients(thetas, ids)
+            assert got.tobytes() == want.tobytes()
+            assert model._drop_one_out[0].shape == (40, len(ids))
+            assert not any(np.shares_memory(got, buf) for buf in model._drop_one_out)
+            kept.append((got, got.copy()))
+        for got, copy in kept:  # later calls leave earlier blocks alone
+            assert got.tobytes() == copy.tobytes()
+
+    def test_pickled_model_carries_no_buffers(self, survival40):
+        model = CoxModel(survival40)
+        thetas, ids = np.full((4, 3), 0.2), [0, 7, 13, 39]
+        got = model.drop_one_gradients(thetas, ids)
+        clone = pickle.loads(pickle.dumps(model))
+        assert model._drop_one_out is not None and clone._drop_one_out is None
+        assert clone.drop_one_gradients(thetas, ids).tobytes() == got.tobytes()
+
     def test_dropping_the_only_event_raises(self):
         data = SurvivalDataset(
             x=np.array([[1.0], [0.5], [-0.5], [2.0]]),
@@ -484,3 +514,12 @@ class TestRelativeRiskTarget:
             e[j] = h
             fd = (t.value(theta + e) - t.value(theta - e)) / (2 * h)
             assert t.gradient(theta)[j] == pytest.approx(fd, rel=1e-6)
+
+    def test_values_is_one_product_over_the_rows(self):
+        t = relative_risk_target([0.5, -1.0, 0.25])
+        thetas = np.random.default_rng(5).normal(0.0, 1.0, (30, 3))
+        got = t.values(thetas)
+        want = np.array([t.value(theta) for theta in thetas])
+        assert got.shape == (30,)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert t.values(np.empty((0, 3))).shape == (0,)

@@ -10,7 +10,7 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import LinearTarget, QuadraticModel, subprocess_env
+from conftest import LinearTarget, QuadraticModel, count_calls, subprocess_env
 from vifkit import harness, numkit, synth
 from vifkit.attributor import attribute_target
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
@@ -247,6 +247,17 @@ class TestLockstepLoo:
         # a row's trajectory does not depend on the rows beside it
         np.testing.assert_allclose(seq.deltas, one.deltas, rtol=0,
                                    atol=1e-12 * np.abs(one.deltas).max())
+
+    @pytest.mark.parametrize("optimizer", ["newton", "adam"])
+    def test_deltas_take_one_values_call_per_target_and_group(self, cox, optimizer, monkeypatch):
+        model, targets = cox
+        calls = count_calls(monkeypatch, RelativeRiskTarget, "values")
+        cfg = TrainConfig(optimizer=optimizer, epochs=5, seed=4)
+        got = loo_retrain(model, cfg, range(10), targets[:3])
+        groups = 1 if optimizer == "adam" else 10  # newton retrains one by one
+        assert len(calls) == 3 * groups
+        assert got.deltas.shape == (10, 3)
+        assert loo_retrain(model, cfg, range(10), []).deltas.shape == (10, 0)
 
     @pytest.mark.parametrize("optimizer", ["newton", "adam"])
     def test_dropping_the_only_event_raises(self, optimizer):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import QuadraticModel, count_calls
+from conftest import LinearTarget, QuadraticModel, count_calls
 from vifkit.coxloss import CoxModel, SurvivalDataset
 from vifkit.errors import NonFiniteError
 from vifkit.logisticloss import logistic_fixture
@@ -227,6 +227,17 @@ class TestTrainDropOne:
     def test_init_shape_rejected(self, quad_model):
         with pytest.raises(ValueError, match="shape"):
             train_drop_one(quad_model, TrainConfig(optimizer="gd"), np.zeros((2, 3)), [0])
+
+
+class TestTargetValues:
+    def test_default_is_the_value_loop(self):
+        target = LinearTarget([0.3, -1.2, 2.0])
+        thetas = np.random.default_rng(2).standard_normal((9, 3))
+        got = target.values(thetas)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([target.value(t) for t in thetas]).tobytes()
+        empty = target.values(np.empty((0, 3)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestDerivativeCheckers:

@@ -11,6 +11,7 @@ interpreters.  `hashlib` loads OpenSSL (`_hashlib`), several MiB of a
 stage's peak RSS, so no stage that draws no random numbers may load it.
 """
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -193,3 +194,30 @@ def test_cox_loo_and_compare_load_no_masked_arrays_or_process_pool(cox_run, stag
         unwanted = {f"vifkit.{m}" for m in ("attributor", "coxloss", "embedloss",
                                             "logisticloss", "ltrloss", "synth")}
         assert sorted(loaded & unwanted) == []
+
+
+def test_main_in_process_freezes_nothing(cox_run):
+    # tests call main many times in one process; frozen objects are never freed
+    before = gc.get_freeze_count()
+    assert main(["train", "--config", cox_run]) == 0
+    assert main(["train", "--config", "no-such-config.json"]) == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_stage_process_freezes_its_objects_before_exit(cox_run):
+    # `python -m vifkit.cli` and the `vif` script run cli.run, which freezes
+    # what main leaves so that interpreter shutdown skips collecting it;
+    # an atexit probe reads the frozen count after run has returned
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        f"sys.argv = ['vif', 'train', '--config', {cox_run!r}]\n"
+        "runpy.run_module('vifkit.cli', run_name='__main__')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    label, count = done.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 1000
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert 'vif = "vifkit.cli:run"' in pyproject
