@@ -26,7 +26,8 @@ import numpy as np
 
 from . import files
 from .errors import ConfigError, DataError, NumericalError, VifError
-from .numkit import is_int, is_real
+from .numkit import is_int
+from .scenarios import SCENARIOS
 
 # bench/tracer.py times score-table writes by wrapping cli._write_records_csv,
 # so the commands call the writer through that name
@@ -46,42 +47,12 @@ except ImportError:
 # those; the names below are for annotations.
 if TYPE_CHECKING:
     from .attributor import HessianSolver
-    from .coxloss import SurvivalDataset
     from .losscore import TrainConfig
 
 log = logging.getLogger("vifkit.cli")
 
-# Per-scenario defaults; a config file overrides these, flags override both.
-# Training recipes are tuned per loss family.
-SCENARIO_DEFAULTS = {
-    "cox": {
-        "synth": {"n": 200, "d": 3, "censor_rate": 0.2, "n_test": 50},
-        "train": {"optimizer": "adam", "learning_rate": 0.01, "epochs": 200},
-        "model": {},
-    },
-    "embed": {
-        "synth": {"preset": "karate"},
-        "model": {"k": 2, "walks_per_node": 1000, "walk_length": 6, "window": 3},
-        "train": {"optimizer": "adam", "learning_rate": 0.05, "epochs": 300},
-        # non-convex loss: the inverse-Hessian solve needs damping
-        "solver": {"damping": 0.01},
-    },
-    "ltr": {
-        "synth": {"m": 200, "n": 30, "k": 5, "p": 8, "n_test": 50},
-        "model": {"l2": 5e-4},
-        "train": {
-            "optimizer": "adam",
-            "learning_rate": 0.001,
-            "epochs": 100,
-            "batch_size": 128,
-        },
-    },
-    "logistic": {
-        "synth": {"n": 200, "d": 5, "n_test": 20},
-        "model": {"reg": 1e-3},
-        "train": {"optimizer": "newton", "epochs": 100},
-    },
-}
+# Defaults of every scenario, under those of its record in scenarios.py; a
+# config file overrides both, flags override all three.
 COMMON_DEFAULTS = {
     "solver": {"strategy": "explicit", "damping": 0.0},
     "objects": "all",
@@ -117,12 +88,13 @@ def load_config(args, need_out: bool = True) -> dict:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
+    extra = set(file_cfg) - {*COMMON_DEFAULTS, *HASHED_KEYS, "out"}
+    if extra:
+        raise ConfigError(f"unknown config keys: {sorted(extra)}")
     scenario = file_cfg.get("scenario")
-    if scenario not in SCENARIO_DEFAULTS:
-        raise ConfigError(
-            f"scenario must be one of {sorted(SCENARIO_DEFAULTS)}, got {scenario!r}"
-        )
-    cfg = _deep_merge(COMMON_DEFAULTS, SCENARIO_DEFAULTS[scenario])
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:  # a list is unhashable
+        raise ConfigError(f"scenario must be one of {sorted(SCENARIOS)}, got {scenario!r}")
+    cfg = _deep_merge(COMMON_DEFAULTS, SCENARIOS[scenario].defaults())
     cfg = _deep_merge(cfg, file_cfg)
     for name in ("train", "solver", "data"):
         section = cfg.get(name)
@@ -183,48 +155,16 @@ def _train_config(cfg: dict, model) -> TrainConfig:
     return tc
 
 
-_SIZE = (lambda v: is_int(v) and v >= 1, "an int >= 1")
-_PENALTY = (lambda v: is_real(v) and v >= 0, "a real >= 0")
-
-# The keys each scenario accepts in its synth and model sections, with the
-# rule every value must meet.
-_SECTION_RULES = {
-    "synth": {
-        "cox": {
-            **dict.fromkeys(("n", "d", "n_test"), _SIZE),
-            "censor_rate": (lambda v: is_real(v) and 0 <= v < 1, "a real in [0, 1)"),
-            "theta_star": (
-                lambda v: isinstance(v, list) and all(map(is_real, v)),
-                "a list of reals",
-            ),
-        },
-        "ltr": dict.fromkeys(("m", "n", "k", "p", "n_test"), _SIZE),
-        "embed": {
-            "preset": (lambda v: v in (None, "karate"), 'null or "karate"'),
-            "n": _SIZE,
-            "edge_prob": (lambda v: is_real(v) and 0 <= v <= 1, "a real in [0, 1]"),
-        },
-        "logistic": dict.fromkeys(("n", "d", "n_test"), _SIZE),
-    },
-    "model": {
-        "cox": {},
-        "ltr": {"l2": _PENALTY},
-        "embed": dict.fromkeys(("k", "walks_per_node", "walk_length", "window"), _SIZE),
-        "logistic": {"reg": _PENALTY},
-    },
-}
-
-
 def _section(cfg: dict, name: str) -> dict:
-    """The synth or model section, checked against the scenario's rules."""
-    section, rules = cfg[name], _SECTION_RULES[name][cfg["scenario"]]
+    """The synth or model section, checked against the scenario's keys."""
+    section, keys = cfg[name], getattr(SCENARIOS[cfg["scenario"]], name)
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    extra = set(section) - set(rules)
+    extra = set(section) - set(keys)
     if extra:
         raise ConfigError(f"unknown {name} settings: {sorted(extra)}")
     for key, val in section.items():
-        ok, rule = rules[key]
+        ok, rule = keys[key][0]
         if not ok(val):
             raise ConfigError(f"{name}.{key} must be {rule}, got {val!r}")
     return section
@@ -241,13 +181,17 @@ def _solver(cfg: dict) -> HessianSolver:
 
 def _data_paths(cfg: dict) -> list[str]:
     """Paths the scenario reads: explicit `data` entries or synth outputs."""
-    names = files.DATASET_FILES[cfg["scenario"]]
+    names = SCENARIOS[cfg["scenario"]].data_files
     data = cfg.get("data")
     if data is not None:
+        stems = [os.path.splitext(n)[0] for n in names]
         try:
-            paths = [data[os.path.splitext(n)[0]] for n in names]
+            paths = [data[stem] for stem in stems]
         except KeyError as exc:
             raise ConfigError(f"data section missing entry {exc}") from None
+        extra = set(data) - set(stems)
+        if extra:
+            raise ConfigError(f"unknown data entries: {sorted(extra)}")
         for path in paths:
             if not isinstance(path, str):
                 raise ConfigError(f"data paths must be strings, got {path!r}")
@@ -265,19 +209,6 @@ def _require_files(paths: list[str]):
         )
 
 
-def _split_survival(full: SurvivalDataset, n: int):
-    from .coxloss import SurvivalDataset
-
-    train_part = SurvivalDataset(x=full.x[:n], y=full.y[:n], delta=full.delta[:n])
-    test_part = SurvivalDataset(x=full.x[n:], y=full.y[n:], delta=full.delta[n:])
-    return train_part, test_part
-
-
-def _default_theta_star(d: int) -> np.ndarray:
-    # alternating-sign, decaying planted coefficients; deterministic in d
-    return np.array([(-1.0) ** j / (1.0 + j) for j in range(d)])
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args)
     if cfg.get("data") is not None:
@@ -285,83 +216,21 @@ def cmd_synth(args) -> int:
     scenario, seed, s = cfg["scenario"], cfg["seed"], _section(cfg, "synth")
     out = _out_dir(cfg)
     paths = _data_paths(cfg)
-    if scenario == "cox":
-        from .synth import synth_survival
-
-        theta_star = np.asarray(s.get("theta_star", _default_theta_star(s["d"])))
-        full = synth_survival(
-            n=s["n"] + s["n_test"],
-            d=s["d"],
-            theta_star=theta_star,
-            censor_rate=s["censor_rate"],
-            seed=seed,
-        )
-        for path, part in zip(paths, _split_survival(full, s["n"])):
-            files.write_survival(path, part)
-    elif scenario == "ltr":
-        from .synth import synth_ranking
-        from .ltrloss import RankingDataset
-
-        full = synth_ranking(
-            m=s["m"] + s["n_test"], n=s["n"], k=s["k"], p=s["p"], seed=seed
-        )
-        train_part = RankingDataset(
-            features=full.features[: s["m"]],
-            rel_lists=full.rel_lists[: s["m"]],
-            n_items=s["n"],
-        )
-        test_part = RankingDataset(
-            features=full.features[s["m"] :],
-            rel_lists=full.rel_lists[s["m"] :],
-            n_items=s["n"],
-        )
-        files.write_ranking(paths[0], paths[1], train_part)
-        files.write_ranking(paths[2], paths[3], test_part)
-    elif scenario == "embed":
-        from .synth import synth_graph
-
-        g = synth_graph(
-            n=s.get("n"), edge_prob=s.get("edge_prob"), seed=seed, preset=s.get("preset")
-        )
-        if g.edges.shape[0] == 0:  # `train` would refuse the empty edges.txt
-            raise ConfigError(
-                f"the graph drawn with n={s.get('n')}, edge_prob={s.get('edge_prob')} "
-                f"and seed {seed} has no edges; raise n or edge_prob, or change the seed"
-            )
-        files.write_edges(paths[0], g)
-    else:
-        from .logisticloss import logistic_fixture
-
-        full = logistic_fixture(s["n"] + s["n_test"], s["d"], seed)
-        labels = full.labels.astype(np.int64)
-        for path, rows in zip(paths, (slice(None, s["n"]), slice(s["n"], None))):
-            files.write_points(path, full.x[rows], labels[rows])
-    meta = {
-        "config_hash": config_hash(cfg),
-        "scenario": scenario,
-        "seed": seed,
-        "files": [os.path.basename(p) for p in paths],
-    }
-    if scenario == "ltr":
-        meta["n_objects"] = s["n"]
-    elif scenario == "embed":
-        meta["n_objects"] = g.n
+    n_objects = SCENARIOS[scenario].draw(s, seed, paths)
+    meta = {"config_hash": config_hash(cfg), "scenario": scenario, "seed": seed,
+            "files": [os.path.basename(p) for p in paths]}
+    if n_objects is not None:
+        meta["n_objects"] = n_objects
     files.write_json(os.path.join(out, "synth_meta.json"), meta)
     log.info("synthesized %s dataset into %s", scenario, out)
     print(f"wrote {len(paths)} dataset file(s) to {out}")
     return 0
 
 
-def _held_out(path: str, fits: bool, why: str):
-    """Refuse a held-out table that does not fit the training data."""
-    if not fits:
-        raise DataError(f"{path}: {why}")
-
-
 def _object_count(cfg: dict) -> int | None:
-    """The items (ltr) or nodes (embed) that `synth` wrote into the run
-    directory (synth_meta.json n_objects), whether or not the data names
-    every one.  None with a data section, or for tables put in the run
+    """The object count `synth` recorded for the run directory
+    (synth_meta.json n_objects), whether or not the data names every
+    object.  None with a data section, or for tables put in the run
     directory by hand, where the readers take the largest id + 1."""
     if cfg.get("data") is not None:
         return None
@@ -380,57 +249,16 @@ def _object_count(cfg: dict) -> int | None:
 def build_model(cfg: dict):
     """Model plus the target list implied by the scenario's test artifacts.
 
-    The ltr items and embed nodes of a synthesized run are the synth
-    config's (_object_count), otherwise 0 up to the largest id in the
+    Where synth recorded an object count (_object_count), the ids of a
+    synthesized run are that many, otherwise 0 up to the largest id in the
     training data; an id outside them is a DataError naming the file.  Each
     held-out table is checked against the training data, so a table that no
     target can use is a DataError naming the file.
     """
-    scenario, m = cfg["scenario"], _section(cfg, "model")
+    m = _section(cfg, "model")
     paths = _data_paths(cfg)
     _require_files(paths)
-    if scenario == "cox":
-        from .coxloss import CoxModel, relative_risk_target
-
-        data = files.read_survival(paths[0])
-        test = files.read_survival(paths[1])
-        _held_out(paths[1], test.d == data.d, f"{test.d} features, training data has {data.d}")
-        model = CoxModel(data)
-        targets = [relative_risk_target(row) for row in test.x]
-    elif scenario == "ltr":
-        from .ltrloss import ListMLEModel, query_loss_target
-
-        data = files.read_ranking(paths[0], paths[1], _object_count(cfg))
-        # an item of labels_test.csv outside the training items is a DataError
-        test = files.read_ranking(paths[2], paths[3], data.n_items)
-        _held_out(paths[2], test.p == data.p, f"{test.p} features, training data has {data.p}")
-        model = ListMLEModel(data, l2=m.get("l2", 0.0))
-        targets = [
-            query_loss_target(model, test.features[q], test.rel_lists[q])
-            for q in range(test.m)
-        ]
-    elif scenario == "embed":
-        from .embedloss import EmbedModel, WalkParams, pair_loss_target
-
-        graph = files.read_edges(paths[0], _object_count(cfg))
-        walks = WalkParams(
-            walks_per_node=m["walks_per_node"],
-            walk_length=m["walk_length"],
-            window=m["window"],
-            seed=cfg["seed"],
-        )
-        model = EmbedModel(graph, k=m["k"], walk_params=walks)
-        targets = [pair_loss_target(model, int(u), int(v)) for u, v in graph.edges]
-    else:
-        from .logisticloss import LogisticModel, LogLossTarget
-
-        x, labels = files.read_points(paths[0])
-        xt, lt = files.read_points(paths[1])
-        d, dt = x.shape[1], xt.shape[1]
-        _held_out(paths[1], dt == d, f"{dt} features, training data has {d}")
-        model = LogisticModel(x, labels, reg=m.get("reg", 1e-3))
-        targets = [LogLossTarget(xt[i], lt[i]) for i in range(xt.shape[0])]
-    return model, targets
+    return SCENARIOS[cfg["scenario"]].build(m, cfg["seed"], paths, lambda: _object_count(cfg))
 
 
 def _objects(cfg: dict, model) -> list[int]:

@@ -1,5 +1,6 @@
 """Every file a run directory holds: the dataset tables, the checkpoint, the
-score tables and the JSON meta files, with their names and headers.
+score tables and the JSON meta files, with their headers, and the names of
+all but the dataset files, which each scenario's record names (`scenarios`).
 
 At import this module loads only the standard library, numpy and `errors`.
 A dataset reader builds the dataset class of its scenario's loss module,
@@ -35,13 +36,6 @@ CHECKPOINT_NAME = "checkpoint.bin"
 INFLUENCES_NAME = "influences.csv"
 LOO_NAME = "loo.csv"
 SUMMARY_NAME = "summary.json"
-# Per-scenario dataset file names inside the run directory.
-DATASET_FILES = {
-    "cox": ("survival.csv", "survival_test.csv"),
-    "ltr": ("queries.csv", "labels.csv", "queries_test.csv", "labels_test.csv"),
-    "embed": ("edges.txt",),
-    "logistic": ("points.csv", "points_test.csv"),
-}
 # The columns whose cells may be empty, for a missing score.
 SCORE_COLUMNS = ("vif", "loo")
 CHUNK_ROWS = 8192

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import LinearTarget, subprocess_env
-from vifkit import cli, files, harness, logisticloss
+from vifkit import cli, files, harness, logisticloss, scenarios
 from vifkit.attributor import attribute_target
 from vifkit.cli import main
 from vifkit.errors import DataError
@@ -661,6 +661,46 @@ class TestExitCodes:
         assert section in payload["message"]
         assert not out.exists()
 
+    def test_unknown_top_level_keys_are_config_errors(self, capsys, cox_run):
+        # misspelled sections, which would otherwise train at the defaults
+        cfg, cfg_path, out = cox_run
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        cfg_path.write_text(json.dumps(dict(cfg, trian={"epochs": 2}, solvr={"damping": 5})))
+        for stage in ("train", "synth"):
+            code, stdout, err = run(capsys, stage, "--config", str(cfg_path))
+            assert code == 1 and stdout == ""
+            payload = stderr_payload(err)
+            assert payload["error"] == "ConfigError"
+            assert payload["message"] == "unknown config keys: ['solvr', 'trian']"
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_unknown_data_entries_are_config_errors(self, capsys, cox_run, tmp_path):
+        cfg, cfg_path, out = cox_run
+        assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
+        data = {"survival": str(out / "survival.csv"),
+                "survival_test": str(out / "survival_test.csv"), "survival_tset": 3}
+        ext = tmp_path / "ext"
+        cfg_path.write_text(json.dumps(dict(cfg, out=str(ext), data=data)))
+        code, stdout, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 1 and stdout == ""
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == "unknown data entries: ['survival_tset']"
+        assert not ext.exists()
+        del data["survival_tset"]
+        cfg_path.write_text(json.dumps(dict(cfg, out=str(ext), data=data)))
+        assert run(capsys, "train", "--config", str(cfg_path))[0] == 0
+
+    @pytest.mark.parametrize("scenario", [["cox"], {"cox": 1}, "coxx"], ids=repr)
+    def test_unknown_scenario_is_config_error(self, capsys, tmp_path, scenario):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "seed": 1, "out": "run"}))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 1 and len(err.strip().splitlines()) == 1
+        assert stderr_payload(err)["message"] == (
+            f"scenario must be one of ['cox', 'embed', 'logistic', 'ltr'], got {scenario!r}"
+        )
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
@@ -870,7 +910,7 @@ class TestSynthFiles:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({"scenario": scenario, "seed": 42, "out": str(out)}))
         assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0
-        names = files.DATASET_FILES[scenario]
+        names = scenarios.SCENARIOS[scenario].data_files
         if scenario == "cox":
             for name in names:
                 data = files.read_survival(str(out / name))
@@ -918,6 +958,38 @@ class TestSynthFiles:
         assert not (out / "synth_meta.json").exists()
 
 
+class TestScenarioRecords:
+    def test_a_record_is_all_a_loss_family_needs(self, capsys, tmp_path, monkeypatch):
+        """A scenario added to the table alone runs every stage, under its
+        own name and dataset file names."""
+        clone = scenarios.SCENARIOS["logistic"]._replace(data_files=("pts.csv", "pts_held.csv"))
+        monkeypatch.setitem(scenarios.SCENARIOS, "logistic2", clone)
+        out, cfg_path = tmp_path / "run", tmp_path / "c.json"
+        cfg = {"scenario": "logistic2", "seed": 3, "out": str(out),
+               "synth": {"n": 30, "d": 3, "n_test": 4}}
+        cfg_path.write_text(json.dumps(cfg))
+        for stage in ("synth", "train", "attribute", "loo", "compare"):
+            code, _, err = run(capsys, stage, "--config", str(cfg_path))
+            assert code == 0, (stage, err)
+        meta = json.loads((out / "synth_meta.json").read_text())
+        assert meta["scenario"] == "logistic2" and meta["files"] == ["pts.csv", "pts_held.csv"]
+        assert "n_objects" not in meta and not (out / "points.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_pairs"] == 30 * 4 and summary["pearson_r"] > 0.9
+        # a data section names the files by the record's stems
+        data = {"pts": str(out / "pts.csv"), "pts_held": str(out / "pts_held.csv")}
+        cfg_path.write_text(json.dumps(dict(cfg, out=str(tmp_path / "ext"), data=data)))
+        assert run(capsys, "train", "--config", str(cfg_path))[0] == 0
+
+        cfg_path.write_text(json.dumps(dict(cfg, scenario="logistc")))
+        code, _, err = run(capsys, "train", "--config", str(cfg_path))
+        names = ["cox", "embed", "logistic", "logistic2", "ltr"]
+        assert code == 1
+        assert stderr_payload(err)["message"] == (
+            f"scenario must be one of {names}, got 'logistc'"
+        )
+
+
 LABELS = ("query_id", "rank", "item_id")
 
 
@@ -954,7 +1026,8 @@ class TestSynthObjectCount:
         assert code == 2 and "labels_test.csv: item 40" in stderr_payload(err)["message"]
 
         # with a data section the training data's largest item + 1 is the count
-        data = {name.split(".")[0]: str(out / name) for name in files.DATASET_FILES["ltr"]}
+        names = scenarios.SCENARIOS["ltr"].data_files
+        data = {name.split(".")[0]: str(out / name) for name in names}
         (out / "labels_test.csv").write_text("query_id,rank,item_id\n0,0,39\n")
         external = tmp_path / "external.json"
         external.write_text(json.dumps({

@@ -111,6 +111,16 @@ def test_config_hash_is_sha256_of_the_hashed_keys(tmp_path):
     subset = {k: cfg[k] for k in cli.HASHED_KEYS if k in cfg}
     blob = json.dumps(subset, sort_keys=True, separators=(",", ":"))
     assert digest == hashlib.sha256(blob.encode()).hexdigest()
+    # each scenario at its defaults and seed 42: a changed default changes these
+    for scenario, want in (
+        ("cox", "ea78f5dbf89273cc8b8aadd607307c1481ecbdc4bfa7de9111f4f7f42b9ae305"),
+        ("ltr", "90c48d6555259406be8ba4861e8dabe5a41182712fa1ffb8bf4e083c6cc167e2"),
+        ("embed", "5c3c4ae353e36c9fabe0b44e394211ae1a26a30770919cb90c1632d39364dbbc"),
+        ("logistic", "2ff9491339b1204b24aa0a0ca915fa459c86a42797b5ddd2dc595a8cf8bd154a"),
+    ):
+        cfg_path.write_text(json.dumps({"scenario": scenario, "seed": 42, "out": "run"}))
+        args = cli.build_parser().parse_args(["attribute", "--config", str(cfg_path)])
+        assert cli.config_hash(cli.load_config(args)) == want, scenario
 
 
 @pytest.fixture(scope="module")
