@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -138,14 +138,21 @@ def _out_dir(cfg: dict) -> str:
     return path
 
 
+def _known(cfg: dict, name: str, keys) -> dict:
+    """cfg[name], refused unless it is a JSON object whose keys are all in keys."""
+    section = cfg[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    extra = set(section) - set(keys)
+    if extra:
+        raise ConfigError(f"unknown {name} settings: {sorted(extra)}")
+    return section
+
+
 def _train_config(cfg: dict, model) -> TrainConfig:
     from .losscore import TrainConfig
 
-    t = cfg["train"]
-    known = {"optimizer", "learning_rate", "epochs", "batch_size", "grad_tol"}
-    extra = set(t) - known
-    if extra:
-        raise ConfigError(f"unknown train settings: {sorted(extra)}")
+    t = _known(cfg, "train", {f.name for f in fields(TrainConfig)} - {"seed"})
     try:
         tc = TrainConfig(seed=cfg["seed"], **t)
     except (ValueError, TypeError) as exc:
@@ -157,12 +164,8 @@ def _train_config(cfg: dict, model) -> TrainConfig:
 
 def _section(cfg: dict, name: str) -> dict:
     """The synth or model section, checked against the scenario's keys."""
-    section, keys = cfg[name], getattr(SCENARIOS[cfg["scenario"]], name)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    extra = set(section) - set(keys)
-    if extra:
-        raise ConfigError(f"unknown {name} settings: {sorted(extra)}")
+    keys = getattr(SCENARIOS[cfg["scenario"]], name)
+    section = _known(cfg, name, keys)
     for key, val in section.items():
         ok, rule = keys[key][0]
         if not ok(val):
@@ -173,8 +176,9 @@ def _section(cfg: dict, name: str) -> dict:
 def _solver(cfg: dict) -> HessianSolver:
     from .attributor import HessianSolver
 
+    settings = _known(cfg, "solver", {f.name for f in fields(HessianSolver)})
     try:
-        return HessianSolver(**cfg["solver"])
+        return HessianSolver(**settings)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad solver config: {exc}") from None
 
@@ -394,14 +398,11 @@ def cmd_loo(args) -> int:
         "n_retrains": k,
         "n_converged": n_converged,
         "all_converged": n_converged == k,
-        # per retrain, in the object order of loo.csv; in lockstep, wall_s is
-        # the group's wall time split evenly over its rows
-        "grad_norm": result.grad_norm.tolist(),
-        "converged": result.converged.tolist(),
-        "iterations": result.iterations.tolist(),
-        "wall_s": result.wall_s.tolist(),
-        # retrains per lockstep group; empty when each retrained on its own
-        "group_rows": result.group_rows.tolist(),
+        # per retrain, in the object order of loo.csv (in lockstep, wall_s is
+        # the group's wall time split evenly over its rows), then the retrains
+        # per lockstep group, empty when each retrained on its own
+        **{key: getattr(result, key).tolist()
+           for key in ("grad_norm", "converged", "iterations", "wall_s", "group_rows")},
     }
     files.write_json(os.path.join(out, "loo_meta.json"), meta)
     log.info("retrained %d times in %.3fs", k, runtime)
@@ -415,10 +416,11 @@ def cmd_loo(args) -> int:
 def cmd_compare(args) -> int:
     from .harness import compare
 
-    # compare needs no config of its own: everything lives in the run dir
+    # compare needs no config of its own: everything lives in the run dir,
+    # but a config it is given is checked as every stage checks it
     out = args.out
-    if out is None and args.config is not None:
-        out = load_config(args)["out"]
+    if args.config is not None:
+        out = load_config(args)["out"]  # --out overrides the file's out
     if out is None:
         raise ConfigError("output directory is required (--out or config file)")
     vif_meta = files.read_meta(out, "attribute_meta.json")

@@ -2,7 +2,8 @@
 
 The leave-one-out oracle retrains from scratch per dropped object under the
 same configuration (in lockstep groups where the model batches its drop-one
-gradients) and returns the objects x targets matrix of deltas
+gradients), collects each retraining's or group's rows as a LooResult block
+and returns their concatenation, with the objects x targets matrix of deltas
 f(theta_-i) - f(theta_full); compare() correlates the negated deltas against
 the chain-rule influence score matrix, Table-style, and tracks attribution
 wall time on both sides.
@@ -11,8 +12,7 @@ wall time on both sides.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class LooResult:
     wall time in seconds (in lockstep, its group's wall time split evenly
     over the group's rows).  group_rows holds the row count of each lockstep
     group in order, and is empty when every object retrained on its own.
+    Each retraining, or lockstep group, returns its rows as one of these.
     """
 
     objects: np.ndarray
@@ -52,14 +53,17 @@ class LooResult:
     group_rows: np.ndarray
 
 
-class _Retrain(NamedTuple):
-    """One retraining, one row of LooResult."""
-
-    deltas: np.ndarray
-    grad_norm: float
-    converged: bool
-    iterations: int
-    wall_s: float
+def _block(objects, deltas, grad_norm, converged, iterations, wall_s, group_rows=()):
+    """A LooResult of rows with every field at its dtype; deltas is (rows, targets)."""
+    return LooResult(
+        np.array(objects, dtype=np.int64),
+        deltas,
+        np.array(grad_norm, dtype=float),
+        np.array(converged, dtype=bool),
+        np.array(iterations, dtype=np.int64),
+        np.array(wall_s, dtype=float),
+        np.array(group_rows, dtype=np.int64),
+    )
 
 
 def _deltas(targets, base_values, thetas) -> np.ndarray:
@@ -70,35 +74,32 @@ def _deltas(targets, base_values, thetas) -> np.ndarray:
     return deltas
 
 
-def _loo_one(model, cfg, init, base_values, targets, i) -> _Retrain:
+def _start(model, cfg, init, i) -> np.ndarray:
+    """Where the retraining without object i starts: init, else its own seeded draw."""
+    return model.initial_params(derive_seed(cfg.seed, i)) if init is None else init
+
+
+def _loo_one(model, cfg, init, base_values, targets, i) -> LooResult:
+    """The retraining without object i, as a block of one row."""
     start = time.perf_counter()
     b = PresenceVector.all_ones(model.n_objects).without(i)
     cfg_i = replace(cfg, seed=derive_seed(cfg.seed, i))
-    if init is None:
-        init = model.initial_params(cfg_i.seed)
-    res = train(model, b, cfg_i, init=init)
-    return _Retrain(
-        _deltas(targets, base_values, res.theta[None])[0],
-        res.grad_norm,
-        res.converged,
-        res.iterations,
-        time.perf_counter() - start,
-    )
+    res = train(model, b, cfg_i, init=_start(model, cfg, init, i))
+    deltas = _deltas(targets, base_values, res.theta[None])
+    wall_s = time.perf_counter() - start
+    return _block([i], deltas, [res.grad_norm], [res.converged], [res.iterations], [wall_s])
 
 
-def _loo_lockstep(model, cfg, init, base_values, targets, group) -> list[_Retrain]:
+def _loo_lockstep(model, cfg, init, base_values, targets, group) -> LooResult:
+    """The retrainings without each object of group, run in lockstep, as one block."""
     start = time.perf_counter()
-    if init is None:
-        inits = [model.initial_params(derive_seed(cfg.seed, i)) for i in group]
-    else:
-        inits = [init] * len(group)
-    thetas, grad_norms = train_drop_one(model, cfg, np.array(inits), group)
+    inits = np.array([_start(model, cfg, init, i) for i in group])
+    thetas, grad_norms = train_drop_one(model, cfg, inits, group)
     deltas = _deltas(targets, base_values, thetas)
-    wall_s = (time.perf_counter() - start) / len(group)
-    return [
-        _Retrain(d, float(gn), bool(gn <= cfg.grad_tol), cfg.epochs, wall_s)
-        for d, gn in zip(deltas, grad_norms)
-    ]
+    n = len(group)
+    wall_s = (time.perf_counter() - start) / n
+    return _block(group, deltas, grad_norms, grad_norms <= cfg.grad_tol, [cfg.epochs] * n,
+                  [wall_s] * n, [n])
 
 
 def _spread(jobs: int, fn, args: tuple, items: list) -> list:
@@ -135,9 +136,10 @@ def loo_retrain(
     and cfg is full-batch gd or adam, the retrainings run in lockstep groups
     through train_drop_one: one gradient call per epoch for a whole group, and
     each row ends where its own run would, up to rounding.  Groups hold at
-    most numkit.BLOCK_ENTRIES // n_objects rows; jobs spreads whole groups (or,
-    on the per-retrain path, single retrainings) over processes, so the
-    results never depend on jobs.
+    most numkit.BLOCK_ENTRIES // n_objects rows.  Each group, or on the
+    per-retrain path each retraining, returns its rows as a LooResult block,
+    and the result is the blocks concatenated in object order; jobs spreads
+    the blocks over processes, so the results never depend on jobs.
     """
     ones = PresenceVector.all_ones(model.n_objects)
     init = model.initial_params(cfg.seed)
@@ -157,18 +159,13 @@ def loo_retrain(
     if lockstep:
         size = max(1, numkit.BLOCK_ENTRIES // model.n_objects)
         groups = [objects[s : s + size] for s in range(0, len(objects), size)]
-        rows = [row for group in _spread(jobs, _loo_lockstep, args, groups) for row in group]
+        blocks = _spread(jobs, _loo_lockstep, args, groups)
     else:
-        groups = []
-        rows = _spread(jobs, _loo_one, args, objects)
+        blocks = _spread(jobs, _loo_one, args, objects)
+    # the empty block gives the result its shapes and dtypes when there are no objects
+    blocks.insert(0, _block([], np.empty((0, len(targets))), [], [], [], []))
     return LooResult(
-        objects=np.array(objects, dtype=np.int64),
-        deltas=np.array([r.deltas for r in rows]).reshape(len(objects), len(targets)),
-        grad_norm=np.array([r.grad_norm for r in rows]),
-        converged=np.array([r.converged for r in rows], dtype=bool),
-        iterations=np.array([r.iterations for r in rows], dtype=np.int64),
-        wall_s=np.array([r.wall_s for r in rows]),
-        group_rows=np.array([len(g) for g in groups], dtype=np.int64),
+        **{f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(LooResult)}
     )
 
 

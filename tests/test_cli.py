@@ -674,6 +674,44 @@ class TestExitCodes:
             assert payload["message"] == "unknown config keys: ['solvr', 'trian']"
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("section, key, stage", [
+        ("train", "epohcs", "train"), ("train", "seed", "train"), ("solver", "stratgy", "attribute"),
+    ])
+    def test_misspelled_train_and_solver_keys_are_named(self, capsys, cox_run, section, key, stage):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        cfg_path.write_text(json.dumps(dict(cfg, **{section: {key: 1}})))
+        code, stdout, err = run(capsys, stage, "--config", str(cfg_path))
+        assert code == 1 and stdout == ""
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == f"unknown {section} settings: ['{key}']"
+
+    @pytest.mark.parametrize("bad", ["misspelled", "missing"])
+    def test_compare_checks_the_config_it_is_given(self, capsys, cox_run, tmp_path, bad):
+        cfg, cfg_path, out = cox_run
+        for cmd in ("synth", "train", "attribute", "loo"):
+            assert run(capsys, cmd, "--config", str(cfg_path))[0] == 0
+        bad_path = tmp_path / "bad.json"
+        if bad == "misspelled":
+            bad_path.write_text(json.dumps(dict(cfg, trian={})))
+        code, stdout, err = run(capsys, "compare", "--out", str(out), "--config", str(bad_path))
+        assert code == 1 and stdout == ""
+        payload = stderr_payload(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == {
+            "misspelled": "unknown config keys: ['trian']",
+            "missing": f"config file not found: {bad_path}",
+        }[bad]
+        assert not (out / "summary.json").exists()
+        # the run's own config, or none, still compares; --out overrides the file's out
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(cfg, out=str(tmp_path / "elsewhere"))))
+        assert run(capsys, "compare", "--out", str(out), "--config", str(other))[0] == 0
+        assert run(capsys, "compare", "--out", str(out))[0] == 0
+        assert (out / "summary.json").exists()
+
     def test_unknown_data_entries_are_config_errors(self, capsys, cox_run, tmp_path):
         cfg, cfg_path, out = cox_run
         assert run(capsys, "synth", "--config", str(cfg_path))[0] == 0

@@ -288,6 +288,32 @@ class TestLockstepLoo:
         assert got.group_rows.tolist() == []
         assert got.iterations.tolist() == [5] * 10
 
+    DTYPES = {"objects": np.int64, "deltas": np.float64, "grad_norm": np.float64,
+              "converged": np.bool_, "iterations": np.int64, "wall_s": np.float64,
+              "group_rows": np.int64}
+
+    @pytest.mark.parametrize("optimizer", ["newton", "adam"])
+    def test_no_objects_give_an_empty_result(self, cox, optimizer):
+        # adam runs in lockstep, newton one by one; neither returns a block
+        model, targets = cox
+        cfg = TrainConfig(optimizer=optimizer, epochs=5, seed=4)
+        got = loo_retrain(model, cfg, [], targets[:3])
+        assert got.deltas.shape == (0, 3)
+        for field, dtype in self.DTYPES.items():
+            value = getattr(got, field)
+            assert value.dtype == dtype, field
+            assert len(value) == 0, field
+
+    def test_both_paths_give_the_same_dtypes(self, cox):
+        model, targets = cox
+        results = [loo_retrain(model, TrainConfig(optimizer=opt, epochs=5, seed=4), range(4),
+                               targets[:2]) for opt in ("newton", "adam")]
+        assert [r.group_rows.tolist() for r in results] == [[], [4]]
+        for field, dtype in self.DTYPES.items():
+            assert [getattr(r, field).dtype for r in results] == [dtype, dtype], field
+        for r in results:
+            assert r.objects.tolist() == [0, 1, 2, 3] and r.deltas.shape == (4, 2)
+
 
 class TestBruteForceRepeat:
     def test_deterministic_loss_reaches_unit_ceiling(self, quad_model):
