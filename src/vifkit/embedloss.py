@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, EmptyGraphError
 from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
+from .numkit import is_int
 
 log = logging.getLogger("vifkit.embedloss")
 
@@ -71,8 +73,10 @@ class WalkParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.walks_per_node < 1 or self.walk_length < 1 or self.window < 1:
-            raise ValueError("walks_per_node, walk_length, window must be >= 1")
+        for name in ("walks_per_node", "walk_length", "window"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def generate_walks(graph: Graph, b: PresenceVector, params: WalkParams) -> np.ndarray:
@@ -180,6 +184,16 @@ def _anchor_block(counts: np.ndarray, present: np.ndarray):
     return anchors, m_row[anchors], counts[np.ix_(anchors, present)]
 
 
+class _Pairs(NamedTuple):
+    """One presence vector's pair counts and their anchor block."""
+
+    counts: np.ndarray  # (n, n) pair counts C
+    present: np.ndarray  # present node ids
+    anchors: np.ndarray  # nodes with at least one pair
+    m: np.ndarray  # the anchors' pair totals
+    block: np.ndarray  # (anchors x present) block of C
+
+
 def _scatter(gs: np.ndarray, emb: np.ndarray, out: np.ndarray, rows, cols) -> np.ndarray:
     """[g_emb, g_out] from dL/dS on the (rows x cols) block of S = emb @ out^T."""
     g_emb = np.zeros_like(emb)
@@ -222,12 +236,12 @@ class EmbedModel(LossModel):
     is_convex = False
 
     def __init__(self, graph: Graph, k: int, walk_params: WalkParams):
-        if k < 1:
-            raise ValueError("embedding dimension must be >= 1")
+        if not (is_int(k) and k >= 1):
+            raise ValueError(f"embedding dimension k must be an int >= 1, got {k!r}")
         self.graph = graph
         self.k = k
         self.walk_params = walk_params
-        self._pair_cache: dict[bytes, np.ndarray] = {}
+        self._pair_cache: dict[bytes, _Pairs] = {}
 
     @property
     def n_objects(self) -> int:
@@ -243,24 +257,28 @@ class EmbedModel(LossModel):
         return {"emb": (0, half), "out": (half, half)}
 
     def pair_counts(self, b: PresenceVector) -> np.ndarray:
-        """Pair counts of b's walk corpus, built on a presence_cached miss: a
-        drop-one sweep builds n + 1 corpora and holds at most two n x n matrices."""
-        return presence_cached(self._pair_cache, b, self._build_pair_counts)
+        """Pair counts of b's walk corpus."""
+        return self._pairs(b).counts
 
-    def _build_pair_counts(self, b: PresenceVector) -> np.ndarray:
+    def _pairs(self, b: PresenceVector) -> _Pairs:
+        """b's pair counts and anchor block, built on a presence_cached miss:
+        a drop-one sweep builds n + 1 corpora and holds at most two entries."""
+        return presence_cached(self._pair_cache, b, self._build_pairs)
+
+    def _build_pairs(self, b: PresenceVector) -> _Pairs:
         walks = generate_walks(self.graph, b, self.walk_params)
         counts = walks_to_pairs(walks, self.graph.n, self.walk_params.window)
         if counts.sum() == 0:
             log.warning("walk corpus produced no co-occurrence pairs")
-        return counts
+        present = b.present_indices()
+        return _Pairs(counts, present, *_anchor_block(counts, present))
 
     def _pass(self, theta, b):
         """emb, out, present, anchors, m, C block and the anchors' softmax p."""
         emb, out = _split(theta, self.graph.n, self.k)
-        present = b.present_indices()
-        anchors, m, c = _anchor_block(self.pair_counts(b), present)
-        _, p, _ = _softmax(emb[anchors], out[present])
-        return emb, out, present, anchors, m, c, p
+        pairs = self._pairs(b)
+        _, p, _ = _softmax(emb[pairs.anchors], out[pairs.present])
+        return emb, out, pairs.present, pairs.anchors, pairs.m, pairs.block, p
 
     def value(self, theta, b):
         emb, out = _split(theta, self.graph.n, self.k)

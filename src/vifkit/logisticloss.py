@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import DataError
 from .losscore import DecomposableLoss, LossModel, TargetFunction
+from .numkit import is_real
 
 
 class LogisticModel(LossModel, DecomposableLoss):
@@ -29,8 +30,8 @@ class LogisticModel(LossModel, DecomposableLoss):
             raise DataError("non-finite feature values")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise DataError("labels must be -1 or +1")
-        if reg < 0:
-            raise ValueError("reg must be >= 0")
+        if not (is_real(reg) and reg >= 0):
+            raise ValueError(f"reg must be a real >= 0, got {reg!r}")
         self.x = x
         self.labels = labels
         self.reg = float(reg)

@@ -18,6 +18,19 @@ the padded lists: the candidate softmax P_j and logsumexp of each position.
 The value sums logsumexp - s_y, the gradient coefficients are sum_j P_j
 minus the list's one-hot, and each query's Hessian item block is
 diag(sum_j P_j) - sum_j P_j^T P_j.
+
+What the pass needs besides theta depends on the presence vector alone, so
+ListMLEModel builds it once per presence vector, as a _Layout cached by
+losscore.presence_cached (the full-presence layout plus the most recent
+other one).  The layout holds the queries whose list keeps a present item,
+their features, the present items, the lists compacted to those items'
+column ids (left-aligned, with a validity mask) and the (queries x
+positions x items) candidate mask.  The mask comes from each item's list
+position pos[q, l] (the list length K for an item not in the list): item l
+is a candidate at position j while pos[q, l] >= j, and every item is a
+candidate at a padded position, whose softmax is then zeroed.  A pass is a
+row gather from the layout (a minibatch's queries), one score product and
+the masked softmax.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NoPresentItemsError
-from .losscore import LossModel, PresenceVector, TargetFunction
+from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
+from .numkit import is_real
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,7 @@ class RankingDataset:
     def p(self) -> int:
         return self.features.shape[1]
 
+
 def _pad(rel_lists):
     """Relevance lists as a left-aligned (m, K) id array plus its validity mask."""
     lens = np.array([len(lst) for lst in rel_lists])
@@ -80,19 +95,29 @@ def _pad(rel_lists):
     return lists, valid
 
 
-def _plackett_luce(s, lists, valid):
+def _candidates(lists, valid, n):
+    """(m, K, n) candidate mask of the padded lists over n items.
+
+    Position j of query q draws from the items its list has not consumed
+    yet: item l is a candidate while its list position pos[q, l] >= j (K
+    for an item not in the list).  Padded positions draw from every item
+    so that their shift stays finite.
+    """
+    m, k = lists.shape
+    pos = np.full((m, n), k)
+    q, j = np.nonzero(valid)
+    pos[q, lists[q, j]] = j
+    return (pos[:, None, :] >= np.arange(k)[:, None]) | ~valid[..., None]
+
+
+def _plackett_luce(s, cand, valid):
     """Candidate softmax and logsumexp at every position of every list.
 
-    s holds (m, n) item scores and lists the (m, K) padded relevance lists
-    with mask valid.  Position j of query q draws from the items its list has
-    not consumed yet, C_j = all items minus y_1..y_{j-1}.  Returns the
-    softmax over C_j as P (m, K, n) and logsumexp_{C_j} s as (m, K), both
+    s holds (m, n) item scores, cand the (m, K, n) candidate mask and valid
+    the (m, K) validity mask of the lists.  Returns the softmax over each
+    position's candidates as P (m, K, n) and their logsumexp as (m, K), both
     zero at padded positions.
     """
-    taken = (lists[..., None] == np.arange(s.shape[1])) & valid[..., None]
-    # an item stays a candidate up to and including the position that takes
-    # it; padded positions draw from every item so their shift stays finite
-    cand = ~np.logical_or.accumulate(taken, axis=1) | taken | ~valid[..., None]
     z = np.where(cand, s[:, None, :], -np.inf)
     shift = z.max(axis=2, keepdims=True)
     z -= shift
@@ -125,15 +150,48 @@ def _hessian_blocks(p):
     return blocks
 
 
-class _Pass(NamedTuple):
-    """One Plackett-Luce pass over the present items of the chosen queries."""
+class _Layout(NamedTuple):
+    """The lists of one presence vector over its present items."""
 
-    rows: np.ndarray  # which of the chosen queries kept a nonempty list
+    rows: np.ndarray  # ids of the queries whose list keeps a present item
     items: np.ndarray  # present item ids; column c of s and p is items[c]
-    x: np.ndarray  # (m', p) features of the queries kept
+    x: np.ndarray  # (m', p) features of those queries
+    lists: np.ndarray  # (m', K) compacted lists in column ids
+    valid: np.ndarray  # (m', K)
+    cand: np.ndarray  # (m', K, n') candidate mask
+
+    def take(self, sel) -> "_Layout":
+        """The layout of the queries sel selects, positions untrimmed."""
+        return self._replace(rows=self.rows[sel], x=self.x[sel], lists=self.lists[sel],
+                             valid=self.valid[sel], cand=self.cand[sel])
+
+
+def _layout(data: RankingDataset, lists, valid, b: PresenceVector) -> _Layout:
+    """Absent items leave every list (later entries move up) and queries
+    whose list empties are dropped, so masking an item lays out exactly the
+    arrays that deleting it would."""
+    if b.n != data.n_items:
+        raise ValueError("presence vector length does not match the item universe")
+    if b.count == 0:
+        raise NoPresentItemsError("no present items")
+    mask = b.bits
+    keep = valid & mask[lists]
+    rows = np.flatnonzero(keep.any(axis=1))
+    keep, lists = keep[rows], lists[rows]
+    lens = keep.sum(axis=1)
+    valid = np.arange(lens.max(initial=0)) < lens[:, None]
+    compact = np.zeros(valid.shape, dtype=np.int64)
+    compact[valid] = (np.cumsum(mask) - 1)[lists[keep]]
+    items = np.flatnonzero(mask)
+    return _Layout(rows, items, data.features[rows], compact, valid,
+                   _candidates(compact, valid, items.size))
+
+
+class _Pass(NamedTuple):
+    """One Plackett-Luce pass over a layout."""
+
+    lay: _Layout
     s: np.ndarray  # (m', n') scores
-    lists: np.ndarray  # (m', K) lists in column ids
-    valid: np.ndarray
     p: np.ndarray
     lse: np.ndarray
 
@@ -144,11 +202,12 @@ class ListMLEModel(LossModel):
     is_convex = True
 
     def __init__(self, data: RankingDataset, l2: float = 0.0):
-        if l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not (is_real(l2) and l2 >= 0):
+            raise ValueError(f"l2 must be a real >= 0, got {l2!r}")
         self.data = data
         self.l2 = float(l2)
         self._lists, self._valid = _pad(data.rel_lists)
+        self._layouts: dict[bytes, _Layout] = {}
 
     @property
     def n_objects(self) -> int:
@@ -162,53 +221,40 @@ class ListMLEModel(LossModel):
     def layout(self) -> dict:
         return {"W": (0, self.dim)}
 
-    def _pass(self, theta, b, queries=None) -> _Pass:
-        """Plackett-Luce pass restricted to present items.
+    def _layout_of(self, b: PresenceVector) -> _Layout:
+        return presence_cached(
+            self._layouts, b, lambda b: _layout(self.data, self._lists, self._valid, b)
+        )
 
-        Absent items leave the score matrix and every list (later entries
-        move up) before any arithmetic, and queries whose list empties are
-        dropped, so masking an item computes on exactly the arrays that
-        deleting it would.
-        """
-        if b.n != self.data.n_items:
-            raise ValueError("presence vector length does not match the item universe")
-        if b.count == 0:
-            raise NoPresentItemsError("no present items")
-        mask = b.bits
-        lists, valid, x = self._lists, self._valid, self.data.features
+    def _pass(self, theta, b, queries=None) -> _Pass:
+        """Plackett-Luce pass over b's layout, or over the rows of it that
+        the boolean (m,) mask queries chooses."""
+        lay = self._layout_of(b)
         if queries is not None:
-            lists, valid, x = lists[queries], valid[queries], x[queries]
-        keep = valid & mask[lists]
-        rows = keep.any(axis=1)
-        keep, lists = keep[rows], lists[rows]
-        lens = keep.sum(axis=1)
-        valid = np.arange(lens.max(initial=0)) < lens[:, None]
-        compact = np.zeros(valid.shape, dtype=np.int64)
-        compact[valid] = (np.cumsum(mask) - 1)[lists[keep]]
-        items = np.flatnonzero(mask)
-        x = x[rows]
-        s = x @ np.asarray(theta, dtype=np.float64).reshape(mask.size, -1)[items].T
-        return _Pass(rows, items, x, s, compact, valid, *_plackett_luce(s, compact, valid))
+            lay = lay.take(queries[lay.rows])
+        w = np.asarray(theta, dtype=np.float64).reshape(self.data.n_items, -1)
+        s = lay.x @ w[lay.items].T
+        return _Pass(lay, s, *_plackett_luce(s, lay.cand, lay.valid))
 
     def _loss_gradient(self, theta, b, queries=None):
         """Gradient of the ListMLE sum without the ridge, as (n_items, p)."""
         pl = self._pass(theta, b, queries)
         g = np.zeros((self.data.n_items, self.data.p))
-        g[pl.items] = _coefficients(pl.p, pl.lists, pl.valid).T @ pl.x
+        g[pl.lay.items] = _coefficients(pl.p, pl.lay.lists, pl.lay.valid).T @ pl.lay.x
         return g
 
     def _query_coefficients(self, theta, b):
         """(m, n_items) score coefficients of every query, zero where absent."""
         pl = self._pass(theta, b)
         c = np.zeros((self.data.m, self.data.n_items))
-        c[np.ix_(pl.rows, pl.items)] = _coefficients(pl.p, pl.lists, pl.valid)
+        c[np.ix_(pl.lay.rows, pl.lay.items)] = _coefficients(pl.p, pl.lay.lists, pl.lay.valid)
         return c
 
     def value(self, theta, b):
         theta = np.asarray(theta, dtype=np.float64)
         pl = self._pass(theta, b)
         return 0.5 * self.l2 * float(theta @ theta) + _list_loss(
-            pl.s, pl.lists, pl.valid, pl.lse
+            pl.s, pl.lay.lists, pl.lay.valid, pl.lse
         )
 
     def gradient(self, theta, b):
@@ -216,11 +262,12 @@ class ListMLEModel(LossModel):
 
     def hessian(self, theta, b):
         pl = self._pass(theta, b)
-        n, p, k, m = self.data.n_items, self.data.p, pl.items.size, len(pl.x)
-        xx = (pl.x[:, :, None] * pl.x[:, None, :]).reshape(m, p * p)
+        x, items = pl.lay.x, pl.lay.items
+        n, p, k, m = self.data.n_items, self.data.p, items.size, len(x)
+        xx = (x[:, :, None] * x[:, None, :]).reshape(m, p * p)
         # sum_q blocks_q (x) x_q x_q^T as one product over queries
         h4 = np.zeros((n, n, p, p))
-        h4[np.ix_(pl.items, pl.items)] = (
+        h4[np.ix_(items, items)] = (
             _hessian_blocks(pl.p).reshape(m, k * k).T @ xx
         ).reshape(k, k, p, p)
         h = h4.transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
@@ -269,11 +316,12 @@ class QueryLossTarget(TargetFunction):
         if min(self.y_list) < 0 or max(self.y_list) >= self.n_items:
             raise ValueError("y_list item out of range")
         self._lists, self._valid = _pad((self.y_list,))
+        self._cand = _candidates(self._lists, self._valid, self.n_items)
 
     def _pass(self, theta):
         w = np.asarray(theta, dtype=np.float64).reshape(self.n_items, self.p)
         s = (w @ self.x)[None, :]
-        return (s, *_plackett_luce(s, self._lists, self._valid))
+        return (s, *_plackett_luce(s, self._cand, self._valid))
 
     def value(self, theta):
         s, _, lse = self._pass(theta)

@@ -19,7 +19,7 @@ from vifkit.attributor import (
 from vifkit.coxloss import CoxModel
 from vifkit.embedloss import EmbedModel, Graph, WalkParams
 from vifkit.errors import UnrealizableMixtureError
-from vifkit.logisticloss import logistic_fixture
+from vifkit.logisticloss import LogisticModel, logistic_fixture
 from vifkit.synth import synth_survival
 from vifkit.losscore import LossModel, PresenceVector, TrainConfig, train
 from vifkit.numkit import cg_solve, factor_spd, lissa_solve, solve_spd
@@ -66,6 +66,11 @@ class TestQuadraticIdentities:
 
 
 class TestLogisticIdentities:
+    def test_reg_must_be_a_real_at_least_zero(self):
+        model = logistic_fixture(10, 2, seed=0)
+        with pytest.raises(ValueError, match="reg must be a real >= 0, got nan"):
+            LogisticModel(model.x, model.labels, reg=float("nan"))
+
     def test_vif_equals_n_classical_at_optimum(self, logistic_opt):
         model, theta = logistic_opt
         ctx = HessianContext(model, theta, HessianSolver())

@@ -158,6 +158,11 @@ class TestGraph:
 
 
 class TestWalks:
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_walks_per_node_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="walks_per_node must be an int >= 1"):
+            WalkParams(walks_per_node=value)
+
     def test_deterministic_per_seed(self):
         g = path_graph(6)
         b = PresenceVector.all_ones(6)
@@ -412,6 +417,22 @@ class TestEmbedModel:
         evicted = ones.without(0)
         np.testing.assert_array_equal(small_model.pair_counts(evicted), first[evicted.key()])
         assert len(builds) == 5 + 2 and len(small_model._pair_cache) == 2
+
+    def test_anchor_block_built_once_per_presence_vector(self, small_model, monkeypatch):
+        blocks = count_calls(monkeypatch, embedloss, "_anchor_block")
+        theta = np.random.default_rng(8).normal(0.0, 0.2, small_model.dim)
+        ones, b = PresenceVector.all_ones(5), PresenceVector.drop(5, 1)
+        first = small_model.gradient(theta, b)
+        for _ in range(3):
+            small_model.gradient(theta, ones)
+            small_model.hessian(theta, b)
+        assert len(blocks) == 2
+        np.testing.assert_array_equal(small_model.gradient(theta, b), first)
+        assert len(blocks) == 2
+
+    def test_k_must_be_an_int(self):
+        with pytest.raises(ValueError, match="k must be an int >= 1, got 2.0"):
+            EmbedModel(path_graph(4), k=2.0, walk_params=WalkParams())
 
     def test_minibatch_training_refused_before_any_walk(self, small_model):
         cfg = TrainConfig(optimizer="adam", batch_size=4)

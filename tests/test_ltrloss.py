@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from vifkit import files
+from conftest import count_calls
+from vifkit import files, ltrloss
 from vifkit.errors import DataError, NoPresentItemsError
 from vifkit.losscore import PresenceVector, check_gradient, check_hessian
-from vifkit.ltrloss import ListMLEModel, RankingDataset, query_loss_target
+from vifkit.ltrloss import ListMLEModel, QueryLossTarget, RankingDataset, query_loss_target
 from vifkit.synth import synth_ranking
 
 
@@ -128,6 +129,68 @@ class TestListMLEValue:
         with pytest.raises(NoPresentItemsError):
             model.value(np.zeros(32), b)
 
+    @pytest.mark.parametrize("l2", [-1.0, float("nan"), float("inf"), True, "0.1"])
+    def test_l2_must_be_a_real_at_least_zero(self, ranking_data, l2):
+        with pytest.raises(ValueError, match="l2 must be a real >= 0"):
+            ListMLEModel(ranking_data, l2=l2)
+
+
+class TestListMLELayout:
+    def test_candidate_mask_is_the_literal_definition(self, ranking_cases):
+        """An item is a candidate at position j unless it is among the
+        list's first j present items; every item is at a padded position."""
+        ragged, masked = ranking_cases[1]
+        model = ListMLEModel(ragged)
+        for b in (PresenceVector.all_ones(8), masked):
+            lay = model._layout_of(b)
+            kept = [[i for i in RAGGED_LISTS[q] if b.bits[i]] for q in lay.rows]
+            k = max(map(len, kept))
+            assert lay.cand.shape == (len(kept), k, b.count)
+            for row, lst in enumerate(kept):
+                for j in range(k):
+                    want = [j >= len(lst) or item not in lst[:j] for item in lay.items]
+                    assert lay.cand[row, j].tolist() == want
+
+    def test_target_candidate_mask(self):
+        t = QueryLossTarget(np.ones(2), (3, 0, 2), n_items=4, p=2)
+        np.testing.assert_array_equal(
+            t._cand[0], [[1, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0]]
+        )
+
+    def test_untrimmed_padding_adds_nothing(self, ranking_cases):
+        """A minibatch of short lists keeps the layout's longest-list width;
+        its padded positions leave the gradient of a model built from those
+        queries alone unchanged."""
+        ragged, masked = ranking_cases[1]
+        model = ListMLEModel(ragged)
+        theta = np.random.default_rng(12).normal(0.0, 0.3, model.dim)
+        idx = [0, 2, 5]  # lists of 3, 1 and 2 items; the longest has 8
+        alone = ListMLEModel(RankingDataset(
+            features=ragged.features[idx], rel_lists=tuple(RAGGED_LISTS[q] for q in idx),
+            n_items=8,
+        ))
+        for b in (PresenceVector.all_ones(8), masked):
+            np.testing.assert_array_equal(
+                model.term_gradient_sum(theta, b, idx), alone.gradient(theta, b)
+            )
+
+    def test_layouts_are_built_once_and_bounded(self, monkeypatch, ranking_data):
+        builds = count_calls(monkeypatch, ltrloss, "_layout")
+        model = ListMLEModel(ranking_data, l2=0.05)
+        theta = np.random.default_rng(13).normal(0.0, 0.3, model.dim)
+        ones = PresenceVector.all_ones(8)
+        first = model.delta_gradients(theta, range(8))
+        assert len(builds) == 1 + 8
+        assert len(model._layouts) <= 2 and ones.bits.tobytes() in model._layouts
+        # a second pass at the same presence vector reads the cached layout
+        b = ones.without(7)
+        model.gradient(theta, b)
+        model.term_gradient_sum(theta, b, [3, 1])
+        model.hessian(theta, ones)
+        assert len(builds) == 1 + 8
+        np.testing.assert_array_equal(model.delta_gradients(theta, [7]), first[7:])
+        assert len(builds) == 1 + 8
+
 
 class TestListMLEDerivatives:
     def test_gradient_and_hessian_check(self, ranking_cases):
@@ -212,7 +275,8 @@ class TestListMLEDerivatives:
     def test_mask_equals_delete_for_trailing_item(self, ranking_cases):
         """With no ridge, masking the last item agrees bit for bit with
         physically shrinking the item universe (same surviving ids, smaller
-        W): value, gradient rows and Hessian block of the surviving items."""
+        W): value, gradient rows and Hessian block of the surviving items,
+        on a fresh model and on one whose layout cache is warm."""
         rng = np.random.default_rng(7)
         b, ones = PresenceVector.drop(8, 7), PresenceVector.all_ones(7)
         for data, _ in ranking_cases:
@@ -227,13 +291,17 @@ class TestListMLEDerivatives:
             cut = ListMLEModel(cut_data, l2=0.0)
             w = rng.normal(0.0, 0.3, (8, 4))
             theta, theta_cut = w.ravel(), w[:7].ravel()
-            assert model.value(theta, b) == cut.value(theta_cut, ones)
-            np.testing.assert_array_equal(
-                model.gradient(theta, b)[:28], cut.gradient(theta_cut, ones)
-            )
-            np.testing.assert_array_equal(
-                model.hessian(theta, b)[:28, :28], cut.hessian(theta_cut, ones)
-            )
+            for warm in (False, True):
+                if warm:  # leaves the full and the drop-7 layouts cached
+                    model.delta_gradients(theta, range(8))
+                    model.gradient(theta + 0.5, b)
+                assert model.value(theta, b) == cut.value(theta_cut, ones)
+                np.testing.assert_array_equal(
+                    model.gradient(theta, b)[:28], cut.gradient(theta_cut, ones)
+                )
+                np.testing.assert_array_equal(
+                    model.hessian(theta, b)[:28, :28], cut.hessian(theta_cut, ones)
+                )
 
 
 class TestQueryLossTarget:
