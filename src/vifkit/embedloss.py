@@ -8,7 +8,10 @@ dimension never changes with b.
 
 The walk stream for a presence vector b is seeded from (master_seed, present
 node ids), so every b has its own reproducible corpus and a physically
-deleted trailing node yields the same walks as masking it.
+deleted trailing node yields the same walks as masking it.  EmbedModel
+caches each presence vector's pair counts with their anchor block, and its
+value, gradient and Hessian all read that entry; a held-out PairLossTarget
+scores one anchor row against every node of the graph.
 """
 
 from __future__ import annotations
@@ -208,19 +211,14 @@ def _outer_rows(x: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
 
 
-def contrastive_value_from_pairs(
-    emb: np.ndarray, out: np.ndarray, counts: np.ndarray, present: np.ndarray
-) -> float:
-    """Softmax cross entropy of the given pair counts.
-
-    loss = sum_{u,v} C[u,v] * (-s_uv + logsumexp_{l present} s_ul), with
-    s = emb @ out^T.  Pure function of (parameters, pairs); no regeneration.
-    """
-    anchors, m, c = _anchor_block(counts, present)
-    if anchors.size == 0:
+def _value(emb: np.ndarray, out: np.ndarray, pairs: _Pairs) -> float:
+    """Softmax cross entropy of the pair counts,
+    sum_{u,v} C[u,v] * (-s_uv + logsumexp_{l present} s_ul) with s = emb @ out^T,
+    read from the anchor block of pairs."""
+    if pairs.anchors.size == 0:
         return 0.0
-    s, _, lse = _softmax(emb[anchors], out[present])
-    return float((m * lse).sum() - (c * s).sum())
+    s, _, lse = _softmax(emb[pairs.anchors], out[pairs.present])
+    return float((pairs.m * lse).sum() - (pairs.block * s).sum())
 
 
 class EmbedModel(LossModel):
@@ -273,19 +271,13 @@ class EmbedModel(LossModel):
         present = b.present_indices()
         return _Pairs(counts, present, *_anchor_block(counts, present))
 
-    def _pass(self, theta, b):
-        """emb, out, present, anchors, m, C block and the anchors' softmax p."""
-        emb, out = _split(theta, self.graph.n, self.k)
-        pairs = self._pairs(b)
-        _, p, _ = _softmax(emb[pairs.anchors], out[pairs.present])
-        return emb, out, pairs.present, pairs.anchors, pairs.m, pairs.block, p
-
     def value(self, theta, b):
-        emb, out = _split(theta, self.graph.n, self.k)
-        return contrastive_value_from_pairs(emb, out, self.pair_counts(b), b.present_indices())
+        return _value(*_split(theta, self.graph.n, self.k), self._pairs(b))
 
     def gradient(self, theta, b):
-        emb, out, present, anchors, m, c, p = self._pass(theta, b)
+        emb, out = _split(theta, self.graph.n, self.k)
+        _, present, anchors, m, c = self._pairs(b)
+        _, p, _ = _softmax(emb[anchors], out[present])
         return _scatter(m[:, None] * p - c, emb, out, anchors, present)
 
     def hessian(self, theta, b):
@@ -295,13 +287,15 @@ class EmbedModel(LossModel):
         emb-out (u, l): (m p_l - C_ul) I + m p_l (w_l - q) e_u^T, and its transpose;
         out-out (l, l'): sum_u m (diag p - p p^T)_ll' e_u e_u^T.
         """
-        emb, out, present, anchors, m, c, p = self._pass(theta, b)
+        emb, out = _split(theta, self.graph.n, self.k)
+        _, present, anchors, m, c = self._pairs(b)
         n, k = self.graph.n, self.k
         h = np.zeros((self.dim, self.dim))
         if anchors.size == 0:
             return h
         hb = h.reshape(2, n, k, 2, n, k)  # (block, node, coordinate) twice
         e, w = emb[anchors], out[present]
+        _, p, _ = _softmax(e, w)
         mp = m[:, None] * p
         q = p @ w
         n_anchor, n_present = p.shape

@@ -103,14 +103,21 @@ def _loo_lockstep(model, cfg, init, base_values, targets, group) -> LooResult:
 
 
 def _spread(jobs: int, fn, args: tuple, items: list) -> list:
-    """[fn(*args, item) for item in items], over jobs processes when jobs > 1."""
+    """[fn(*args, item) for item in items], over jobs processes when jobs > 1.
+
+    The pool starts no more processes than there are items.  A worker that
+    dies breaks the pool; that surfaces as a ChildProcessError, an OSError.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [fn(*args, item) for item in items]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, *args, item) for item in items]
-        return [f.result() for f in futures]
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            futures = [pool.submit(fn, *args, item) for item in items]
+            return [f.result() for f in futures]
+    except concurrent.futures.BrokenExecutor as exc:
+        raise ChildProcessError(f"a --jobs worker process died: {exc}") from exc
 
 
 def loo_retrain(

@@ -1,12 +1,13 @@
-"""Ridge-regularized logistic regression: the decomposable reference loss,
-its held-out log-loss target and a seeded synthetic problem."""
+"""Ridge-regularized logistic regression: the decomposable reference loss
+and a seeded synthetic problem.  The log loss of a held-out point is
+losscore.LossTarget over the unregularized model of that one point."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DataError
-from .losscore import DecomposableLoss, LossModel, TargetFunction
+from .losscore import DecomposableLoss, LossModel
 from .numkit import is_real
 
 
@@ -90,23 +91,6 @@ class LogisticModel(LossModel, DecomposableLoss):
     def point_gradients(self, theta):
         coef = self._slopes(theta, slice(None))
         return coef[:, None] * self.x + (self.reg / self.n_objects) * theta[None, :]
-
-
-class LogLossTarget(TargetFunction):
-    """Logistic test loss of one held-out point."""
-
-    def __init__(self, x_test, label: float):
-        self.x_test = np.ascontiguousarray(x_test, dtype=np.float64)
-        if label not in (-1.0, 1.0):
-            raise ValueError("label must be -1 or +1")
-        self.label = float(label)
-
-    def value(self, theta):
-        return float(np.logaddexp(0.0, -self.label * (theta @ self.x_test)))
-
-    def gradient(self, theta):
-        z = self.label * (theta @ self.x_test)
-        return -self.label / (1.0 + np.exp(z)) * self.x_test
 
 
 def logistic_fixture(

@@ -46,6 +46,9 @@ class PresenceVector:
     def __setattr__(self, name, value):
         raise AttributeError("PresenceVector is immutable")
 
+    def __reduce__(self):
+        return PresenceVector, (self.bits,)
+
     @classmethod
     def all_ones(cls, n: int) -> "PresenceVector":
         return cls(np.ones(n, dtype=bool))
@@ -127,6 +130,19 @@ class TargetFunction(abc.ABC):
 
     @abc.abstractmethod
     def gradient(self, theta: np.ndarray) -> np.ndarray: ...
+
+
+class LossTarget(TargetFunction):
+    """A model's loss at full presence, L(theta, 1), as a target."""
+
+    def __init__(self, model: LossModel):
+        self.model, self.ones = model, PresenceVector.all_ones(model.n_objects)
+
+    def value(self, theta):
+        return self.model.value(theta, self.ones)
+
+    def gradient(self, theta):
+        return self.model.gradient(theta, self.ones)
 
 
 class LossModel(abc.ABC):

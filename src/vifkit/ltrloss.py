@@ -31,6 +31,9 @@ is a candidate at position j while pos[q, l] >= j, and every item is a
 candidate at a padded position, whose softmax is then zeroed.  A pass is a
 row gather from the layout (a minibatch's queries), one score product and
 the masked softmax.
+
+The loss of a held-out query is losscore.LossTarget over the ListMLEModel
+of that one query (query_loss_target), so the target runs the same pass.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, NoPresentItemsError
-from .losscore import LossModel, PresenceVector, TargetFunction, presence_cached
+from .losscore import LossModel, LossTarget, PresenceVector, presence_cached
 from .numkit import is_real
 
 
@@ -301,36 +304,9 @@ class ListMLEModel(LossModel):
         return out
 
 
-class QueryLossTarget(TargetFunction):
-    """ListMLE loss of one held-out query over the full item universe."""
-
-    def __init__(self, x_test, y_list, n_items: int, p: int):
-        self.x = np.ascontiguousarray(x_test, dtype=np.float64)
-        self.y_list = tuple(int(v) for v in y_list)
-        self.n_items = int(n_items)
-        self.p = int(p)
-        if self.x.shape != (self.p,):
-            raise ValueError("test features have the wrong dimension")
-        if len(set(self.y_list)) != len(self.y_list) or not self.y_list:
-            raise ValueError("y_list must be nonempty with distinct items")
-        if min(self.y_list) < 0 or max(self.y_list) >= self.n_items:
-            raise ValueError("y_list item out of range")
-        self._lists, self._valid = _pad((self.y_list,))
-        self._cand = _candidates(self._lists, self._valid, self.n_items)
-
-    def _pass(self, theta):
-        w = np.asarray(theta, dtype=np.float64).reshape(self.n_items, self.p)
-        s = (w @ self.x)[None, :]
-        return (s, *_plackett_luce(s, self._cand, self._valid))
-
-    def value(self, theta):
-        s, _, lse = self._pass(theta)
-        return _list_loss(s, self._lists, self._valid, lse)
-
-    def gradient(self, theta):
-        _, p, _ = self._pass(theta)
-        return np.outer(_coefficients(p, self._lists, self._valid)[0], self.x).ravel()
-
-
-def query_loss_target(model: ListMLEModel, x_test, y_list) -> QueryLossTarget:
-    return QueryLossTarget(x_test, y_list, model.data.n_items, model.data.p)
+def query_loss_target(model: ListMLEModel, x_test, y_list) -> LossTarget:
+    """ListMLE loss of one held-out query over the model's item universe."""
+    x = np.asarray(x_test, dtype=np.float64)
+    if x.shape != (model.data.p,):
+        raise ValueError("test features have the wrong dimension")
+    return LossTarget(ListMLEModel(RankingDataset(x[None], (y_list,), model.data.n_items)))

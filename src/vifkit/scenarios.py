@@ -124,13 +124,15 @@ def _draw_logistic(s: dict, seed: int, paths: list) -> None:
 
 
 def _build_logistic(m: dict, seed: int, paths: list, n_objects):
-    from .logisticloss import LogisticModel, LogLossTarget
+    from .logisticloss import LogisticModel
+    from .losscore import LossTarget
 
     (x, labels), (xt, lt) = files.read_points(paths[0]), files.read_points(paths[1])
     d, dt = x.shape[1], xt.shape[1]
     _held_out(paths[1], dt == d, f"{dt} features, training data has {d}")
     model = LogisticModel(x, labels, reg=m["reg"])
-    return model, [LogLossTarget(xt[i], lt[i]) for i in range(xt.shape[0])]
+    return model, [LossTarget(LogisticModel(xt[i : i + 1], lt[i : i + 1], reg=0.0))
+                   for i in range(xt.shape[0])]
 
 
 SCENARIOS = {

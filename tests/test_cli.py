@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,8 +18,13 @@ from vifkit.attributor import attribute_target
 from vifkit.cli import main
 from vifkit.errors import DataError
 from vifkit.files import read_checkpoint, write_checkpoint
-from vifkit.losscore import PresenceVector, TrainConfig, train
+from vifkit.losscore import LossTarget, PresenceVector, TrainConfig, train
 from vifkit.synth import synth_graph
+
+
+def _die_in_worker(*args):
+    """A retraining whose worker process exits without a result."""
+    os._exit(1)
 
 
 def run(capsys, *argv):
@@ -251,7 +257,8 @@ class TestInfluenceTable:
         theta = train(model, PresenceVector.all_ones(k),
                       TrainConfig(optimizer="newton", epochs=20)).theta
         rng = np.random.default_rng(9)
-        targets = [logisticloss.LogLossTarget(x, 1.0) for x in rng.standard_normal((n_tests, 5))]
+        targets = [LossTarget(logisticloss.LogisticModel(x[None], [1.0], reg=0.0))
+                   for x in rng.standard_normal((n_tests, 5))]
         tracemalloc.start()
         try:
             result = attribute_target(model, theta, targets, range(k))
@@ -545,6 +552,19 @@ class TestExitCodes:
         payload = stderr_payload(err)
         assert payload["error"] == "ConfigError"
         assert "jobs" in payload["message"]
+
+    def test_dead_jobs_worker_is_an_os_error(self, capsys, cox_run, monkeypatch):
+        cfg, cfg_path, out = cox_run
+        run(capsys, "synth", "--config", str(cfg_path))
+        run(capsys, "train", "--config", str(cfg_path))
+        monkeypatch.setattr(harness, "_loo_one", _die_in_worker)
+        code, _, err = run(capsys, "loo", "--config", str(cfg_path), "--jobs", "2")
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ChildProcessError" and "--jobs" in payload["message"]
+        assert multiprocessing.active_children() == []
+        assert not (out / "loo.csv").exists()
 
     @pytest.mark.parametrize("rate", ["0.1", -0.1, 0.0])
     def test_bad_learning_rate_is_config_error(self, capsys, cox_run, rate):

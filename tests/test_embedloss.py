@@ -10,7 +10,6 @@ from vifkit.embedloss import (
     EmbedModel,
     Graph,
     WalkParams,
-    contrastive_value_from_pairs,
     generate_walks,
     pair_loss_target,
     walks_to_pairs,
@@ -376,14 +375,20 @@ class TestEmbedModel:
 
     def test_pair_algebra_permutation_invariance(self, small_model):
         """Relabeling nodes consistently in parameters and counts leaves the
-        softmax cross entropy unchanged."""
+        softmax cross entropy of the anchor block unchanged."""
         b = PresenceVector.all_ones(5)
         counts = small_model.pair_counts(b)
         rng = np.random.default_rng(4)
         emb = rng.normal(0.0, 0.3, (5, 2))
         out = rng.normal(0.0, 0.3, (5, 2))
         present = np.arange(5)
-        base = contrastive_value_from_pairs(emb, out, counts, present)
+
+        def value(emb, out, counts):
+            pairs = embedloss._Pairs(counts, present, *embedloss._anchor_block(counts, present))
+            return embedloss._value(emb, out, pairs)
+
+        base = value(emb, out, counts)
+        assert base == small_model.value(np.concatenate([emb.ravel(), out.ravel()]), b)
         perm = rng.permutation(5)
         emb_p = np.empty_like(emb)
         out_p = np.empty_like(out)
@@ -391,9 +396,7 @@ class TestEmbedModel:
         emb_p[perm] = emb
         out_p[perm] = out
         counts_p[np.ix_(perm, perm)] = counts
-        assert contrastive_value_from_pairs(
-            emb_p, out_p, counts_p, present
-        ) == pytest.approx(base, rel=1e-12)
+        assert value(emb_p, out_p, counts_p) == pytest.approx(base, rel=1e-12)
 
     def test_drop_one_sweep_cache_is_bounded(self, small_model, monkeypatch):
         builds = []

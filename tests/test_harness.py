@@ -16,8 +16,9 @@ from vifkit.attributor import attribute_target
 from vifkit.coxloss import CoxModel, RelativeRiskTarget, SurvivalDataset
 from vifkit.errors import DegenerateInputError, NoEventsError
 from vifkit.harness import brute_force_repeat, compare, loo_retrain
-from vifkit.logisticloss import logistic_fixture
-from vifkit.losscore import PresenceVector, TrainConfig, derive_seed, train
+from vifkit.logisticloss import LogisticModel, logistic_fixture
+from vifkit.losscore import LossTarget, PresenceVector, TrainConfig, derive_seed, train
+from vifkit.ltrloss import ListMLEModel, query_loss_target
 from vifkit.synth import synth_graph, synth_ranking, synth_survival
 
 
@@ -167,6 +168,48 @@ class TestLooRetrain:
         par = loo_retrain(model, cfg, range(12), targets, jobs=2)
         np.testing.assert_array_equal(seq.objects, par.objects)
         np.testing.assert_array_equal(seq.deltas, par.deltas)
+
+    def test_jobs_send_loss_targets_unchanged(self):
+        # a LossTarget holds its model and a PresenceVector; both cross to
+        # the workers by pickle
+        data = synth_ranking(m=15, n=8, k=3, p=4, seed=2)
+        held_out = synth_ranking(m=3, n=8, k=3, p=4, seed=3)
+        model = ListMLEModel(data, l2=1e-3)
+        targets = [query_loss_target(model, x, lst)
+                   for x, lst in zip(held_out.features, held_out.rel_lists)]
+        targets.append(LossTarget(LogisticModel(np.ones((1, model.dim)), [1.0], reg=0.0)))
+        cfg = TrainConfig(optimizer="adam", learning_rate=0.01, epochs=20, batch_size=8)
+        seq = loo_retrain(model, cfg, range(8), targets, jobs=1)
+        par = loo_retrain(model, cfg, range(8), targets, jobs=2)
+        assert par.deltas.tobytes() == seq.deltas.tobytes()
+        assert par.grad_norm.tobytes() == seq.grad_norm.tobytes()
+
+    def test_spread_starts_at_most_one_worker_per_item(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each call in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert harness._spread(64, pow, (2,), [1, 2, 3]) == [2, 4, 8]
+        assert harness._spread(2, pow, (2,), [1, 2, 3]) == [2, 4, 8]
+        assert sizes == [3, 2]
 
     def test_fresh_inits_noop_for_seedless_models(self):
         # logistic initial_params is zeros regardless of seed, so both

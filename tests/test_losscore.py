@@ -1,13 +1,16 @@
 """Core abstractions: presence vectors, training, derivative checkers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from conftest import LinearTarget, QuadraticModel, count_calls
 from vifkit.coxloss import CoxModel, SurvivalDataset
 from vifkit.errors import NonFiniteError
-from vifkit.logisticloss import logistic_fixture
+from vifkit.logisticloss import LogisticModel, logistic_fixture
 from vifkit.losscore import (
+    LossTarget,
     PresenceVector,
     TrainConfig,
     check_gradient,
@@ -53,6 +56,17 @@ class TestPresenceVector:
     def test_key_distinguishes_masks(self):
         assert PresenceVector.drop(4, 0).key() != PresenceVector.drop(4, 1).key()
         assert PresenceVector.drop(4, 0).key() == PresenceVector.drop(4, 0).key()
+
+    @pytest.mark.parametrize("b", [PresenceVector.all_ones(3), PresenceVector.drop(5, 2)],
+                             ids=["full", "drop"])
+    def test_pickle_round_trip(self, b):
+        # a --jobs worker receives every model and target, with the
+        # presence vectors they hold, by pickle
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and hash(copy) == hash(b)
+        assert not copy.bits.flags.writeable
+        with pytest.raises(AttributeError):
+            copy.bits = np.zeros(copy.n, dtype=bool)
 
 
 class TestDeriveSeed:
@@ -238,6 +252,19 @@ class TestTargetValues:
         assert got.tobytes() == np.array([target.value(t) for t in thetas]).tobytes()
         empty = target.values(np.empty((0, 3)))
         assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+class TestLossTarget:
+    def test_logistic_point_is_the_log_loss(self):
+        data = logistic_fixture(8, 3, seed=6)
+        rng = np.random.default_rng(7)
+        for x, y in zip(data.x, data.labels):
+            t = LossTarget(LogisticModel(x[None], [y], reg=0.0))
+            theta = rng.standard_normal(3)
+            z = y * (theta @ x)
+            assert t.value(theta) == pytest.approx(np.log1p(np.exp(-z)), rel=1e-13)
+            np.testing.assert_allclose(t.gradient(theta), -y * x / (1.0 + np.exp(z)),
+                                       rtol=1e-13, atol=0)
 
 
 class TestDerivativeCheckers:

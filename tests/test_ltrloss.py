@@ -6,8 +6,8 @@ import pytest
 from conftest import count_calls
 from vifkit import files, ltrloss
 from vifkit.errors import DataError, NoPresentItemsError
-from vifkit.losscore import PresenceVector, check_gradient, check_hessian
-from vifkit.ltrloss import ListMLEModel, QueryLossTarget, RankingDataset, query_loss_target
+from vifkit.losscore import PresenceVector, _difference_error, check_gradient, check_hessian
+from vifkit.ltrloss import ListMLEModel, RankingDataset, query_loss_target
 from vifkit.synth import synth_ranking
 
 
@@ -152,9 +152,10 @@ class TestListMLELayout:
                     assert lay.cand[row, j].tolist() == want
 
     def test_target_candidate_mask(self):
-        t = QueryLossTarget(np.ones(2), (3, 0, 2), n_items=4, p=2)
+        model = ListMLEModel(RankingDataset(np.ones((1, 2)), ((0,),), n_items=4))
+        t = query_loss_target(model, np.ones(2), (3, 0, 2))
         np.testing.assert_array_equal(
-            t._cand[0], [[1, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0]]
+            t.model._layout_of(t.ones).cand[0], [[1, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 0]]
         )
 
     def test_untrimmed_padding_adds_nothing(self, ranking_cases):
@@ -305,18 +306,32 @@ class TestListMLEDerivatives:
 
 
 class TestQueryLossTarget:
-    def test_value_matches_model_on_singleton_dataset(self, ranking_data):
+    def test_value_and_gradient_match_naive_listmle(self, ranking_data):
+        """The target is the model's loss of the one held-out list, with no
+        ridge: it matches the literal Plackett-Luce loop and its central
+        differences."""
         model = ListMLEModel(ranking_data, l2=0.05)
-        x = np.array([0.3, -0.2, 0.8, 0.1])
-        y_list = (4, 1)
+        x, y_list = np.array([0.3, -0.2, 0.8, 0.1]), (4, 1, 6)
         t = query_loss_target(model, x, y_list)
         single = RankingDataset(features=x[None, :], rel_lists=(y_list,), n_items=8)
-        ref = ListMLEModel(single, l2=0.0)
-        rng = np.random.default_rng(8)
-        theta = rng.normal(0.0, 0.3, model.dim)
-        assert t.value(theta) == pytest.approx(
-            ref.value(theta, PresenceVector.all_ones(8)), rel=1e-12
-        )
+        theta = np.random.default_rng(8).normal(0.0, 0.3, model.dim)
+
+        def naive(theta):
+            return naive_listmle(theta.reshape(8, 4), single, np.ones(8, dtype=bool))
+
+        assert t.value(theta) == pytest.approx(naive(theta), rel=1e-12)
+        assert _difference_error(t.gradient(theta), naive, theta, h=1e-6) < 1e-7
+
+    @pytest.mark.parametrize("x, y_list, error, match", [
+        (np.zeros(3), (4, 1), ValueError, "wrong dimension"),
+        (np.zeros(4), (), DataError, "empty relevance list"),
+        (np.zeros(4), (4, 1, 4), DataError, "repeated item"),
+        (np.zeros(4), (4, 8), DataError, "out of range"),
+        (np.zeros(4), (-1,), DataError, "out of range"),
+    ], ids=["features", "empty", "repeated", "past-last-item", "negative"])
+    def test_bad_query_refused(self, ranking_data, x, y_list, error, match):
+        with pytest.raises(error, match=match):
+            query_loss_target(ListMLEModel(ranking_data), x, y_list)
 
     def test_gradient_matches_finite_difference(self, ranking_data):
         model = ListMLEModel(ranking_data)
